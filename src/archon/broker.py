@@ -14,16 +14,8 @@ import queue
 import socket
 import threading
 
-from .diagnostics import fail
 from .frames import EVT, REG, Frame, read_frame, write_frame
-
-
-def _shutdown(sock: socket.socket) -> None:
-    # close() alone does not wake a thread blocked in recv on the same socket
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
+from .server import SocketServer, dial, hang_up
 
 
 class _Conn:
@@ -37,78 +29,23 @@ class _Conn:
             write_frame(self.sock, frame)
 
 
-class EventBroker:
+class EventBroker(SocketServer):
     def __init__(self, endpoint: str) -> None:
+        super().__init__("broker endpoint", endpoint)
         self.endpoint = endpoint
-        self._listener: socket.socket | None = None
         self._conns: set[_Conn] = set()
-        self._lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
-        self._accepting = False
-
-    def start(self) -> "EventBroker":
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            listener.bind(self.endpoint)
-        except OSError as err:
-            listener.close()
-            raise fail("EndpointInUse", f"cannot bind broker endpoint '{self.endpoint}': {err}")
-        listener.listen()
-        self._listener = listener
-        self._accepting = True
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return self
-
-    def stop(self) -> None:
-        self._accepting = False
-        if self._listener is not None:
-            _shutdown(self._listener)  # wakes the blocked accept
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            _shutdown(conn.sock)
-        for thread in self._threads:
-            thread.join(timeout=2)
 
     def registered(self, topic: str) -> int:
         """How many live connections are subscribed; lets callers sync up."""
         with self._lock:
             return sum(1 for c in self._conns if topic in c.topics)
 
-    def __enter__(self) -> "EventBroker":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _accept_loop(self) -> None:
-        while self._accepting:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            conn = _Conn(sock)
-            with self._lock:
-                self._conns.add(conn)
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve(self, conn: _Conn) -> None:
+    def _serve(self, sock: socket.socket) -> None:
+        conn = _Conn(sock)
+        with self._lock:
+            self._conns.add(conn)
         try:
-            while True:
-                try:
-                    frame = read_frame(conn.sock)
-                except Exception:
-                    break
-                if frame is None:
-                    break
+            while (frame := read_frame(sock)) is not None:
                 if frame.kind == REG:
                     with self._lock:
                         conn.topics.add(frame.topic)
@@ -121,26 +58,17 @@ class EventBroker:
                         try:
                             target.send(frame)
                         except OSError:
-                            pass
+                            self._count_error()
         finally:
             with self._lock:
                 self._conns.discard(conn)
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
 
 
 class BrokerClient:
     """Test and component-side client: subscribe, publish, drain events."""
 
     def __init__(self, endpoint: str) -> None:
-        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            self.sock.connect(endpoint)
-        except OSError as err:
-            self.sock.close()
-            raise fail("BrokerUnavailable", f"cannot reach broker at '{endpoint}': {err}")
+        self.sock = dial(endpoint, "BrokerUnavailable", "broker")
         self._events: queue.Queue[tuple[str, bytes]] = queue.Queue()
         self._write_lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
@@ -161,12 +89,7 @@ class BrokerClient:
             return None
 
     def close(self) -> None:
-        _shutdown(self.sock)
-        self._reader.join(timeout=2)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        hang_up(self.sock, self._reader)
 
     def _read_loop(self) -> None:
         while True:

@@ -25,17 +25,11 @@ import threading
 
 from .diagnostics import fail
 from .frames import FWD, MAX_FRAME_BYTES, RSP, Frame, read_frame, write_frame
+from .server import SocketServer, dial, hang_up
 
 RELAY_SOCKET = "relay.sock"
 
 _CHUNK = 1 << 16
-
-
-def _shutdown(sock) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
 
 
 # --- sites and routes -------------------------------------------------------
@@ -123,76 +117,39 @@ def resolve(link: RelayLink, from_site: str, logical: str) -> Route:
 # --- the relay itself -------------------------------------------------------
 
 
-class Relay:
+class Relay(SocketServer):
     """Listens inside both namespaces; forwards streams to name owners."""
 
     def __init__(self, link: RelayLink) -> None:
+        sites = (link.site_a, link.site_b)
+        super().__init__("relay at", *(os.path.join(s.root, RELAY_SOCKET) for s in sites))
         self.link = link
-        self._listeners: list[socket.socket] = []
-        self._threads: list[threading.Thread] = []
-        self._open: list[socket.socket] = []
-        self._lock = threading.Lock()
-        self._running = False
 
-    def start(self) -> "Relay":
-        for site in (self.link.site_a, self.link.site_b):
-            path = os.path.join(site.root, RELAY_SOCKET)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                listener.bind(path)
-            except OSError as err:
-                listener.close()
-                self.stop()
-                raise fail("EndpointInUse", f"cannot bind relay at '{path}': {err}")
-            listener.listen()
-            self._listeners.append(listener)
-        self._running = True
-        for listener in self._listeners:
-            thread = threading.Thread(target=self._accept_loop, args=(listener,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        for listener in self._listeners:
-            _shutdown(listener)
-            listener.close()
-        with self._lock:
-            conns = list(self._open)
-        for sock in conns:
-            _shutdown(sock)
-        for thread in self._threads:
-            thread.join(timeout=2)
-
-    def __enter__(self) -> "Relay":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while self._running:
-            try:
-                sock, _ = listener.accept()
-            except OSError:
-                return
-            with self._lock:
-                self._open.append(sock)
-            thread = threading.Thread(target=self._serve_client, args=(sock,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve_client(self, client: socket.socket) -> None:
+    def _serve(self, client: socket.socket) -> None:
         write_lock = threading.Lock()
+        lock = threading.Lock()
         backends: dict[int, socket.socket] = {}
+        open_ends: dict[int, set[str]] = {}
 
         def to_client(frame: Frame) -> None:
             with write_lock:
                 try:
                     write_frame(client, frame)
                 except OSError:
-                    pass
+                    self._count_error()
+
+        def ended(stream_id: int, direction: str) -> None:
+            # a stream's backend is closed once both directions saw EOF
+            with lock:
+                ends = open_ends.get(stream_id)
+                if ends is None:
+                    return
+                ends.discard(direction)
+                if ends:
+                    return
+                del open_ends[stream_id]
+                backend = backends.pop(stream_id)
+            self._release(backend)
 
         def backend_reader(stream_id: int, backend: socket.socket) -> None:
             while True:
@@ -200,20 +157,14 @@ class Relay:
                     chunk = backend.recv(_CHUNK)
                 except OSError:
                     chunk = b""
+                to_client(Frame(FWD, chunk, stream_id=stream_id))  # empty is EOF
                 if not chunk:
-                    to_client(Frame(FWD, b"", stream_id=stream_id))
+                    ended(stream_id, "down")
                     return
-                to_client(Frame(FWD, chunk, stream_id=stream_id))
 
         try:
-            while True:
-                try:
-                    frame = read_frame(client)
-                except Exception:
-                    break
-                if frame is None or frame.kind != FWD:
-                    if frame is None:
-                        break
+            while (frame := read_frame(client)) is not None:
+                if frame.kind != FWD:
                     continue
                 sid = frame.stream_id
                 if frame.name:
@@ -236,44 +187,33 @@ class Relay:
                             Frame(RSP, f"PeerDown: {err}".encode(), correlation=sid)
                         )
                         continue
-                    backends[sid] = backend
-                    with self._lock:
-                        self._open.append(backend)
-                    thread = threading.Thread(
-                        target=backend_reader, args=(sid, backend), daemon=True
-                    )
-                    thread.start()
-                    self._threads.append(thread)
+                    self._track(backend)
+                    with lock:
+                        backends[sid] = backend
+                        open_ends[sid] = {"up", "down"}
+                    self._spawn(backend_reader, sid, backend)
                     if frame.payload:
                         backend.sendall(frame.payload)
                     continue
                 backend = backends.get(sid)
                 if backend is None:
                     continue
-                if not frame.payload:
-                    try:
+                try:
+                    if frame.payload:
+                        backend.sendall(frame.payload)
+                    else:
                         backend.shutdown(socket.SHUT_WR)
-                    except OSError:
-                        pass
-                    continue
-                try:
-                    backend.sendall(frame.payload)
                 except OSError:
-                    pass
+                    self._count_error()
+                if not frame.payload:
+                    ended(sid, "up")
         finally:
-            for backend in backends.values():
-                _shutdown(backend)
-                try:
-                    backend.close()
-                except OSError:
-                    pass
-            with self._lock:
-                if client in self._open:
-                    self._open.remove(client)
-            try:
-                client.close()
-            except OSError:
-                pass
+            with lock:
+                rest = list(backends.values())
+                backends.clear()
+                open_ends.clear()
+            for backend in rest:
+                self._release(backend)
 
 
 # --- caller-side multiplexing ----------------------------------------------
@@ -283,12 +223,7 @@ class RelayConnection:
     """One socket to the local relay endpoint, many independent streams."""
 
     def __init__(self, relay_endpoint: str) -> None:
-        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            self.sock.connect(relay_endpoint)
-        except OSError as err:
-            self.sock.close()
-            raise fail("PeerDown", f"cannot reach relay at '{relay_endpoint}': {err}")
+        self.sock = dial(relay_endpoint, "PeerDown", "relay")
         self._ids = itertools.count(1)
         self._streams: dict[int, "RelayStream"] = {}
         self._lock = threading.Lock()
@@ -305,12 +240,11 @@ class RelayConnection:
         return stream
 
     def close(self) -> None:
-        _shutdown(self.sock)
-        self._reader.join(timeout=2)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        hang_up(self.sock, self._reader)
+
+    def _forget(self, stream_id: int) -> None:
+        with self._lock:
+            self._streams.pop(stream_id, None)
 
     def _send(self, frame: Frame) -> None:
         with self._write_lock:
@@ -376,12 +310,15 @@ class RelayStream:
             return b""
 
     def close(self) -> None:
-        if not self._closed:
+        with self._cond:
+            if self._closed:
+                return
             self._closed = True
-            try:
-                self._conn._send(Frame(FWD, b"", stream_id=self._id))
-            except OSError:
-                pass
+        try:
+            self._conn._send(Frame(FWD, b"", stream_id=self._id))
+        except OSError:
+            pass
+        self._forget_if_done()
 
     def shutdown(self, how: int) -> None:
         self.close()
@@ -395,11 +332,21 @@ class RelayStream:
         with self._cond:
             self._eof = True
             self._cond.notify_all()
+        self._forget_if_done()
 
     def _push_error(self, code: str, message: str) -> None:
         with self._cond:
             self._error = (code, message)
             self._cond.notify_all()
+        self._forget_if_done()
+
+    def _forget_if_done(self) -> None:
+        # the connection holds a stream until it has sent its close and
+        # heard EOF or an error back
+        with self._cond:
+            done = self._closed and (self._eof or self._error is not None)
+        if done:
+            self._conn._forget(self._id)
 
     def _raise_if_error(self) -> None:
         with self._cond:

@@ -18,103 +18,33 @@ from typing import Callable, Optional
 
 from .diagnostics import fail
 from .frames import REQ, RSP, Frame, read_frame, write_frame
+from .server import SocketServer, dial, hang_up
 
 
-def _shutdown(sock) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-
-
-class RpcServer:
+class RpcServer(SocketServer):
     def __init__(
         self,
         endpoint: str,
         handler: Optional[Callable[[bytes], bytes]] = None,
         batch: int = 1,
     ) -> None:
+        super().__init__("rpc endpoint", endpoint)
         self.endpoint = endpoint
         self.handler = handler or (lambda payload: payload)
         self.batch = max(batch, 1)
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._open: list[socket.socket] = []
-        self._lock = threading.Lock()
-        self._accepting = False
-
-    def start(self) -> "RpcServer":
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            listener.bind(self.endpoint)
-        except OSError as err:
-            listener.close()
-            raise fail("EndpointInUse", f"cannot bind rpc endpoint '{self.endpoint}': {err}")
-        listener.listen()
-        self._listener = listener
-        self._accepting = True
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return self
-
-    def stop(self) -> None:
-        self._accepting = False
-        if self._listener is not None:
-            _shutdown(self._listener)
-            self._listener.close()
-        with self._lock:
-            conns = list(self._open)
-        for sock in conns:
-            _shutdown(sock)
-        for thread in self._threads:
-            thread.join(timeout=2)
-
-    def __enter__(self) -> "RpcServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _accept_loop(self) -> None:
-        while self._accepting:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            with self._lock:
-                self._open.append(sock)
-            thread = threading.Thread(target=self._serve, args=(sock,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
 
     def _serve(self, sock: socket.socket) -> None:
         held: list[Frame] = []
-        try:
-            while True:
-                try:
-                    frame = read_frame(sock)
-                except Exception:
-                    return
-                if frame is None:
-                    return
-                if frame.kind != REQ:
-                    continue
-                held.append(frame)
-                if len(held) < self.batch:
-                    continue
-                for req in reversed(held):
-                    rsp = Frame(RSP, self.handler(req.payload), correlation=req.correlation)
-                    write_frame(sock, rsp)
-                held.clear()
-        finally:
-            with self._lock:
-                if sock in self._open:
-                    self._open.remove(sock)
-            try:
-                sock.close()
-            except OSError:
-                pass
+        while (frame := read_frame(sock)) is not None:
+            if frame.kind != REQ:
+                continue
+            held.append(frame)
+            if len(held) < self.batch:
+                continue
+            for req in reversed(held):
+                rsp = Frame(RSP, self.handler(req.payload), correlation=req.correlation)
+                write_frame(sock, rsp)
+            held.clear()
 
 
 _CLOSED = object()
@@ -126,17 +56,8 @@ class RpcClient:
 
     def __init__(self, endpoint) -> None:
         if isinstance(endpoint, str):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.connect(endpoint)
-            except OSError as err:
-                sock.close()
-                raise fail(
-                    "DefinerUnavailable", f"cannot reach definer at '{endpoint}': {err}"
-                )
-            self.sock = sock
-        else:
-            self.sock = endpoint
+            endpoint = dial(endpoint, "DefinerUnavailable", "definer")
+        self.sock = endpoint
         self._ids = itertools.count(1)
         # _pending is consumed by the reader on delivery, so a second RSP
         # with the same id shows up as unknown; _slots lives until result().
@@ -151,10 +72,12 @@ class RpcClient:
         return self.result(self.call_async(payload), timeout=timeout)
 
     def call_async(self, payload: bytes) -> int:
-        self._check_violation()
         corr = next(self._ids)
         slot: queue.Queue = queue.Queue(maxsize=1)
         with self._lock:
+            # checked under the lock, so a violation found after this
+            # point drains the new slot too
+            self._check_violation()
             self._pending[corr] = slot
             self._slots[corr] = slot
         try:
@@ -180,21 +103,16 @@ class RpcClient:
             value = slot.get(timeout=timeout)
         except queue.Empty:
             raise fail("DefinerUnavailable", f"no response for id {corr} within {timeout}s")
+        with self._lock:
+            self._slots.pop(corr, None)
         if value is _VIOLATION:
             self._check_violation()
         if value is _CLOSED:
             raise fail("DefinerUnavailable", "connection closed before response")
-        with self._lock:
-            self._slots.pop(corr, None)
         return value
 
     def close(self) -> None:
-        _shutdown(self.sock)
-        self._reader.join(timeout=2)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        hang_up(self.sock, self._reader)
 
     def _check_violation(self) -> None:
         if self._violation is not None:
@@ -222,12 +140,9 @@ class RpcClient:
             slot.put(frame.payload)
 
     def _drain(self, marker) -> None:
+        # only unanswered slots: a delivered response stays until result()
         with self._lock:
-            slots = list(self._slots.values())
+            slots = list(self._pending.values())
             self._pending.clear()
-            self._slots.clear()
         for slot in slots:
-            try:
-                slot.put_nowait(marker)
-            except queue.Full:
-                pass
+            slot.put_nowait(marker)

@@ -1,0 +1,151 @@
+"""Socket-server core shared by the event broker, RPC endpoints and relay.
+
+A server binds one or more UNIX endpoints, runs one accept thread per
+listener and one daemon thread per connection.  Threads and sockets sit
+in live sets that they leave when they exit or close, so a long-running
+server holds only what is in use and stop() shuts down and joins exactly
+that.  dial() and hang_up() are the matching client-side connect and
+close.
+"""
+
+from __future__ import annotations
+
+import socket
+import threading
+
+from .diagnostics import fail
+
+
+def _shutdown(sock) -> None:
+    # close() alone does not wake a thread blocked in recv on the same socket
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
+def dial(endpoint: str, code: str, what: str) -> socket.socket:
+    """Connect to a UNIX endpoint, or raise ``code`` naming ``what``."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        sock.connect(endpoint)
+    except OSError as err:
+        sock.close()
+        raise fail(code, f"cannot reach {what} at '{endpoint}': {err}")
+    return sock
+
+
+def hang_up(sock, reader: threading.Thread) -> None:
+    """Close a client: wake its reader thread, wait for it, then close."""
+    _shutdown(sock)
+    reader.join(timeout=2)
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+class SocketServer:
+    """Subclasses define ``_serve(sock)``, run in a thread per connection."""
+
+    def __init__(self, label: str, *endpoints: str) -> None:
+        self._label = label
+        self._endpoints = endpoints
+        self._lock = threading.Lock()
+        self._listeners: list[socket.socket] = []
+        self._threads: set[threading.Thread] = set()
+        self._socks: set[socket.socket] = set()
+        self._stopped = False
+        self._errors = 0
+
+    @property
+    def errors(self) -> int:
+        """Server-side failures: bad frames, raising handlers, failed deliveries."""
+        return self._errors
+
+    def start(self):
+        for path in self._endpoints:
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                listener.bind(path)
+            except OSError as err:
+                listener.close()
+                self.stop()
+                raise fail("EndpointInUse", f"cannot bind {self._label} '{path}': {err}")
+            listener.listen()
+            self._listeners.append(listener)
+        for listener in self._listeners:
+            self._spawn(self._accept_loop, listener)
+        return self
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            socks = [*self._listeners, *self._socks]
+        for sock in socks:
+            _shutdown(sock)  # wakes the blocked accepts and reads
+        for listener in self._listeners:
+            listener.close()
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join(timeout=2)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def _spawn(self, target, *args) -> None:
+        """Run ``target(*args)`` in a daemon thread, live-listed while it runs."""
+
+        def run() -> None:
+            try:
+                target(*args)
+            finally:
+                with self._lock:
+                    self._threads.discard(thread)
+
+        thread = threading.Thread(target=run, daemon=True)
+        with self._lock:  # started under the lock: stop() never sees it unstarted
+            thread.start()
+            self._threads.add(thread)
+
+    def _track(self, sock: socket.socket) -> None:
+        """Live-list a socket so stop() shuts it down."""
+        with self._lock:
+            self._socks.add(sock)
+            if self._stopped:  # accepted while stop() was shutting the rest
+                _shutdown(sock)
+
+    def _release(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._socks.discard(sock)
+        _shutdown(sock)
+        sock.close()
+
+    def _count_error(self) -> None:
+        with self._lock:
+            self._errors += 1
+
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return
+            self._track(sock)
+            self._spawn(self._connection, sock)
+
+    def _connection(self, sock: socket.socket) -> None:
+        try:
+            self._serve(sock)
+        except Exception:
+            # a bad frame or a raising handler ends this connection only
+            self._count_error()
+        finally:
+            self._release(sock)
+
+    def _serve(self, sock: socket.socket) -> None:
+        raise NotImplementedError

@@ -1,12 +1,13 @@
 import os
 import socket
+import struct
 import tempfile
 import threading
 
 import pytest
 
 from archon.diagnostics import ArchonError
-from archon.frames import REQ, RSP, Frame, read_frame, write_frame
+from archon.frames import MAX_FRAME_BYTES, REQ, RSP, Frame, read_frame, write_frame
 from archon.rpc import RpcClient, RpcServer
 
 
@@ -113,3 +114,17 @@ def test_concurrent_clients(endpoint):
             assert client.call(b"c%d" % i) == b"ack:c%d" % i
         for client in clients:
             client.close()
+
+
+def test_oversized_frame_is_counted_and_server_keeps_serving(endpoint):
+    with RpcServer(endpoint) as server:
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(endpoint)
+        raw.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        assert raw.recv(1) == b""  # the server hangs up on this connection only
+        raw.close()
+        assert server.errors == 1
+        client = RpcClient(endpoint)
+        assert client.call(b"still here") == b"still here"
+        client.close()
+        assert server.errors == 1
