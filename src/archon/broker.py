@@ -14,8 +14,9 @@ import queue
 import socket
 import threading
 
+from .diagnostics import ArchonError
 from .frames import EVT, REG, Frame, read_frame, write_frame
-from .server import SocketServer, dial, hang_up
+from .server import SocketServer, dial, hang_up, shut
 
 
 class _Conn:
@@ -69,7 +70,8 @@ class BrokerClient:
 
     def __init__(self, endpoint: str) -> None:
         self.sock = dial(endpoint, "BrokerUnavailable", "broker")
-        self._events: queue.Queue[tuple[str, bytes]] = queue.Queue()
+        # events, then the frame error that stopped the reader, if any
+        self._events: queue.Queue[tuple[str, bytes] | ArchonError] = queue.Queue()
         self._write_lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
@@ -84,9 +86,13 @@ class BrokerClient:
 
     def next_event(self, timeout: float | None = None) -> tuple[str, bytes] | None:
         try:
-            return self._events.get(timeout=timeout)
+            item = self._events.get(timeout=timeout)
         except queue.Empty:
             return None
+        if isinstance(item, ArchonError):
+            self._events.put(item)  # every later call raises it too
+            raise ArchonError(item.diagnostic)
+        return item
 
     def close(self) -> None:
         hang_up(self.sock, self._reader)
@@ -95,6 +101,10 @@ class BrokerClient:
         while True:
             try:
                 frame = read_frame(self.sock)
+            except ArchonError as exc:  # a malformed or oversized frame
+                shut(self.sock)
+                self._events.put(exc)
+                return
             except Exception:
                 return
             if frame is None:

@@ -177,6 +177,8 @@ def _dispatch(args) -> int:
         return 0
 
     report = execute(built, timeout=args.timeout)
+    for stage, why in sorted(report.stage_errors.items()):
+        print(f"archon: stage '{stage}' failed: {why}", file=sys.stderr)
     return report.overall
 
 

@@ -23,9 +23,9 @@ import os
 import socket
 import threading
 
-from .diagnostics import fail
+from .diagnostics import ArchonError, fail
 from .frames import FWD, MAX_FRAME_BYTES, RSP, Frame, read_frame, write_frame
-from .server import SocketServer, dial, hang_up
+from .server import SocketServer, dial, hang_up, shut
 
 RELAY_SOCKET = "relay.sock"
 
@@ -251,16 +251,24 @@ class RelayConnection:
             write_frame(self.sock, frame)
 
     def _read_loop(self) -> None:
+        failure = None
         while True:
             try:
                 frame = read_frame(self.sock)
+            except ArchonError as exc:  # a malformed or oversized frame
+                shut(self.sock)
+                failure = (exc.code, exc.diagnostic.message)
+                frame = None
             except Exception:
                 frame = None
             if frame is None:
                 with self._lock:
                     streams = list(self._streams.values())
                 for stream in streams:
-                    stream._push_eof()
+                    if failure:
+                        stream._push_error(*failure)
+                    else:
+                        stream._push_eof()
                 return
             with self._lock:
                 stream = self._streams.get(

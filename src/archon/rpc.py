@@ -16,9 +16,9 @@ import socket
 import threading
 from typing import Callable, Optional
 
-from .diagnostics import fail
+from .diagnostics import ArchonError, fail
 from .frames import REQ, RSP, Frame, read_frame, write_frame
-from .server import SocketServer, dial, hang_up
+from .server import SocketServer, dial, hang_up, shut
 
 
 class RpcServer(SocketServer):
@@ -48,7 +48,6 @@ class RpcServer(SocketServer):
 
 
 _CLOSED = object()
-_VIOLATION = object()
 
 
 class RpcClient:
@@ -64,7 +63,8 @@ class RpcClient:
         self._pending: dict[int, queue.Queue] = {}
         self._slots: dict[int, queue.Queue] = {}
         self._lock = threading.Lock()
-        self._violation: str | None = None
+        # why the reader stopped early: a correlation violation or a bad frame
+        self._failure: ArchonError | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -77,7 +77,7 @@ class RpcClient:
         with self._lock:
             # checked under the lock, so a violation found after this
             # point drains the new slot too
-            self._check_violation()
+            self._check_failure()
             self._pending[corr] = slot
             self._slots[corr] = slot
         try:
@@ -89,7 +89,7 @@ class RpcClient:
             with self._lock:
                 self._pending.pop(corr, None)
                 self._slots.pop(corr, None)
-            self._check_violation()
+            self._check_failure()
             raise fail("DefinerUnavailable", "connection closed while sending request")
         return corr
 
@@ -97,7 +97,7 @@ class RpcClient:
         with self._lock:
             slot = self._slots.get(corr)
         if slot is None:
-            self._check_violation()
+            self._check_failure()
             raise fail("CorrelationViolation", f"no outstanding request with id {corr}")
         try:
             value = slot.get(timeout=timeout)
@@ -105,44 +105,49 @@ class RpcClient:
             raise fail("DefinerUnavailable", f"no response for id {corr} within {timeout}s")
         with self._lock:
             self._slots.pop(corr, None)
-        if value is _VIOLATION:
-            self._check_violation()
         if value is _CLOSED:
+            self._check_failure()
             raise fail("DefinerUnavailable", "connection closed before response")
         return value
 
     def close(self) -> None:
         hang_up(self.sock, self._reader)
 
-    def _check_violation(self) -> None:
-        if self._violation is not None:
-            raise fail("CorrelationViolation", self._violation)
+    def _check_failure(self) -> None:
+        if self._failure is not None:
+            raise ArchonError(self._failure.diagnostic)
 
     def _read_loop(self) -> None:
         while True:
             try:
                 frame = read_frame(self.sock)
+            except ArchonError as exc:  # a malformed or oversized frame
+                self._fail(exc)
+                return
             except Exception:
                 frame = None
             if frame is None:
-                self._drain(_CLOSED)
+                self._drain()
                 return
             if frame.kind != RSP:
                 continue
             with self._lock:
                 slot = self._pending.pop(frame.correlation, None)
             if slot is None:
-                self._violation = (
-                    f"response with unknown or already answered id {frame.correlation}"
-                )
-                self._drain(_VIOLATION)
+                why = f"response with unknown or already answered id {frame.correlation}"
+                self._fail(fail("CorrelationViolation", why))
                 return
             slot.put(frame.payload)
 
-    def _drain(self, marker) -> None:
+    def _fail(self, exc: ArchonError) -> None:
+        self._failure = exc
+        shut(self.sock)
+        self._drain()
+
+    def _drain(self) -> None:
         # only unanswered slots: a delivered response stays until result()
         with self._lock:
             slots = list(self._pending.values())
             self._pending.clear()
         for slot in slots:
-            slot.put_nowait(marker)
+            slot.put_nowait(_CLOSED)

@@ -16,7 +16,8 @@ import threading
 from .diagnostics import fail
 
 
-def _shutdown(sock) -> None:
+def shut(sock) -> None:
+    """Shut down both directions of ``sock``; it may already be gone."""
     # close() alone does not wake a thread blocked in recv on the same socket
     try:
         sock.shutdown(socket.SHUT_RDWR)
@@ -37,7 +38,7 @@ def dial(endpoint: str, code: str, what: str) -> socket.socket:
 
 def hang_up(sock, reader: threading.Thread) -> None:
     """Close a client: wake its reader thread, wait for it, then close."""
-    _shutdown(sock)
+    shut(sock)
     reader.join(timeout=2)
     try:
         sock.close()
@@ -83,7 +84,7 @@ class SocketServer:
             self._stopped = True
             socks = [*self._listeners, *self._socks]
         for sock in socks:
-            _shutdown(sock)  # wakes the blocked accepts and reads
+            shut(sock)  # wakes the blocked accepts and reads
         for listener in self._listeners:
             listener.close()
         with self._lock:
@@ -117,12 +118,12 @@ class SocketServer:
         with self._lock:
             self._socks.add(sock)
             if self._stopped:  # accepted while stop() was shutting the rest
-                _shutdown(sock)
+                shut(sock)
 
     def _release(self, sock: socket.socket) -> None:
         with self._lock:
             self._socks.discard(sock)
-        _shutdown(sock)
+        shut(sock)
         sock.close()
 
     def _count_error(self) -> None:

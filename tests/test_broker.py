@@ -1,11 +1,15 @@
 import os
+import socket
+import struct
 import tempfile
+import threading
 import time
 
 import pytest
 
 from archon.broker import BrokerClient, EventBroker
 from archon.diagnostics import ArchonError
+from archon.frames import EVT, MAX_FRAME_BYTES, Frame, write_frame
 
 
 @pytest.fixture
@@ -106,3 +110,29 @@ def test_multiple_announcers_each_in_order(endpoint):
         for announcer in announcers:
             announcer.close()
         listener.close()
+
+
+def test_oversized_frame_from_broker_raises_frame_too_large(endpoint):
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(endpoint)
+    listener.listen()
+
+    def rogue():
+        sock, _ = listener.accept()
+        write_frame(sock, Frame(EVT, b"fine", topic="t"))
+        sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        sock.recv(1)  # until the client shuts its end
+        sock.close()
+
+    thread = threading.Thread(target=rogue)
+    thread.start()
+    client = BrokerClient(endpoint)
+    assert client.next_event(timeout=5) == ("t", b"fine")
+    for _ in range(2):
+        with pytest.raises(ArchonError) as exc:
+            client.next_event(timeout=5)
+        assert exc.value.code == "FrameTooLarge"
+    thread.join(5)
+    assert not thread.is_alive()
+    client.close()
+    listener.close()

@@ -1,12 +1,14 @@
 import os
 import random
 import socket
+import struct
 import tempfile
 import threading
 
 import pytest
 
 from archon.diagnostics import ArchonError
+from archon.frames import MAX_FRAME_BYTES, read_frame
 from archon.relay import (
     Relay,
     RelayConnection,
@@ -185,3 +187,30 @@ def test_remote_endpoint_never_exposed(roots):
     for value in vars(route).values():
         assert "secret-name" not in str(value)
         assert roots[1] not in str(value)
+
+
+def test_oversized_frame_from_relay_fails_its_streams(roots):
+    os.makedirs(roots[0])
+    path = os.path.join(roots[0], "relay.sock")
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen()
+
+    def rogue():
+        sock, _ = listener.accept()
+        read_frame(sock)  # the stream's open frame
+        sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        sock.recv(1)  # until the client shuts its end
+        sock.close()
+
+    thread = threading.Thread(target=rogue)
+    thread.start()
+    conn = RelayConnection(path)
+    stream = conn.open_stream("svc")
+    with pytest.raises(ArchonError) as exc:
+        stream.recv(16)
+    assert exc.value.code == "FrameTooLarge"
+    thread.join(5)
+    assert not thread.is_alive()
+    conn.close()
+    listener.close()

@@ -128,3 +128,32 @@ def test_oversized_frame_is_counted_and_server_keeps_serving(endpoint):
         assert client.call(b"still here") == b"still here"
         client.close()
         assert server.errors == 1
+
+
+def test_oversized_response_raises_frame_too_large(endpoint):
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(endpoint)
+    listener.listen()
+    hung_up = threading.Event()
+
+    def rogue():
+        sock, _ = listener.accept()
+        read_frame(sock)  # swallow the request, announce a body over the cap
+        sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        if sock.recv(1) == b"":  # the client shuts its end
+            hung_up.set()
+        sock.close()
+
+    thread = threading.Thread(target=rogue)
+    thread.start()
+    client = RpcClient(endpoint)
+    with pytest.raises(ArchonError) as exc:
+        client.call(b"hello", timeout=5)
+    assert exc.value.code == "FrameTooLarge"
+    with pytest.raises(ArchonError) as exc:
+        client.call(b"again", timeout=5)
+    assert exc.value.code == "FrameTooLarge"
+    thread.join(5)
+    assert hung_up.is_set()
+    client.close()
+    listener.close()

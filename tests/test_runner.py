@@ -4,10 +4,11 @@ import time
 import pytest
 
 from archon.checker import ExternalIO, resolve
+from archon.cli import main
 from archon.model import builtin_type_table
 from archon.parser import parse
 from archon.plan import plan
-from archon.runner import run
+from archon.runner import CHUNK, run
 
 UPPER = """
 for line in sys.stdin.buffer:
@@ -77,6 +78,33 @@ with open(sys.argv[1], "wb") as out:
 WHOAMI = """
 sys.stdin.buffer.read()
 sys.stdout.write(os.environ["ARCHON_INSTANCE"] + ":" + os.environ["ARCHON_REPLICA"] + "\\n")
+"""
+
+TAG = """
+tag = os.environ["ARCHON_REPLICA"].encode() + b":"
+for line in sys.stdin.buffer:
+    sys.stdout.buffer.write(tag + line)
+"""
+
+SAVE = """
+with open(sys.argv[1] + os.environ["ARCHON_REPLICA"], "wb") as out:
+    out.write(sys.stdin.buffer.read())
+"""
+
+EMIT = """
+sys.stdout.buffer.write(open(sys.argv[1], "rb").read())
+"""
+
+FORK = """
+system S {{
+  componenttype Fan {{ port stdin : StreamIn; port stdout : StreamOut many; }}
+  component A : Fan impl "{a}";
+  component B : Filter impl "{b}";
+  component C : Filter impl "{c}";
+  connector p1 : Pipe; connector p2 : Pipe;
+  attach A.stdout to p1.source; attach B.stdin to p1.sink;
+  attach A.stdout to p2.source; attach C.stdin to p2.sink;
+}}
 """
 
 
@@ -162,20 +190,15 @@ def test_env_identifies_instance_and_replica(tmp_path, make_filter):
     assert out.read_bytes() == b"S0:0\n"
 
 
-def test_diamond_conserves_records(tmp_path, make_filter):
-    n = 200
-    gen = make_filter("gen", GEN)
-    cat = make_filter("cat", CAT)
-    sink = make_filter("sink", SINK)
-    side = tmp_path / "merged.txt"
-    src = f"""
+def _diamond(a: str, b: str, d: str) -> str:
+    return f"""
     system S {{
       componenttype Fan {{ port stdin : StreamIn; port stdout : StreamOut many; }}
       componenttype Funnel {{ port stdin : StreamIn many; port stdout : StreamOut; }}
-      component A : Fan impl "{gen} {n}";
-      component B : Filter impl "{cat}";
-      component C : Filter impl "{cat}";
-      component D : Funnel impl "{sink} {side}";
+      component A : Fan impl "{a}";
+      component B : Filter impl "{b}";
+      component C : Filter impl "{b}";
+      component D : Funnel impl "{d}";
       connector p1 : Pipe; connector p2 : Pipe; connector p3 : Pipe; connector p4 : Pipe;
       attach A.stdout to p1.source; attach B.stdin to p1.sink;
       attach A.stdout to p2.source; attach C.stdin to p2.sink;
@@ -183,13 +206,22 @@ def test_diamond_conserves_records(tmp_path, make_filter):
       attach C.stdout to p4.source; attach D.stdin to p4.sink;
     }}
     """
-    report = run(_built(src), timeout=30)
+
+
+def test_diamond_conserves_records(tmp_path, make_filter):
+    n = 200
+    gen = make_filter("gen", GEN)
+    cat = make_filter("cat", CAT)
+    sink = make_filter("sink", SINK)
+    side = tmp_path / "merged.txt"
+    report = run(_built(_diamond(f"{gen} {n}", cat, f"{sink} {side}")), timeout=30)
     assert report.overall == 0
     lines = side.read_bytes().splitlines(keepends=True)
     assert len(lines) == 2 * n
     expected = sorted([b"%06d\n" % i for i in range(n)] * 2)
     assert sorted(lines) == expected
     assert report.channel_bytes["D.in"] == 2 * n * 7
+    assert report.channel_records["D.in"] == 2 * n
 
 
 def test_fanout_matches_sequential_multiset(tmp_path, make_filter):
@@ -230,3 +262,97 @@ def test_seeded_cycle_circulates_exactly_seed_records(tmp_path, make_filter):
     assert report.overall == 0
     assert elapsed < 5
     assert side.read_text() == "8\n7\n6\n5\n4\n3\n2\n1\n"
+
+
+def test_split_deals_one_record_at_a_time_across_chunks(tmp_path, make_filter):
+    n = 30_000  # 210 kB: the split reads it in many chunks, cut mid-record
+    assert n * 7 > 8 * CHUNK
+    tag = make_filter("tag", TAG)
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    inp.write_bytes(b"".join(b"%06d\n" % i for i in range(n)))
+    src = _pipeline([tag], inp, out).replace(
+        f'impl "{tag}";', f'impl "{tag}" stateless replicas 3;'
+    )
+    report = run(_built(src), timeout=30)
+    assert report.overall == 0
+    dealt: dict[bytes, list[bytes]] = {b"0": [], b"1": [], b"2": []}
+    for line in out.read_bytes().splitlines():
+        replica, record = line.split(b":")
+        dealt[replica].append(record)
+    for i in range(3):
+        assert dealt[b"%d" % i] == [b"%06d" % k for k in range(i, n, 3)]
+    assert report.channel_records["S0.in#0"] == len(range(0, n, 3))
+
+
+def test_record_longer_than_a_chunk_passes_whole(tmp_path, make_filter):
+    big = b"x" * 200_000 + b"\n"
+    assert len(big) > 4 * CHUNK
+    data = tmp_path / "data.txt"
+    data.write_bytes(b"a\n" + big + b"b\n")
+    emit, cat, sink = make_filter("emit", EMIT), make_filter("cat", CAT), make_filter("sink", SINK)
+    side = tmp_path / "merged.txt"
+    report = run(_built(_diamond(f"{emit} {data}", cat, f"{sink} {side}")), timeout=30)
+    assert report.overall == 0
+    lines = side.read_bytes().splitlines(keepends=True)
+    assert sorted(lines) == sorted([b"a\n", big, b"b\n"] * 2)
+    assert report.channel_records["D.in"] == 6
+
+
+def test_last_record_without_newline_is_delivered(tmp_path, make_filter):
+    save, emit = make_filter("save", SAVE), make_filter("emit", EMIT)
+    data = tmp_path / "data.txt"
+    data.write_bytes(b"a\nb\nc")
+    # split: the third replica gets the unterminated record as it is
+    out = tmp_path / "out.txt"
+    src = _pipeline([f"{save} {tmp_path}/dealt"], data, out).replace(
+        'dealt";', 'dealt" stateless replicas 3;'
+    )
+    assert run(_built(src), timeout=30).overall == 0
+    got = [(tmp_path / f"dealt{i}").read_bytes() for i in range(3)]
+    assert got == [b"a\n", b"b\n", b"c"]
+    # tee: both branches get the input unchanged
+    src = FORK.format(a=f"{emit} {data}", b=f"{save} {tmp_path}/b", c=f"{save} {tmp_path}/c")
+    assert run(_built(src), timeout=30).overall == 0
+    assert (tmp_path / "b0").read_bytes() == (tmp_path / "c0").read_bytes() == b"a\nb\nc"
+    # merge: a lone unterminated input passes through unchanged
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    side = tmp_path / "merged.txt"
+    cat, sink = make_filter("cat", CAT), make_filter("sink", SINK)
+    src = _diamond(f"{emit} {data}", cat, f"{sink} {side}").replace(
+        f'component C : Filter impl "{cat}"', f'component C : Filter impl "{emit} {empty}"'
+    )
+    report = run(_built(src), timeout=30)
+    assert report.overall == 0
+    assert side.read_bytes() == b"a\nb\nc"
+    assert report.channel_records["D.in"] == 3
+
+
+def test_tee_keeps_feeding_live_branch_after_other_reader_exits(tmp_path, make_filter):
+    n = 50_000
+    gen, take2 = make_filter("gen", GEN), make_filter("take2", TAKE2)
+    save = make_filter("save", SAVE)
+    src = FORK.format(a=f"{gen} {n}", b=take2, c=f"{save} {tmp_path}/kept")
+    report = run(_built(src), timeout=30)
+    assert report.overall == 0
+    assert (tmp_path / "kept0").read_bytes() == b"".join(b"%06d\n" % i for i in range(n))
+    assert report.channel_records["p2"] == n
+
+
+def test_failed_stage_is_reported_and_does_not_hang(tmp_path, make_filter, capsys):
+    cat = make_filter("cat", CAT)
+    # a directory opens for reading, but the head split's first read fails
+    out = tmp_path / "out.txt"
+    src = _pipeline([cat], tmp_path, out).replace(
+        f'impl "{cat}";', f'impl "{cat}" stateless replicas 2;'
+    )
+    t0 = time.monotonic()
+    report = run(_built(src), timeout=30)
+    assert time.monotonic() - t0 < 10
+    assert not report.timed_out
+    assert report.stage_errors["S0.split"].startswith("IsADirectoryError")
+    assert out.read_bytes() == b""
+    path = tmp_path / "s.arch"
+    path.write_text(src)
+    assert main(["run", str(path), "--timeout", "30"]) == 0
+    assert "stage 'S0.split' failed: IsADirectoryError" in capsys.readouterr().err
