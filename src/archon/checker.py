@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from . import model
-from .desugar import PipelineExpansion, desugar_pipeline
+from .desugar import desugar_pipeline
 from .diagnostics import ArchonError, Diagnostic, error, has_errors
 from .model import (
     Architecture,
@@ -103,10 +103,11 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
     inputs: dict[str, Optional[str]] = {}
     outputs: dict[str, Optional[str]] = {}
 
-    # Pass 2: instances, connectors, stream declarations, and the instance
-    # and connector halves of pipeline expansions.
-    expansions: dict[int, PipelineExpansion] = {}
-    for index, decl in enumerate(ast.declarations):
+    # Pass 2: instances, connectors, stream declarations, pipeline
+    # expansions, and the attachments and external bindings in source order.
+    attach_decls: list[AttachDecl] = []
+    externals: list[model.ExternalBinding] = []
+    for decl in ast.declarations:
         if isinstance(decl, InstanceDecl):
             if decl.name in instances or decl.name in connectors:
                 diags.append(error("DuplicateName", f"name '{decl.name}' is already declared", decl.span))
@@ -137,13 +138,16 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 )
                 continue
             target[decl.direction] = decl.path
+        elif isinstance(decl, AttachDecl):
+            attach_decls.append(decl)
         elif isinstance(decl, PipelineDecl):
             declared = {name: inst.type_name for name, inst in instances.items()}
             expansion, pipe_diags = desugar_pipeline(decl, table, declared)
             diags.extend(pipe_diags)
             if expansion is None:
                 continue
-            expansions[index] = expansion
+            attach_decls += expansion.attachments
+            externals += (expansion.external_in, expansion.external_out)
             for inst_decl in expansion.instances:
                 if inst_decl.name in instances:
                     continue  # sharing stages between pipelines is the point
@@ -173,28 +177,15 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
         outputs=outputs,
     )
 
-    # Pass 3: attachments and external bindings, in source order.
-    for index, decl in enumerate(ast.declarations):
-        if isinstance(decl, AttachDecl):
-            try:
-                arch = model.attach(
-                    arch, table, decl.instance, decl.port, decl.connector, decl.role, decl.span
-                )
-            except ArchonError as exc:
-                diags.append(exc.diagnostic)
-        elif isinstance(decl, PipelineDecl) and index in expansions:
-            expansion = expansions[index]
-            for att in expansion.attachments:
-                try:
-                    arch = model.attach(
-                        arch, table, att.instance, att.port, att.connector, att.role, att.span
-                    )
-                except ArchonError as exc:
-                    diags.append(exc.diagnostic)
-            arch = replace(
-                arch,
-                externals=arch.externals + (expansion.external_in, expansion.external_out),
-            )
+    # Pass 3: every attachment, validated in one batch, now that every name
+    # is declared.
+    arch, attach_diags = model.attach_many(
+        arch,
+        table,
+        [model.Attachment(d.instance, d.port, d.connector, d.role, d.span) for d in attach_decls],
+    )
+    diags.extend(attach_diags)
+    arch = replace(arch, externals=tuple(externals))
 
     if has_errors(diags):
         return ResolveResult(None, table, diags)

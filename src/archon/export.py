@@ -61,11 +61,7 @@ def graphdoc(arch: Architecture, table: TypeTable) -> GraphDoc:
         role_index = {
             role.name: i for i, role in enumerate(ctype.roles)
         } if ctype else {}
-        points = [
-            (att.instance, att.port, att.role)
-            for att in arch.attachments
-            if att.connector == conn.name
-        ]
+        points = [(a.instance, a.port, a.role) for a in arch.attachments_of_connector(conn.name)]
         points += [
             (ext.stream, "", ext.role)
             for ext in arch.externals

@@ -13,10 +13,12 @@ value is safe to share across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .diagnostics import Diagnostic, Span, error, fail
+from .diagnostics import ArchonError, Diagnostic, Span, error, fail
 
 # Builtin port types.  Developer-defined port types are bare names added
 # alongside these; compatibility never looks inside a name.
@@ -317,22 +319,21 @@ class Architecture:
     outputs: Mapping[str, Optional[str]] = field(default_factory=dict)
     allow_layer_skip: bool = False
 
+    @cached_property
+    def _by_connector(self) -> Mapping[str, list[Attachment]]:
+        """connector -> its attachments in tuple order.
+
+        Cached on the value, not a field: it is rebuilt from ``attachments``
+        for every new value, and plays no part in ``==`` or ``replace``.
+        """
+        index: dict[str, list[Attachment]] = {}
+        for a in self.attachments:
+            index.setdefault(a.connector, []).append(a)
+        return index
+
     def attachments_of_connector(self, connector: str, role: Optional[str] = None) -> list[Attachment]:
-        return [
-            a
-            for a in self.attachments
-            if a.connector == connector and (role is None or a.role == role)
-        ]
-
-    def attachments_of_port(self, instance: str, port: str) -> list[Attachment]:
-        return [a for a in self.attachments if a.instance == instance and a.port == port]
-
-    def externals_of_connector(self, connector: str, role: Optional[str] = None) -> list[ExternalBinding]:
-        return [
-            e
-            for e in self.externals
-            if e.connector == connector and (role is None or e.role == role)
-        ]
+        found = self._by_connector.get(connector, ())
+        return [a for a in found if role is None or a.role == role]
 
 
 def _port_spec(table: TypeTable, inst: Instance, port: str) -> Optional[PortSpec]:
@@ -340,6 +341,66 @@ def _port_spec(table: TypeTable, inst: Instance, port: str) -> Optional[PortSpec
     if ctype is None:
         return None
     return ctype.port(port)
+
+
+def attach_many(
+    arch: Architecture, table: TypeTable, attachments: Iterable[Attachment]
+) -> tuple[Architecture, list[Diagnostic]]:
+    """Append attachments in order, each checked against everything before it.
+
+    A rejected attachment yields one diagnostic and is skipped; the ones
+    after it still apply.
+    """
+    present = {(a.instance, a.port, a.connector, a.role) for a in arch.attachments}
+    used = {(a.instance, a.port) for a in arch.attachments}
+    added: list[Attachment] = []
+    diags: list[Diagnostic] = []
+    for new in attachments:
+        diag = _attach_error(arch, table, new, present, used)
+        if diag is not None:
+            diags.append(diag)
+            continue
+        present.add((new.instance, new.port, new.connector, new.role))
+        used.add((new.instance, new.port))
+        added.append(new)
+    return replace(arch, attachments=arch.attachments + tuple(added)), diags
+
+
+def _attach_error(
+    arch: Architecture,
+    table: TypeTable,
+    new: Attachment,
+    present: set[tuple[str, str, str, str]],
+    used: set[tuple[str, str]],
+) -> Optional[Diagnostic]:
+    """Why ``new`` may not follow the attachments in ``present``, or None."""
+    instance, port, connector, role, span = new.instance, new.port, new.connector, new.role, new.span
+    inst = arch.instances.get(instance)
+    if inst is None:
+        return error("UnknownInstance", f"no instance named '{instance}'", span)
+    pspec = _port_spec(table, inst, port)
+    if pspec is None:
+        return error("UnknownPort", f"instance '{instance}' has no port '{port}'", span)
+    conn = arch.connectors.get(connector)
+    if conn is None:
+        return error("UnknownConnector", f"no connector named '{connector}'", span)
+    ctype = table.connector(conn.type_name)
+    rspec = ctype.role(role) if ctype else None
+    if rspec is None:
+        return error("UnknownRole", f"connector '{connector}' has no role '{role}'", span)
+    if (instance, port, connector, role) in present:
+        return error(
+            "DuplicateAttachment",
+            f"{instance}.{port} is already attached to {connector}.{role}",
+            span,
+        )
+    if pspec.multiplicity == ONE and (instance, port) in used:
+        return error(
+            "PortMultiplicityExceeded",
+            f"port {instance}.{port} has multiplicity one and is already attached",
+            span,
+        )
+    return None
 
 
 def attach(
@@ -351,34 +412,14 @@ def attach(
     role: str,
     span: Optional[Span] = None,
 ) -> Architecture:
-    """Append one attachment, re-establishing every structural invariant."""
-    inst = arch.instances.get(instance)
-    if inst is None:
-        raise fail("UnknownInstance", f"no instance named '{instance}'", span)
-    pspec = _port_spec(table, inst, port)
-    if pspec is None:
-        raise fail("UnknownPort", f"instance '{instance}' has no port '{port}'", span)
-    conn = arch.connectors.get(connector)
-    if conn is None:
-        raise fail("UnknownConnector", f"no connector named '{connector}'", span)
-    ctype = table.connector(conn.type_name)
-    rspec = ctype.role(role) if ctype else None
-    if rspec is None:
-        raise fail("UnknownRole", f"connector '{connector}' has no role '{role}'", span)
-    new = Attachment(instance, port, connector, role, span)
-    if any(a == new for a in arch.attachments):
-        raise fail(
-            "DuplicateAttachment",
-            f"{instance}.{port} is already attached to {connector}.{role}",
-            span,
-        )
-    if pspec.multiplicity == ONE and arch.attachments_of_port(instance, port):
-        raise fail(
-            "PortMultiplicityExceeded",
-            f"port {instance}.{port} has multiplicity one and is already attached",
-            span,
-        )
-    return replace(arch, attachments=arch.attachments + (new,))
+    """Append one attachment, re-establishing every structural invariant.
+
+    The one-item case of ``attach_many``; raises its diagnostic.
+    """
+    arch, diags = attach_many(arch, table, [Attachment(instance, port, connector, role, span)])
+    if diags:
+        raise ArchonError(diags[0])
+    return arch
 
 
 def detach(
@@ -399,22 +440,17 @@ def detach(
     return replace(arch, attachments=kept)
 
 
-def role_fill_count(arch: Architecture, connector: str, role: str) -> int:
-    """Attachments plus external bindings currently filling a role."""
-    return len(arch.attachments_of_connector(connector, role)) + len(
-        arch.externals_of_connector(connector, role)
-    )
-
-
 def validate_arity(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
     """One diagnostic per connector role outside its declared fill range."""
     diags: list[Diagnostic] = []
+    external_fills = Counter((e.connector, e.role) for e in arch.externals)
     for conn in arch.connectors.values():
         ctype = table.connector(conn.type_name)
         if ctype is None:
             continue  # resolution reports unknown connector types
+        attached = arch.attachments_of_connector(conn.name)
         for rspec in ctype.roles:
-            n = role_fill_count(arch, conn.name, rspec.name)
+            n = sum(a.role == rspec.name for a in attached) + external_fills[conn.name, rspec.name]
             if n < rspec.min_fill:
                 diags.append(
                     error(

@@ -100,12 +100,6 @@ class BuildPlan:
                 return stage
         return None
 
-    def channel(self, name: str) -> Optional[Channel]:
-        for channel in self.channels:
-            if channel.name == name:
-                return channel
-        return None
-
     def to_json_obj(self) -> dict:
         return {
             "system": self.system,
@@ -147,16 +141,8 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
         c.name for c in arch.connectors.values() if c.type_name == PIPE_TYPE
     )
     for conn_name in pipe_names:
-        sources = [
-            a.instance
-            for a in arch.attachments
-            if a.connector == conn_name and a.role == "source"
-        ]
-        sinks = [
-            a.instance
-            for a in arch.attachments
-            if a.connector == conn_name and a.role == "sink"
-        ]
+        sources = [a.instance for a in arch.attachments_of_connector(conn_name, "source")]
+        sinks = [a.instance for a in arch.attachments_of_connector(conn_name, "sink")]
         externals = [e for e in arch.externals if e.connector == conn_name]
         kind, path = "pipe", ""
         for ext in externals:
@@ -288,37 +274,32 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
         if c.type_name in (RPC_TYPE, ACCESS_TYPE)
     )
 
+    def sites(connector: str, role: str) -> set[str]:
+        return {
+            str(arch.instances[a.instance].attrs.get("site", ""))
+            for a in arch.attachments_of_connector(connector, role)
+        }
+
     relays: list[tuple[str, str, str]] = []
     for conn in sorted(arch.connectors.values(), key=lambda c: c.name):
         if conn.type_name != RPC_TYPE:
             continue
-        def_sites = {
-            str(arch.instances[a.instance].attrs.get("site", ""))
-            for a in arch.attachments
-            if a.connector == conn.name and a.role == "definer"
-        }
-        definer_site = min(def_sites) if def_sites else ""
-        caller_sites = sorted(
-            {
-                str(arch.instances[a.instance].attrs.get("site", ""))
-                for a in arch.attachments
-                if a.connector == conn.name and a.role == "caller"
-            }
-        )
-        for caller_site in caller_sites:
+        definer_site = min(sites(conn.name, "definer"), default="")
+        for caller_site in sorted(sites(conn.name, "caller")):
             if caller_site != definer_site:
                 relays.append((conn.name, caller_site, definer_site))
 
-    built = _finalize(
-        arch.name,
-        stages,
-        channels,
-        broker,
-        rpc,
-        tuple(relays),
-        arch.inputs.get("input") or io.input or "",
-        arch.outputs.get("output") or io.output or "",
+    draft = BuildPlan(
+        system=arch.name,
+        stages=(),
+        channels=(),
+        broker=broker,
+        rpc=rpc,
+        relays=tuple(relays),
+        input=arch.inputs.get("input") or io.input or "",
+        output=arch.outputs.get("output") or io.output or "",
     )
+    built = _finalize(draft, stages, channels)
 
     for inst_name in node_names:
         n = arch.instances[inst_name].attrs.get("replicas")
@@ -383,28 +364,11 @@ def expand_fanout(built: BuildPlan, stage_name: str, n: int) -> BuildPlan:
             writes=target.writes,
         )
     )
-    return _finalize(
-        built.system,
-        stages,
-        channels,
-        built.broker,
-        built.rpc,
-        built.relays,
-        built.input,
-        built.output,
-    )
+    return _finalize(built, stages, channels)
 
 
-def _finalize(
-    system: str,
-    stages: list[Stage],
-    channels: dict[str, Channel],
-    broker: str,
-    rpc: tuple[tuple[str, str], ...],
-    relays: tuple[tuple[str, str, str], ...],
-    input_path: str,
-    output_path: str,
-) -> BuildPlan:
+def _finalize(draft: BuildPlan, stages: list[Stage], channels: dict[str, Channel]) -> BuildPlan:
+    """The draft with its stages in start order, channels sorted and the final stage."""
     order = _start_order(stages)
     by_name = {s.name: s for s in stages}
     ordered = tuple(by_name[name] for name in order)
@@ -420,17 +384,7 @@ def _finalize(
             final = writer_of[channel.name]
             break
 
-    return BuildPlan(
-        system=system,
-        stages=ordered,
-        channels=chans,
-        broker=broker,
-        rpc=rpc,
-        relays=relays,
-        final=final,
-        input=input_path,
-        output=output_path,
-    )
+    return replace(draft, stages=ordered, channels=chans, final=final)
 
 
 def _start_order(stages: list[Stage]) -> list[str]:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from archon import model
 from archon.checker import (
     BUILTIN_STYLES,
     ExternalIO,
@@ -21,6 +24,7 @@ from archon.checker import (
 )
 from archon.model import builtin_type_table
 from archon.parser import parse
+from archon.plan import plan
 from archon.topology import classify_digraph
 
 
@@ -100,6 +104,92 @@ def test_pipelines_share_declared_stages():
         """
     )
     assert set(arch.instances) == {"A"}
+
+
+_MIXED_ATTACHES = [
+    "system S {",
+    "  componenttype Fan { port stdin : StreamIn; port stdout : StreamOut many; }",
+    "  component A : Fan; component B : Filter; component C : Filter;",
+    "  connector p1 : Pipe; connector p2 : Pipe; connector p3 : Pipe;",
+    "  attach A.stdout to p1.source;",
+    "  attach A.stdout to p1.source;",
+    "  attach B.stdin to p1.sink;",
+    "  attach B.stdin to p2.sink;",
+    "  attach B.stdout to p2.source;",
+    "  attach B.nope to p3.source;",
+    "  attach C.stdin to p2.sink;",
+    "  pipeline P: input | D() | output;",
+    "  attach A.stdout to p3.source;",
+    '  input "i"; output "o";',
+    "}",
+]
+
+
+def test_resolve_reports_every_bad_attachment_and_applies_the_rest(monkeypatch):
+    bad = {6: "DuplicateAttachment", 8: "PortMultiplicityExceeded", 10: "UnknownPort"}
+    batches = []
+    attach_many = model.attach_many
+
+    def spy(arch, table, attachments):
+        result = attach_many(arch, table, attachments)
+        batches.append(result[0])
+        return result
+
+    monkeypatch.setattr(model, "attach_many", spy)
+    result = _resolve("\n".join(_MIXED_ATTACHES))
+    assert result.architecture is None
+    assert [(d.code, d.span.line, d.span.col) for d in result.diagnostics] == [
+        (code, line, 3) for line, code in bad.items()
+    ]
+    (applied,) = batches  # every attachment is validated in one batch
+    assert [a.span.line for a in applied.attachments] == [5, 7, 9, 11, 12, 12, 13]
+    monkeypatch.undo()
+    clean = [text for line, text in enumerate(_MIXED_ATTACHES, 1) if line not in bad]
+    clean_arch, _ = _resolved_arch("\n".join(clean))
+    assert applied.attachments == clean_arch.attachments
+
+
+def _chain_and_diamonds(n: int) -> str:
+    """About n instances: one n/2-stage pipeline and n/8 fork/join diamonds."""
+    chain = [f"K{i}" for i in range(n // 2)]
+    decls = [
+        "componenttype Fan { port stdin : StreamIn; port stdout : StreamOut many; }",
+        "componenttype Funnel { port stdin : StreamIn many; port stdout : StreamOut; }",
+        *(f'component {k} : Filter impl "cat";' for k in chain),
+        "pipeline Main: input | " + " | ".join(f"{k}()" for k in chain) + " | output;",
+        'input "in.txt"; output "out.txt";',
+    ]
+    for u in range(n // 8):
+        decls += [
+            f'component F{u} : Fan impl "cat"; component J{u} : Funnel impl "cat";',
+            f'component L{u} : Filter impl "cat"; component R{u} : Filter impl "cat";',
+            f"connector f{u}a : Pipe; connector f{u}b : Pipe; connector j{u}a : Pipe; connector j{u}b : Pipe;",
+            f"attach F{u}.stdout to f{u}a.source; attach L{u}.stdin to f{u}a.sink;",
+            f"attach F{u}.stdout to f{u}b.source; attach R{u}.stdin to f{u}b.sink;",
+            f"attach L{u}.stdout to j{u}a.source; attach J{u}.stdin to j{u}a.sink;",
+            f"attach R{u}.stdout to j{u}b.source; attach J{u}.stdin to j{u}b.sink;",
+        ]
+    return "system Big {\n" + "\n".join(decls) + "\n}\n"
+
+
+def test_compile_passes_scale_linearly():
+    """resolve + check_all + plan at N and 4N stages: ~4x when linear, ~16x when quadratic."""
+
+    def best_of_3(n: int) -> float:
+        ast, table = parse(_chain_and_diamonds(n)), builtin_type_table()
+        times = []
+        for _ in range(3):
+            gc.collect()  # start each run without the previous run's garbage
+            t0 = time.process_time()
+            result = resolve(ast, table)
+            assert result.diagnostics == []
+            assert check_all(result.architecture, result.table) == []
+            plan(result.architecture, result.table)
+            times.append(time.process_time() - t0)
+        return min(times)
+
+    small, large = best_of_3(1000), best_of_3(4000)
+    assert large / small < 8, (small, large)
 
 
 # --- check_types -----------------------------------------------------------

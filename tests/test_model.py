@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -182,6 +184,35 @@ def test_attach_then_detach_restores():
     base = _two_filter_arch()
     arch = attach(base, table, "A", "stdout", "p1", "source")
     assert detach(arch, "A", "stdout", "p1", "source") == base
+
+
+def test_connector_index_follows_the_value():
+    """Each value answers from its own tuple, even after its source's index was built."""
+    table = builtin_type_table()
+    source_only = attach(_two_filter_arch(), table, "A", "stdout", "p1", "source")
+    assert source_only.attachments_of_connector("p1", "sink") == []
+    wired = attach(source_only, table, "B", "stdin", "p1", "sink")
+    assert [a.instance for a in wired.attachments_of_connector("p1")] == ["A", "B"]
+    assert validate_arity(wired, table) == []
+    assert source_only.attachments_of_connector("p1", "sink") == []
+
+    unwired = detach(wired, "B", "stdin", "p1", "sink")
+    assert unwired.attachments_of_connector("p1", "sink") == []
+    assert [d.code for d in validate_arity(unwired, table)] == ["RoleUnderfilled"]
+    assert unwired == source_only
+
+    emptied = dataclasses.replace(wired, attachments=())
+    assert emptied.attachments_of_connector("p1") == []
+    assert [d.code for d in validate_arity(emptied, table)] == ["RoleUnderfilled"] * 2
+    refilled = dataclasses.replace(emptied, attachments=wired.attachments[1:])
+    assert [a.instance for a in refilled.attachments_of_connector("p1")] == ["B"]
+    assert wired.attachments_of_connector("p1", "sink")[0].instance == "B"
+
+    # The index is derived from the value, never a field of it.
+    assert [f.name for f in dataclasses.fields(wired)] == [
+        "name", "style", "instances", "connectors", "attachments",
+        "externals", "inputs", "outputs", "allow_layer_skip",
+    ]
 
 
 def test_validate_arity_underfilled_sink():
