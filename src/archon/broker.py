@@ -14,9 +14,9 @@ import queue
 import socket
 import threading
 
-from .diagnostics import ArchonError
+from .diagnostics import ArchonError, fail
 from .frames import EVT, REG, Frame, read_frame, write_frame
-from .server import SocketServer, dial, hang_up, shut
+from .server import SocketClient, SocketServer
 
 
 class _Conn:
@@ -65,24 +65,20 @@ class EventBroker(SocketServer):
                 self._conns.discard(conn)
 
 
-class BrokerClient:
+class BrokerClient(SocketClient):
     """Test and component-side client: subscribe, publish, drain events."""
 
     def __init__(self, endpoint: str) -> None:
-        self.sock = dial(endpoint, "BrokerUnavailable", "broker")
-        # events, then the frame error that stopped the reader, if any
+        # events, then the error that stopped the reader: a bad frame, or
+        # BrokerUnavailable when the broker went away
         self._events: queue.Queue[tuple[str, bytes] | ArchonError] = queue.Queue()
-        self._write_lock = threading.Lock()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        super().__init__(endpoint, "BrokerUnavailable", "broker")
 
     def subscribe(self, topic: str) -> None:
-        with self._write_lock:
-            write_frame(self.sock, Frame(REG, topic=topic))
+        self._send(Frame(REG, topic=topic))
 
     def publish(self, topic: str, payload: bytes) -> None:
-        with self._write_lock:
-            write_frame(self.sock, Frame(EVT, payload, topic=topic))
+        self._send(Frame(EVT, payload, topic=topic))
 
     def next_event(self, timeout: float | None = None) -> tuple[str, bytes] | None:
         try:
@@ -94,20 +90,9 @@ class BrokerClient:
             raise ArchonError(item.diagnostic)
         return item
 
-    def close(self) -> None:
-        hang_up(self.sock, self._reader)
+    def _on_frame(self, frame: Frame) -> None:
+        if frame.kind == EVT:
+            self._events.put((frame.topic, frame.payload))
 
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                frame = read_frame(self.sock)
-            except ArchonError as exc:  # a malformed or oversized frame
-                shut(self.sock)
-                self._events.put(exc)
-                return
-            except Exception:
-                return
-            if frame is None:
-                return
-            if frame.kind == EVT:
-                self._events.put((frame.topic, frame.payload))
+    def _on_end(self, failure: ArchonError | None) -> None:
+        self._events.put(failure or fail("BrokerUnavailable", "connection closed"))

@@ -107,6 +107,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
     # expansions, and the attachments and external bindings in source order.
     attach_decls: list[AttachDecl] = []
     externals: list[model.ExternalBinding] = []
+    declared: dict[str, str] = {}  # instance name -> type name, for pipelines
     for decl in ast.declarations:
         if isinstance(decl, InstanceDecl):
             if decl.name in instances or decl.name in connectors:
@@ -118,6 +119,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 )
                 continue
             instances[decl.name] = Instance(decl.name, decl.type_name, dict(decl.attrs), decl.span)
+            declared[decl.name] = decl.type_name
         elif isinstance(decl, ConnectorDecl):
             if decl.name in connectors or decl.name in instances:
                 diags.append(error("DuplicateName", f"name '{decl.name}' is already declared", decl.span))
@@ -141,7 +143,6 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
         elif isinstance(decl, AttachDecl):
             attach_decls.append(decl)
         elif isinstance(decl, PipelineDecl):
-            declared = {name: inst.type_name for name, inst in instances.items()}
             expansion, pipe_diags = desugar_pipeline(decl, table, declared)
             diags.extend(pipe_diags)
             if expansion is None:
@@ -159,6 +160,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 instances[inst_decl.name] = Instance(
                     inst_decl.name, inst_decl.type_name, {}, decl.span
                 )
+                declared[inst_decl.name] = inst_decl.type_name
             for conn_decl in expansion.connectors:
                 if conn_decl.name in connectors or conn_decl.name in instances:
                     diags.append(

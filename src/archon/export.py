@@ -62,11 +62,7 @@ def graphdoc(arch: Architecture, table: TypeTable) -> GraphDoc:
             role.name: i for i, role in enumerate(ctype.roles)
         } if ctype else {}
         points = [(a.instance, a.port, a.role) for a in arch.attachments_of_connector(conn.name)]
-        points += [
-            (ext.stream, "", ext.role)
-            for ext in arch.externals
-            if ext.connector == conn.name
-        ]
+        points += [(ext.stream, "", ext.role) for ext in arch.externals_of_connector(conn.name)]
         points.sort(key=lambda p: (role_index.get(p[2], 99), p[0], p[1]))
         edges.append(GraphEdge(conn.name, conn.type_name, tuple(points)))
     return GraphDoc(arch.name, arch.style or "", nodes, tuple(edges))

@@ -87,7 +87,7 @@ def decode(body: bytes) -> Frame:
         (tlen,) = _SHORT.unpack_from(rest)
         if len(rest) < 2 + tlen:
             raise fail("BadFrame", "truncated topic")
-        topic = rest[2 : 2 + tlen].decode("utf-8")
+        topic = _text(rest[2 : 2 + tlen], "topic")
         return Frame(kind, rest[2 + tlen :], topic=topic)
     if kind in (REQ, RSP):
         if len(rest) < 8:
@@ -99,9 +99,16 @@ def decode(body: bytes) -> Frame:
     (nlen,) = _SHORT.unpack_from(rest)
     if len(rest) < 2 + nlen + 8:
         raise fail("BadFrame", "truncated forward header")
-    name = rest[2 : 2 + nlen].decode("utf-8")
+    name = _text(rest[2 : 2 + nlen], "service name")
     (stream_id,) = _CORR.unpack_from(rest, 2 + nlen)
     return Frame(kind, rest[2 + nlen + 8 :], name=name, stream_id=stream_id)
+
+
+def _text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise fail("BadFrame", f"{what} is not UTF-8") from None
 
 
 def read_frame(sock) -> Frame | None:

@@ -13,7 +13,6 @@ value is safe to share across threads.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -319,21 +318,30 @@ class Architecture:
     outputs: Mapping[str, Optional[str]] = field(default_factory=dict)
     allow_layer_skip: bool = False
 
+    # connector -> its attachments / external bindings in tuple order.
+    # Cached on the value, not fields: they are rebuilt from the tuples for
+    # every new value, and play no part in ``==`` or ``replace``.
     @cached_property
     def _by_connector(self) -> Mapping[str, list[Attachment]]:
-        """connector -> its attachments in tuple order.
+        return _index_by_connector(self.attachments)
 
-        Cached on the value, not a field: it is rebuilt from ``attachments``
-        for every new value, and plays no part in ``==`` or ``replace``.
-        """
-        index: dict[str, list[Attachment]] = {}
-        for a in self.attachments:
-            index.setdefault(a.connector, []).append(a)
-        return index
+    @cached_property
+    def _externals_by_connector(self) -> Mapping[str, list[ExternalBinding]]:
+        return _index_by_connector(self.externals)
 
     def attachments_of_connector(self, connector: str, role: Optional[str] = None) -> list[Attachment]:
         found = self._by_connector.get(connector, ())
         return [a for a in found if role is None or a.role == role]
+
+    def externals_of_connector(self, connector: str) -> list[ExternalBinding]:
+        return self._externals_by_connector.get(connector, [])
+
+
+def _index_by_connector(items: Iterable) -> dict[str, list]:
+    index: dict[str, list] = {}
+    for item in items:
+        index.setdefault(item.connector, []).append(item)
+    return index
 
 
 def _port_spec(table: TypeTable, inst: Instance, port: str) -> Optional[PortSpec]:
@@ -443,14 +451,13 @@ def detach(
 def validate_arity(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
     """One diagnostic per connector role outside its declared fill range."""
     diags: list[Diagnostic] = []
-    external_fills = Counter((e.connector, e.role) for e in arch.externals)
     for conn in arch.connectors.values():
         ctype = table.connector(conn.type_name)
         if ctype is None:
             continue  # resolution reports unknown connector types
-        attached = arch.attachments_of_connector(conn.name)
+        fills = [*arch.attachments_of_connector(conn.name), *arch.externals_of_connector(conn.name)]
         for rspec in ctype.roles:
-            n = sum(a.role == rspec.name for a in attached) + external_fills[conn.name, rspec.name]
+            n = sum(f.role == rspec.name for f in fills)
             if n < rspec.min_fill:
                 diags.append(
                     error(

@@ -156,9 +156,9 @@ def tokenize(text: str) -> list[Token]:
             word = text[start:i]
             tokens.append(Token("ident", word, word, span_at(start, i, line, col)))
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             word = text[start:i]
             tokens.append(Token("int", word, int(word), span_at(start, i, line, col)))

@@ -143,9 +143,8 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
     for conn_name in pipe_names:
         sources = [a.instance for a in arch.attachments_of_connector(conn_name, "source")]
         sinks = [a.instance for a in arch.attachments_of_connector(conn_name, "sink")]
-        externals = [e for e in arch.externals if e.connector == conn_name]
         kind, path = "pipe", ""
-        for ext in externals:
+        for ext in arch.externals_of_connector(conn_name):
             if ext.direction == "input":
                 bound = arch.inputs.get(ext.stream) or io.input
                 if not bound:

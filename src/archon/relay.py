@@ -25,7 +25,7 @@ import threading
 
 from .diagnostics import ArchonError, fail
 from .frames import FWD, MAX_FRAME_BYTES, RSP, Frame, read_frame, write_frame
-from .server import SocketServer, dial, hang_up, shut
+from .server import SocketClient, SocketServer
 
 RELAY_SOCKET = "relay.sock"
 
@@ -219,71 +219,50 @@ class Relay(SocketServer):
 # --- caller-side multiplexing ----------------------------------------------
 
 
-class RelayConnection:
+class RelayConnection(SocketClient):
     """One socket to the local relay endpoint, many independent streams."""
 
     def __init__(self, relay_endpoint: str) -> None:
-        self.sock = dial(relay_endpoint, "PeerDown", "relay")
         self._ids = itertools.count(1)
         self._streams: dict[int, "RelayStream"] = {}
         self._lock = threading.Lock()
-        self._write_lock = threading.Lock()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        super().__init__(relay_endpoint, "PeerDown", "relay")
 
     def open_stream(self, service: str) -> "RelayStream":
         sid = next(self._ids)
         stream = RelayStream(self, sid)
         with self._lock:
             self._streams[sid] = stream
-        self._send(Frame(FWD, b"", name=service, stream_id=sid))
+        try:
+            self._send(Frame(FWD, b"", name=service, stream_id=sid))
+        except ArchonError:
+            self._forget(sid)  # never opened, so nothing will end it
+            raise
         return stream
-
-    def close(self) -> None:
-        hang_up(self.sock, self._reader)
 
     def _forget(self, stream_id: int) -> None:
         with self._lock:
             self._streams.pop(stream_id, None)
 
-    def _send(self, frame: Frame) -> None:
-        with self._write_lock:
-            write_frame(self.sock, frame)
+    def _on_frame(self, frame: Frame) -> None:
+        with self._lock:
+            stream = self._streams.get(frame.stream_id if frame.kind == FWD else frame.correlation)
+        if stream is None:
+            return
+        if frame.kind == RSP:
+            code, _, message = frame.payload.decode("utf-8", "replace").partition(": ")
+            stream._push_end(fail(code or "RelayError", message))
+        elif frame.kind == FWD:
+            if frame.payload:
+                stream._push_data(frame.payload)
+            else:
+                stream._push_end(None)
 
-    def _read_loop(self) -> None:
-        failure = None
-        while True:
-            try:
-                frame = read_frame(self.sock)
-            except ArchonError as exc:  # a malformed or oversized frame
-                shut(self.sock)
-                failure = (exc.code, exc.diagnostic.message)
-                frame = None
-            except Exception:
-                frame = None
-            if frame is None:
-                with self._lock:
-                    streams = list(self._streams.values())
-                for stream in streams:
-                    if failure:
-                        stream._push_error(*failure)
-                    else:
-                        stream._push_eof()
-                return
-            with self._lock:
-                stream = self._streams.get(
-                    frame.stream_id if frame.kind == FWD else frame.correlation
-                )
-            if stream is None:
-                continue
-            if frame.kind == RSP:
-                code, _, message = frame.payload.decode("utf-8", "replace").partition(": ")
-                stream._push_error(code or "RelayError", message)
-            elif frame.kind == FWD:
-                if frame.payload:
-                    stream._push_data(frame.payload)
-                else:
-                    stream._push_eof()
+    def _on_end(self, failure: ArchonError | None) -> None:
+        with self._lock:
+            streams = list(self._streams.values())
+        for stream in streams:
+            stream._push_end(failure)
 
 
 class RelayStream:
@@ -294,23 +273,22 @@ class RelayStream:
         self._id = stream_id
         self._buf = bytearray()
         self._eof = False
-        self._error: tuple[str, str] | None = None
+        self._error: ArchonError | None = None
         self._cond = threading.Condition()
         self._closed = False
 
     def sendall(self, data: bytes) -> None:
-        self._raise_if_error()
+        with self._cond:
+            self._raise_if_error()
         limit = MAX_FRAME_BYTES - 64  # headroom for kind + headers
         for i in range(0, len(data), limit):
             self._conn._send(Frame(FWD, bytes(data[i : i + limit]), stream_id=self._id))
 
     def recv(self, n: int) -> bytes:
         with self._cond:
-            while not self._buf and not self._eof and self._error is None:
+            while not self._buf and not self._eof:
                 self._cond.wait()
-            if self._error is not None:
-                code, message = self._error
-                raise fail(code, message)
+            self._raise_if_error()
             if self._buf:
                 out = bytes(self._buf[:n])
                 del self._buf[:n]
@@ -324,8 +302,8 @@ class RelayStream:
             self._closed = True
         try:
             self._conn._send(Frame(FWD, b"", stream_id=self._id))
-        except OSError:
-            pass
+        except ArchonError:
+            pass  # the relay is gone; there is no one left to tell
         self._forget_if_done()
 
     def shutdown(self, how: int) -> None:
@@ -336,15 +314,11 @@ class RelayStream:
             self._buf.extend(payload)
             self._cond.notify_all()
 
-    def _push_eof(self) -> None:
+    def _push_end(self, error: ArchonError | None) -> None:
+        """EOF for this stream, or the relay-level error that ended it."""
         with self._cond:
             self._eof = True
-            self._cond.notify_all()
-        self._forget_if_done()
-
-    def _push_error(self, code: str, message: str) -> None:
-        with self._cond:
-            self._error = (code, message)
+            self._error = error or self._error
             self._cond.notify_all()
         self._forget_if_done()
 
@@ -352,11 +326,10 @@ class RelayStream:
         # the connection holds a stream until it has sent its close and
         # heard EOF or an error back
         with self._cond:
-            done = self._closed and (self._eof or self._error is not None)
+            done = self._closed and self._eof
         if done:
             self._conn._forget(self._id)
 
-    def _raise_if_error(self) -> None:
-        with self._cond:
-            if self._error is not None:
-                raise fail(*self._error)
+    def _raise_if_error(self) -> None:  # called holding _cond
+        if self._error is not None:
+            raise ArchonError(self._error.diagnostic)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .diagnostics import ArchonError, fail
 from .frames import REQ, RSP, Frame, read_frame, write_frame
-from .server import SocketServer, dial, hang_up, shut
+from .server import SocketClient, SocketServer
 
 
 class RpcServer(SocketServer):
@@ -50,23 +50,17 @@ class RpcServer(SocketServer):
 _CLOSED = object()
 
 
-class RpcClient:
+class RpcClient(SocketClient):
     """Caller side. Accepts an endpoint path or any socket-like transport."""
 
     def __init__(self, endpoint) -> None:
-        if isinstance(endpoint, str):
-            endpoint = dial(endpoint, "DefinerUnavailable", "definer")
-        self.sock = endpoint
         self._ids = itertools.count(1)
         # _pending is consumed by the reader on delivery, so a second RSP
         # with the same id shows up as unknown; _slots lives until result().
         self._pending: dict[int, queue.Queue] = {}
         self._slots: dict[int, queue.Queue] = {}
         self._lock = threading.Lock()
-        # why the reader stopped early: a correlation violation or a bad frame
-        self._failure: ArchonError | None = None
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        super().__init__(endpoint, "DefinerUnavailable", "definer")
 
     def call(self, payload: bytes, timeout: float | None = 10.0) -> bytes:
         return self.result(self.call_async(payload), timeout=timeout)
@@ -77,27 +71,23 @@ class RpcClient:
         with self._lock:
             # checked under the lock, so a violation found after this
             # point drains the new slot too
-            self._check_failure()
+            self._raise_failure()
             self._pending[corr] = slot
             self._slots[corr] = slot
         try:
-            write_frame(self.sock, Frame(REQ, payload, correlation=corr))
-        except OSError:
-            # reader exits once it hits EOF or a violation; let it settle
-            # so we can report the real cause rather than the broken pipe
-            self._reader.join(timeout=2)
+            self._send(Frame(REQ, payload, correlation=corr))
+        except ArchonError:
             with self._lock:
                 self._pending.pop(corr, None)
                 self._slots.pop(corr, None)
-            self._check_failure()
-            raise fail("DefinerUnavailable", "connection closed while sending request")
+            raise
         return corr
 
     def result(self, corr: int, timeout: float | None = 10.0) -> bytes:
         with self._lock:
             slot = self._slots.get(corr)
         if slot is None:
-            self._check_failure()
+            self._raise_failure()
             raise fail("CorrelationViolation", f"no outstanding request with id {corr}")
         try:
             value = slot.get(timeout=timeout)
@@ -106,45 +96,21 @@ class RpcClient:
         with self._lock:
             self._slots.pop(corr, None)
         if value is _CLOSED:
-            self._check_failure()
+            self._raise_failure()
             raise fail("DefinerUnavailable", "connection closed before response")
         return value
 
-    def close(self) -> None:
-        hang_up(self.sock, self._reader)
+    def _on_frame(self, frame: Frame) -> None:
+        if frame.kind != RSP:
+            return
+        with self._lock:
+            slot = self._pending.pop(frame.correlation, None)
+        if slot is None:
+            why = f"response with unknown or already answered id {frame.correlation}"
+            raise fail("CorrelationViolation", why)
+        slot.put(frame.payload)
 
-    def _check_failure(self) -> None:
-        if self._failure is not None:
-            raise ArchonError(self._failure.diagnostic)
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                frame = read_frame(self.sock)
-            except ArchonError as exc:  # a malformed or oversized frame
-                self._fail(exc)
-                return
-            except Exception:
-                frame = None
-            if frame is None:
-                self._drain()
-                return
-            if frame.kind != RSP:
-                continue
-            with self._lock:
-                slot = self._pending.pop(frame.correlation, None)
-            if slot is None:
-                why = f"response with unknown or already answered id {frame.correlation}"
-                self._fail(fail("CorrelationViolation", why))
-                return
-            slot.put(frame.payload)
-
-    def _fail(self, exc: ArchonError) -> None:
-        self._failure = exc
-        shut(self.sock)
-        self._drain()
-
-    def _drain(self) -> None:
+    def _on_end(self, failure: ArchonError | None) -> None:
         # only unanswered slots: a delivered response stays until result()
         with self._lock:
             slots = list(self._pending.values())

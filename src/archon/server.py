@@ -1,11 +1,15 @@
-"""Socket-server core shared by the event broker, RPC endpoints and relay.
+"""Socket server and client cores shared by the event broker, RPC and relay.
 
 A server binds one or more UNIX endpoints, runs one accept thread per
 listener and one daemon thread per connection.  Threads and sockets sit
 in live sets that they leave when they exit or close, so a long-running
 server holds only what is in use and stop() shuts down and joins exactly
-that.  dial() and hang_up() are the matching client-side connect and
-close.
+that.
+
+A client holds one connection and one reader thread, which runs the only
+client-side frame loop.  A dead peer ends that loop like EOF; the client
+reports it with its own error code, both to the calls waiting on a reply
+and to the next send.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 import socket
 import threading
 
-from .diagnostics import fail
+from .diagnostics import ArchonError, fail
+from .frames import Frame, read_frame, write_frame
 
 
 def shut(sock) -> None:
@@ -21,27 +26,6 @@ def shut(sock) -> None:
     # close() alone does not wake a thread blocked in recv on the same socket
     try:
         sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-
-
-def dial(endpoint: str, code: str, what: str) -> socket.socket:
-    """Connect to a UNIX endpoint, or raise ``code`` naming ``what``."""
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    try:
-        sock.connect(endpoint)
-    except OSError as err:
-        sock.close()
-        raise fail(code, f"cannot reach {what} at '{endpoint}': {err}")
-    return sock
-
-
-def hang_up(sock, reader: threading.Thread) -> None:
-    """Close a client: wake its reader thread, wait for it, then close."""
-    shut(sock)
-    reader.join(timeout=2)
-    try:
-        sock.close()
     except OSError:
         pass
 
@@ -149,4 +133,78 @@ class SocketServer:
             self._release(sock)
 
     def _serve(self, sock: socket.socket) -> None:
+        raise NotImplementedError
+
+
+class SocketClient:
+    """Caller side of one frame connection.
+
+    ``endpoint`` is a UNIX endpoint path to dial, or a socket-like
+    transport (``sendall``/``recv``/``shutdown``/``close``).  ``code``
+    names the peer's failure, raised when it cannot be reached and when a
+    send finds it gone.  Subclasses define ``_on_frame(frame)``, called by
+    the reader for each frame, and ``_on_end(failure)``, called once when
+    the reader stops: with the ArchonError of a malformed or oversized
+    frame, or one ``_on_frame`` raised, else None on EOF.  They set up
+    their own state before calling this constructor, which starts the
+    reader.
+    """
+
+    def __init__(self, endpoint, code: str, what: str) -> None:
+        if isinstance(endpoint, str):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                sock.connect(endpoint)
+            except OSError as err:
+                sock.close()
+                raise fail(code, f"cannot reach {what} at '{endpoint}': {err}")
+            endpoint = sock
+        self.sock = endpoint
+        self._code = code
+        self._what = what
+        self._failure: ArchonError | None = None  # why the reader stopped early
+        self._write_lock = threading.Lock()
+        self._reader = threading.Thread(target=self._read_loop, daemon=True)
+        self._reader.start()
+
+    def close(self) -> None:
+        shut(self.sock)  # wakes the reader
+        self._reader.join(timeout=2)
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+    def _send(self, frame: Frame) -> None:
+        try:
+            with self._write_lock:
+                write_frame(self.sock, frame)
+        except OSError as err:
+            # the reader meets the same dead peer; let it settle so a frame
+            # error it found is reported rather than the broken pipe
+            self._reader.join(timeout=2)
+            self._raise_failure()
+            raise fail(self._code, f"connection to {self._what} closed: {err}") from None
+
+    def _raise_failure(self) -> None:
+        if self._failure is not None:
+            raise ArchonError(self._failure.diagnostic)
+
+    def _read_loop(self) -> None:
+        failure = None
+        try:
+            while (frame := read_frame(self.sock)) is not None:
+                self._on_frame(frame)
+        except ArchonError as exc:
+            failure = exc
+            shut(self.sock)  # the peer sees this end hang up
+        except OSError:
+            pass  # a reset connection ends like EOF
+        self._failure = failure
+        self._on_end(failure)
+
+    def _on_frame(self, frame: Frame) -> None:
+        raise NotImplementedError
+
+    def _on_end(self, failure: ArchonError | None) -> None:
         raise NotImplementedError

@@ -136,3 +136,39 @@ def test_oversized_frame_from_broker_raises_frame_too_large(endpoint):
     assert not thread.is_alive()
     client.close()
     listener.close()
+
+
+def test_dead_broker_is_reported_to_blocked_readers_and_publishers(endpoint):
+    broker = EventBroker(endpoint).start()
+    announcer = BrokerClient(endpoint)
+    listener = BrokerClient(endpoint)
+    listener.subscribe("t")
+    _wait_registered(broker, "t", 1)
+    got = []
+
+    def drain():
+        try:
+            while True:
+                got.append(listener.next_event(timeout=None))
+        except ArchonError as exc:
+            got.append(exc.code)
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    announcer.publish("t", b"e0")
+    announcer.publish("t", b"e1")
+    deadline = time.monotonic() + 5
+    while len(got) < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    broker.stop()
+    reader.join(2)
+    assert not reader.is_alive(), "next_event(timeout=None) still blocked"
+    assert got == [("t", b"e0"), ("t", b"e1"), "BrokerUnavailable"]
+    with pytest.raises(ArchonError) as exc:
+        listener.next_event(timeout=None)  # every later call raises too
+    assert exc.value.code == "BrokerUnavailable"
+    for client in (announcer, listener):
+        with pytest.raises(ArchonError) as exc:
+            client.publish("t", b"late")
+        assert exc.value.code == "BrokerUnavailable"
+        client.close()

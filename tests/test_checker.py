@@ -172,11 +172,21 @@ def _chain_and_diamonds(n: int) -> str:
     return "system Big {\n" + "\n".join(decls) + "\n}\n"
 
 
+def _two_stage_pipelines(n: int) -> str:
+    """n instances as n/2 two-stage pipeline statements over the system streams."""
+    decls = [
+        f'component A{i} : Filter impl "cat"; component B{i} : Filter impl "cat"; '
+        f"pipeline P{i}: input | A{i}() | B{i}() | output;"
+        for i in range(n // 2)
+    ]
+    return "system Many {\n" + "\n".join(decls) + '\ninput "in.txt"; output "out.txt";\n}\n'
+
+
 def test_compile_passes_scale_linearly():
     """resolve + check_all + plan at N and 4N stages: ~4x when linear, ~16x when quadratic."""
 
-    def best_of_3(n: int) -> float:
-        ast, table = parse(_chain_and_diamonds(n)), builtin_type_table()
+    def best_of_3(source: str) -> float:
+        ast, table = parse(source), builtin_type_table()
         times = []
         for _ in range(3):
             gc.collect()  # start each run without the previous run's garbage
@@ -188,8 +198,9 @@ def test_compile_passes_scale_linearly():
             times.append(time.process_time() - t0)
         return min(times)
 
-    small, large = best_of_3(1000), best_of_3(4000)
-    assert large / small < 8, (small, large)
+    for system in (_chain_and_diamonds, _two_stage_pipelines):
+        small, large = best_of_3(system(1000)), best_of_3(system(4000))
+        assert large / small < 8, (system.__name__, small, large)
 
 
 # --- check_types -----------------------------------------------------------

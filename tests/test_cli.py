@@ -60,6 +60,11 @@ def test_check_json_output(src, capsys):
     assert len(parsed) == 2
 
 
+def test_check_non_decimal_digit_is_2(src, capsys):
+    assert main(["check", src('system S { component A : Filter impl "cat" replicas ²; }')]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_usage_error_is_64(capsys):
     assert main([]) == 64
     assert main(["frobnicate", "x.arch"]) == 64

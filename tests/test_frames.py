@@ -69,6 +69,13 @@ def test_truncated_body_rejected():
         decode(b"\x01\x00\x05ab")  # claims 5-byte topic, has 2
 
 
+def test_text_that_is_not_utf8_is_a_bad_frame():
+    for body in (b"\x01\x00\x01\xff", b"\x05\x00\x01\xff" + bytes(8)):  # EVT topic, FWD name
+        with pytest.raises(ArchonError) as exc:
+            decode(body)
+        assert exc.value.code == "BadFrame"
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ArchonError):
         decode(b"\x09abc")

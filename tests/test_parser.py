@@ -107,6 +107,14 @@ def test_string_escapes():
     assert dict(decl.attrs) == {"seed": "0\n", "impl": 'a\\b"c'}
 
 
+def test_integers_are_decimal_digits_only():
+    ast = parse('system S { component A : Filter impl "cat" replicas ٣; }')  # Arabic-Indic 3
+    assert ast.declarations[0].attrs == (("impl", "cat"), ("replicas", 3))
+    with pytest.raises(ParseError) as exc:
+        parse('system S { component A : Filter impl "cat" replicas ²; }')  # superscript 2
+    assert "unexpected character" in str(exc.value)
+
+
 def test_bad_escape_rejected():
     with pytest.raises(ParseError):
         parse(r'system S { input "a\qb"; }')

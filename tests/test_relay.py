@@ -214,3 +214,27 @@ def test_oversized_frame_from_relay_fails_its_streams(roots):
     assert not thread.is_alive()
     conn.close()
     listener.close()
+
+
+def test_dead_relay_ends_streams_and_fails_sends(roots):
+    a = make_site("A", roots[0])
+    b = register_service(make_site("B", roots[1]), "echo", "echo.sock")
+    listener = _echo_server(b.endpoint_path("echo"))
+    link = RelayLink(a, b)
+    relay = Relay(link).start()
+    conn = RelayConnection(resolve(link, "A", "echo").endpoint)
+    stream = conn.open_stream("echo")
+    stream.sendall(b"ping")
+    assert stream.recv(4) == b"ping"
+    relay.stop()
+    assert stream.recv(4) == b""
+    with pytest.raises(ArchonError) as exc:
+        stream.sendall(b"late")
+    assert exc.value.code == "PeerDown"
+    with pytest.raises(ArchonError) as exc:
+        conn.open_stream("echo")
+    assert exc.value.code == "PeerDown"
+    stream.close()  # no relay left to tell; not an error
+    assert not conn._streams  # neither the ended stream nor the failed open is kept
+    conn.close()
+    listener.close()

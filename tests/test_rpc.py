@@ -157,3 +157,18 @@ def test_oversized_response_raises_frame_too_large(endpoint):
     assert hung_up.is_set()
     client.close()
     listener.close()
+
+
+def test_dead_definer_is_reported_as_definer_unavailable(endpoint):
+    server = RpcServer(endpoint, batch=2).start()
+    client = RpcClient(endpoint)
+    held = client.call_async(b"held")  # the server waits for a second request
+    server.stop()
+    with pytest.raises(ArchonError) as exc:
+        client.result(held, timeout=2)
+    assert exc.value.code == "DefinerUnavailable"
+    for _ in range(2):
+        with pytest.raises(ArchonError) as exc:
+            client.call(b"late", timeout=2)
+        assert exc.value.code == "DefinerUnavailable"
+    client.close()
