@@ -259,10 +259,10 @@ def check_completeness(
     return diags
 
 
-def dataflow_edges(arch: Architecture) -> list[tuple[str, str]]:
-    """Directed instance-to-instance edges, one per pipe with both sides
-    attached to instances."""
-    edges: list[tuple[str, str]] = []
+def dataflow_edges(arch: Architecture) -> list[tuple[str, str, str]]:
+    """Directed (producer, consumer, pipe) instance-to-instance edges, one
+    per pipe with both sides attached to instances."""
+    edges: list[tuple[str, str, str]] = []
     for conn in arch.connectors.values():
         if conn.type_name != PIPE_TYPE:
             continue
@@ -270,7 +270,7 @@ def dataflow_edges(arch: Architecture) -> list[tuple[str, str]]:
         sinks = arch.attachments_of_connector(conn.name, "sink")
         for s in sources:
             for t in sinks:
-                edges.append((s.instance, t.instance))
+                edges.append((s.instance, t.instance, conn.name))
     return edges
 
 
@@ -304,7 +304,8 @@ def dataflow_nodes(arch: Architecture, table: TypeTable) -> set[str]:
 
 
 def classify_topology(arch: Architecture, table: TypeTable) -> TopologyReport:
-    return classify_digraph(dataflow_nodes(arch, table), dataflow_edges(arch))
+    edges = [(a, b) for a, b, _ in dataflow_edges(arch)]
+    return classify_digraph(dataflow_nodes(arch, table), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +438,7 @@ def _check_layer_discipline(arch: Architecture) -> list[Diagnostic]:
 def _check_seeded_cycles(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
     seeded = {name for name, inst in arch.instances.items() if "seed" in inst.attrs}
     nodes = dataflow_nodes(arch, table) - seeded
-    edges = [(a, b) for a, b in dataflow_edges(arch) if a not in seeded and b not in seeded]
+    edges = [(a, b) for a, b, _ in dataflow_edges(arch) if a not in seeded and b not in seeded]
     report = classify_digraph(nodes, edges)
     diags: list[Diagnostic] = []
     for cycle in report.cycles:

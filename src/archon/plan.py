@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .checker import PIPE_TYPE, RPC_TYPE, ExternalIO
+from .checker import PIPE_TYPE, RPC_TYPE, ExternalIO, dataflow_edges
 from .diagnostics import fail
 from .model import Architecture, TypeTable
 from .topology import _strongly_connected_components
@@ -135,14 +135,11 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
     channels: dict[str, Channel] = {}
     reads: dict[str, list[str]] = {name: [] for name in arch.instances}
     writes: dict[str, list[str]] = {name: [] for name in arch.instances}
-    edge_triples: list[tuple[str, str, str]] = []  # (producer, consumer, channel)
 
     pipe_names = sorted(
         c.name for c in arch.connectors.values() if c.type_name == PIPE_TYPE
     )
     for conn_name in pipe_names:
-        sources = [a.instance for a in arch.attachments_of_connector(conn_name, "source")]
-        sinks = [a.instance for a in arch.attachments_of_connector(conn_name, "sink")]
         kind, path = "pipe", ""
         for ext in arch.externals_of_connector(conn_name):
             if ext.direction == "input":
@@ -162,42 +159,34 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
                     )
                 kind, path = "file-out", bound
         channels[conn_name] = Channel(conn_name, kind, path)
-        for src in sources:
-            writes[src].append(conn_name)
-        for snk in sinks:
-            reads[snk].append(conn_name)
-        if sources and sinks:
-            edge_triples.append((sources[0], sinks[0], conn_name))
+        for att in arch.attachments_of_connector(conn_name, "source"):
+            writes[att.instance].append(conn_name)
+        for att in arch.attachments_of_connector(conn_name, "sink"):
+            reads[att.instance].append(conn_name)
 
     synthetic: list[Stage] = []
 
     # Seed stages sit on one in-cycle edge per seeded instance, so the rest
     # of the loop can start up against an already-primed pipe.
+    edges = dataflow_edges(arch)
     adj: dict[str, list[str]] = defaultdict(list)
-    for producer, consumer, _ in edge_triples:
+    into: dict[str, list[tuple[str, str]]] = defaultdict(list)  # consumer -> (producer, pipe)
+    for producer, consumer, ch in edges:
         adj[producer].append(consumer)
+        into[consumer].append((producer, ch))
     node_names = sorted(arch.instances)
-    scc_of: dict[str, int] = {}
-    for idx, scc in enumerate(_strongly_connected_components(node_names, adj)):
-        for member in scc:
-            scc_of[member] = idx
-    self_loops = {p for p, c, _ in edge_triples if p == c}
-    scc_sizes = defaultdict(int)
-    for member, idx in scc_of.items():
-        scc_sizes[idx] += 1
+    sccs = _strongly_connected_components(node_names, adj)
+    scc_of = {member: idx for idx, scc in enumerate(sccs) for member in scc}
 
     for inst_name in node_names:
         inst = arch.instances[inst_name]
         seed_bytes = inst.attrs.get("seed")
         if not isinstance(seed_bytes, str):
             continue
-        in_cycle = scc_sizes[scc_of[inst_name]] > 1 or inst_name in self_loops
-        if not in_cycle:
-            continue
+        # An edge into the instance from its own component (a self-loop
+        # included) exists exactly when the instance is on a cycle.
         candidates = sorted(
-            ch
-            for producer, consumer, ch in edge_triples
-            if consumer == inst_name and scc_of[producer] == scc_of[inst_name]
+            ch for producer, ch in into[inst_name] if scc_of[producer] == scc_of[inst_name]
         )
         if not candidates:
             continue
@@ -241,7 +230,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
             )
             reads[inst_name] = [in_ch]
 
-    stages: list[Stage] = list(synthetic)
+    processes: list[Stage] = []
     for inst_name in node_names:
         inst = arch.instances[inst_name]
         impl = inst.attrs.get("impl")
@@ -250,7 +239,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
                 "MissingImplementation",
                 f"instance '{inst_name}' has no impl attribute",
             )
-        stages.append(
+        processes.append(
             Stage(
                 name=inst_name,
                 kind=PROCESS,
@@ -263,6 +252,16 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
                 site=str(inst.attrs.get("site", "")),
             )
         )
+
+    # Every process stage exists before any is fanned out, so a missing impl
+    # is reported ahead of a fan-out error.
+    stages: list[Stage] = list(synthetic)
+    for process in processes:
+        n = arch.instances[process.name].attrs.get("replicas")
+        if isinstance(n, int) and n >= 2:
+            stages += _fan_out(process, n, channels)
+        else:
+            stages.append(process)
 
     broker = ""
     if any(c.type_name == EVENT_TYPE for c in arch.connectors.values()):
@@ -298,13 +297,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
         input=arch.inputs.get("input") or io.input or "",
         output=arch.outputs.get("output") or io.output or "",
     )
-    built = _finalize(draft, stages, channels)
-
-    for inst_name in node_names:
-        n = arch.instances[inst_name].attrs.get("replicas")
-        if isinstance(n, int) and n >= 2:
-            built = expand_fanout(built, inst_name, n)
-    return built
+    return _finalize(draft, stages, channels)
 
 
 def expand_fanout(built: BuildPlan, stage_name: str, n: int) -> BuildPlan:
@@ -316,94 +309,63 @@ def expand_fanout(built: BuildPlan, stage_name: str, n: int) -> BuildPlan:
         return built
     if n < 1:
         raise fail("BadReplicaCount", f"replica count must be at least 1, got {n}")
+    channels = {c.name: c for c in built.channels}
+    stages = [s for s in built.stages if s.name != stage_name]
+    stages += _fan_out(target, n, channels)
+    return _finalize(built, stages, channels)
+
+
+def _fan_out(target: Stage, n: int, channels: dict[str, Channel]) -> list[Stage]:
+    """split -> n replicas -> merge standing in for target; adds their pipes to channels."""
     if not target.stateless:
         raise fail(
             "NotStateless",
-            f"instance '{stage_name}' requests replicas without the stateless attribute",
+            f"instance '{target.name}' requests replicas without the stateless attribute",
         )
     if len(target.reads) != 1 or len(target.writes) != 1:
         raise fail(
             "FanoutUnsupported",
-            f"stage '{stage_name}' must have exactly one input and one output to fan out",
+            f"stage '{target.name}' must have exactly one input and one output to fan out",
         )
-
-    channels = {c.name: c for c in built.channels}
-    in_chs, out_chs = [], []
-    for i in range(n):
-        in_ch, out_ch = f"{stage_name}.in#{i}", f"{stage_name}.out#{i}"
-        channels[in_ch] = Channel(in_ch, "pipe", "")
-        channels[out_ch] = Channel(out_ch, "pipe", "")
-        in_chs.append(in_ch)
-        out_chs.append(out_ch)
-
-    stages = [s for s in built.stages if s.name != stage_name]
-    stages.append(
-        Stage(
-            name=f"{stage_name}.split",
-            kind=SPLIT,
-            reads=target.reads,
-            writes=tuple(in_chs),
-        )
-    )
-    for i in range(n):
-        stages.append(
-            replace(
-                target,
-                name=f"{stage_name}#{i}",
-                replica=i,
-                reads=(in_chs[i],),
-                writes=(out_chs[i],),
-            )
-        )
-    stages.append(
-        Stage(
-            name=f"{stage_name}.merge",
-            kind=MERGE,
-            reads=tuple(out_chs),
-            writes=target.writes,
-        )
-    )
-    return _finalize(built, stages, channels)
+    in_chs = [f"{target.name}.in#{i}" for i in range(n)]
+    out_chs = [f"{target.name}.out#{i}" for i in range(n)]
+    for ch in in_chs + out_chs:
+        channels[ch] = Channel(ch, "pipe", "")
+    replicas = [
+        replace(target, name=f"{target.name}#{i}", replica=i, reads=(in_chs[i],), writes=(out_chs[i],))
+        for i in range(n)
+    ]
+    return [
+        Stage(name=f"{target.name}.split", kind=SPLIT, reads=target.reads, writes=tuple(in_chs)),
+        *replicas,
+        Stage(name=f"{target.name}.merge", kind=MERGE, reads=tuple(out_chs), writes=target.writes),
+    ]
 
 
 def _finalize(draft: BuildPlan, stages: list[Stage], channels: dict[str, Channel]) -> BuildPlan:
     """The draft with its stages in start order, channels sorted and the final stage."""
-    order = _start_order(stages)
+    writer_of = {ch: stage for stage in stages for ch in stage.writes}
     by_name = {s.name: s for s in stages}
-    ordered = tuple(by_name[name] for name in order)
+    ordered = tuple(by_name[name] for name in _start_order(stages, writer_of))
     chans = tuple(sorted(channels.values(), key=lambda c: c.name))
-
-    writer_of = {}
-    for stage in stages:
-        for ch in stage.writes:
-            writer_of[ch] = stage.name
-    final = ""
-    for channel in chans:
-        if channel.kind == "file-out" and channel.name in writer_of:
-            final = writer_of[channel.name]
-            break
-
+    final = next(
+        (writer_of[c.name].name for c in chans if c.kind == "file-out" and c.name in writer_of),
+        "",
+    )
     return replace(draft, stages=ordered, channels=chans, final=final)
 
 
-def _start_order(stages: list[Stage]) -> list[str]:
+def _start_order(stages: list[Stage], writer_of: dict[str, Stage]) -> list[str]:
     """Consumers before producers; ties and cycle interiors by name."""
-    names = sorted(s.name for s in stages)
-    writer: dict[str, Stage] = {}
-    readers: dict[str, list[Stage]] = defaultdict(list)
+    adj: dict[str, list[str]] = {s.name: [] for s in stages}
     for stage in stages:
-        for ch in stage.writes:
-            writer[ch] = stage
         for ch in stage.reads:
-            readers[ch].append(stage)
+            writer = writer_of.get(ch)
+            # The seeded instance starts last; the seed primes its pipe.
+            if writer is not None and writer.kind != SEED:
+                adj[stage.name].append(writer.name)
 
-    adj: dict[str, list[str]] = {name: [] for name in names}
-    for ch, w in writer.items():
-        if w.kind == SEED:
-            continue  # the seeded instance starts last; the seed primes its pipe
-        for r in readers.get(ch, []):
-            adj[r.name].append(w.name)
-
+    names = sorted(adj)
     sccs = _strongly_connected_components(names, adj)
     comp_of = {name: idx for idx, comp in enumerate(sccs) for name in comp}
     comp_adj: dict[int, set[int]] = defaultdict(set)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cProfile
 import gc
 import itertools
+import pstats
 import random
 import time
 
@@ -182,6 +184,26 @@ def _two_stage_pipelines(n: int) -> str:
     return "system Many {\n" + "\n".join(decls) + '\ninput "in.txt"; output "out.txt";\n}\n'
 
 
+def _replicated_chain(n: int) -> str:
+    """n plan stages: one pipeline of n/4 instances, each fanned out to split, 2 replicas, merge."""
+    names = [f"R{i}" for i in range(n // 4)]
+    decls = [
+        *(f'component {r} : Filter impl "cat" stateless replicas 2;' for r in names),
+        "pipeline Main: input | " + " | ".join(f"{r}()" for r in names) + " | output;",
+    ]
+    return "system Farm {\n" + "\n".join(decls) + '\ninput "in.txt"; output "out.txt";\n}\n'
+
+
+_COMPILE_INPUTS = (_chain_and_diamonds, _two_stage_pipelines, _replicated_chain)
+
+
+def _compile(ast, table) -> None:
+    result = resolve(ast, table)
+    assert result.diagnostics == []
+    assert check_all(result.architecture, result.table) == []
+    plan(result.architecture, result.table)
+
+
 def test_compile_passes_scale_linearly():
     """resolve + check_all + plan at N and 4N stages: ~4x when linear, ~16x when quadratic."""
 
@@ -191,16 +213,28 @@ def test_compile_passes_scale_linearly():
         for _ in range(3):
             gc.collect()  # start each run without the previous run's garbage
             t0 = time.process_time()
-            result = resolve(ast, table)
-            assert result.diagnostics == []
-            assert check_all(result.architecture, result.table) == []
-            plan(result.architecture, result.table)
+            _compile(ast, table)
             times.append(time.process_time() - t0)
         return min(times)
 
-    for system in (_chain_and_diamonds, _two_stage_pipelines):
+    for system in _COMPILE_INPUTS:
         small, large = best_of_3(system(1000)), best_of_3(system(4000))
         assert large / small < 8, (system.__name__, small, large)
+
+
+def test_compile_call_counts_scale_linearly():
+    """The deterministic companion of the CPU gate: profiled function calls of
+    resolve + check_all + plan grow at most 4.2x for 4x the stages."""
+
+    def calls(source: str) -> int:
+        ast, table = parse(source), builtin_type_table()
+        profiler = cProfile.Profile()
+        profiler.runcall(_compile, ast, table)
+        return pstats.Stats(profiler).total_calls
+
+    for system in _COMPILE_INPUTS:
+        small, large = calls(system(1000)), calls(system(4000))
+        assert large / small <= 4.2, (system.__name__, small, large)
 
 
 # --- check_types -----------------------------------------------------------

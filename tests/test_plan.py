@@ -1,4 +1,6 @@
+import importlib
 import json
+import re
 
 import pytest
 
@@ -7,6 +9,8 @@ from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
 from archon.plan import expand_fanout, plan, serialize_plan
+
+plan_module = importlib.import_module("archon.plan")  # the package exports a plan() function
 
 
 def _arch(src: str):
@@ -162,6 +166,70 @@ def test_replicas_attr_autoexpands():
     assert built.stage("B") is None
     assert built.stage("B#2") is not None
     assert built.stage("B#2").stateless
+
+
+FARM = """
+system Farm {
+  componenttype Fan { port stdin : StreamIn; port stdout : StreamOut many; }
+  componenttype Funnel { port stdin : StreamIn many; port stdout : StreamOut; }
+  component A : Filter impl "./a" stateless replicas 2;
+  component B : Filter impl "./b" stateless replicas 3;
+  pipeline Main: input | A() | B() | output;
+  input "in.txt"; output "out.txt";
+  component F : Fan impl "./f"; component J : Funnel impl "./j";
+  component L : Filter impl "./l" stateless replicas 4;
+  component R : Filter impl "./r" stateless replicas 1;
+  connector f1 : Pipe; connector f2 : Pipe; connector j1 : Pipe; connector j2 : Pipe;
+  attach F.stdout to f1.source; attach L.stdin to f1.sink;
+  attach F.stdout to f2.source; attach R.stdin to f2.sink;
+  attach L.stdout to j1.source; attach J.stdin to j1.sink;
+  attach R.stdout to j2.source; attach J.stdin to j2.sink;
+}
+"""
+
+
+def test_replicas_lower_like_expand_fanout_in_name_order():
+    built = _plan(re.sub(r" replicas \d+", "", FARM))
+    for name, n in (("A", 2), ("B", 3), ("L", 4), ("R", 1)):
+        built = expand_fanout(built, name, n)
+    assert serialize_plan(_plan(FARM)) == serialize_plan(built)
+    assert built.stage("L.split").reads == ("f1",) and built.stage("L.merge").writes == ("j1",)
+    assert built.stage("R").replica == 0 and built.stage("R.split") is None
+
+
+@pytest.mark.parametrize("replicated", [0, 1, 6])
+def test_plan_orders_stages_once(monkeypatch, replicated):
+    calls = []
+    scc = plan_module._strongly_connected_components
+
+    def spy(nodes, adj):
+        calls.append(len(nodes))
+        return scc(nodes, adj)
+
+    monkeypatch.setattr(plan_module, "_strongly_connected_components", spy)
+    names = [f"S{i}" for i in range(6)]
+    decls = "".join(
+        f'component {s} : Filter impl "./s"{" stateless replicas 2" * (i < replicated)};'
+        for i, s in enumerate(names)
+    )
+    pipeline = "pipeline P: input | " + " | ".join(f"{s}()" for s in names) + " | output;"
+    built = _plan(f'system S {{ {decls} {pipeline} input "i"; output "o"; }}')
+    assert calls == [6, len(built.stages)]  # instances, then stages
+
+
+def test_missing_impl_reported_before_fanout_errors():
+    with pytest.raises(ArchonError) as exc:
+        _plan(
+            """
+            system S {
+              component A : Filter impl "./a" replicas 2;
+              component B : Filter;
+              pipeline P: input | A() | B() | output;
+              input "i"; output "o";
+            }
+            """
+        )
+    assert exc.value.code == "MissingImplementation"
 
 
 def test_seeded_cycle_gets_seed_stage():
