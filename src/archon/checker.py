@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from . import model
-from .desugar import desugar_pipeline
+from .desugar import desugar_pipeline, filter_shaped
 from .diagnostics import ArchonError, Diagnostic, error, has_errors
 from .model import (
     Architecture,
@@ -274,19 +274,6 @@ def dataflow_edges(arch: Architecture) -> list[tuple[str, str, str]]:
     return edges
 
 
-def _filter_shaped(ctype: model.ComponentType) -> bool:
-    """Stream-only component type with the stdin/stdout convention."""
-    stdin = ctype.port("stdin")
-    stdout = ctype.port("stdout")
-    return (
-        stdin is not None
-        and stdin.port_type == STREAM_IN
-        and stdout is not None
-        and stdout.port_type == STREAM_OUT
-        and all(p.port_type in (STREAM_IN, STREAM_OUT) for p in ctype.ports)
-    )
-
-
 def dataflow_nodes(arch: Architecture, table: TypeTable) -> set[str]:
     """Instances that carry stream traffic: pipe-attached ones plus every
     filter node, so a stray unattached filter breaks linearity."""
@@ -298,7 +285,12 @@ def dataflow_nodes(arch: Architecture, table: TypeTable) -> set[str]:
             nodes.add(att.instance)
     for inst in arch.instances.values():
         ctype = table.component(inst.type_name)
-        if ctype is not None and _filter_shaped(ctype):
+        # a stream-only type with the filter convention
+        if (
+            ctype is not None
+            and filter_shaped(ctype)
+            and all(p.port_type in (STREAM_IN, STREAM_OUT) for p in ctype.ports)
+        ):
             nodes.add(inst.name)
     return nodes
 

@@ -20,6 +20,7 @@ from .model import (
     EXT_OUTPUT,
     STREAM_IN,
     STREAM_OUT,
+    ComponentType,
     ExternalBinding,
     TypeTable,
 )
@@ -44,10 +45,8 @@ def pipe_name(pipeline: str, index: int) -> str:
     return f"{pipeline}_p{index}"
 
 
-def _stage_is_filter_shaped(table: TypeTable, type_name: str) -> bool:
-    ctype = table.component(type_name)
-    if ctype is None:
-        return False
+def filter_shaped(ctype: ComponentType) -> bool:
+    """The filter convention: a ``stdin`` stream in and a ``stdout`` stream out."""
     stdin = ctype.port(STDIN)
     stdout = ctype.port(STDOUT)
     return (
@@ -74,14 +73,15 @@ def desugar_pipeline(
     if not stmt.stages:
         return None, [error("EmptyPipeline", f"pipeline '{stmt.name}' has no stages", stmt.span)]
 
-    new_instances: list[InstanceDecl] = []
+    new_instances: dict[str, InstanceDecl] = {}  # by name, in first-occurrence order
     for stage in stmt.stages:
         type_name = declared.get(stage)
         if type_name is None:
-            if not any(i.name == stage for i in new_instances):
-                new_instances.append(InstanceDecl(stage, "Filter", (), span=stmt.span))
+            if stage not in new_instances:
+                new_instances[stage] = InstanceDecl(stage, "Filter", (), span=stmt.span)
             continue
-        if not _stage_is_filter_shaped(table, type_name):
+        ctype = table.component(type_name)
+        if ctype is None or not filter_shaped(ctype):
             diags.append(
                 error(
                     "StageNotAFilter",
@@ -108,7 +108,7 @@ def desugar_pipeline(
     external_out = ExternalBinding("output", EXT_OUTPUT, pipe_name(stmt.name, n), "sink")
     return (
         PipelineExpansion(
-            tuple(new_instances), connectors, tuple(attachments), external_in, external_out
+            tuple(new_instances.values()), connectors, tuple(attachments), external_in, external_out
         ),
         [],
     )

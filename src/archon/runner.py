@@ -3,12 +3,16 @@
 Every ``pipe`` channel is one kernel pipe.  A process stage gets the
 read end as stdin and the write end as stdout; each synthetic stage
 holds its ends in one thread inside this process, running the record
-pump below.  After spawning, the parent closes every descriptor it
-handed out, so end-of-file propagates the moment a writer exits.
+pump below.  Each descriptor has one owner: a process's ends are closed
+here once it is spawned, a synthetic stage's by its thread, so
+end-of-file propagates the moment a writer exits.
 
-A downstream stage that stops reading kills its upstream with SIGPIPE;
-that death is reported as early_close, not failure.  On timeout all
-children are killed and the overall status is 124.
+One poll over a pidfd per process (Linux >= 5.3) reaps them all, and
+the stage threads are joined, against one deadline.  A downstream stage
+that stops reading kills its upstream with SIGPIPE; that death is
+reported as early_close, not failure.  Any stage still running at the
+deadline is a timeout (status 124): the processes left are killed and,
+with the threads, get one shared 5 s grace.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .broker import EventBroker
 from .diagnostics import fail
@@ -91,107 +96,103 @@ def _execute(
     timeout: float | None,
     report: RunReport,
 ) -> None:
-    read_fd: dict[str, int] = {}
-    write_fd: dict[str, int] = {}
-    for channel in built.channels:
-        if channel.kind == "pipe":
-            r, w = os.pipe()
-            read_fd[channel.name], write_fd[channel.name] = r, w
-        elif channel.kind == "file-in":
-            try:
-                read_fd[channel.name] = os.open(channel.path, os.O_RDONLY)
-            except OSError as err:
-                _close_all(read_fd, write_fd)
-                raise fail("IoError", f"cannot open input '{channel.path}': {err}")
-        else:
-            try:
-                write_fd[channel.name] = os.open(
-                    channel.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
-                )
-            except OSError as err:
-                _close_all(read_fd, write_fd)
-                raise fail("IoError", f"cannot open output '{channel.path}': {err}")
-
     env_base = dict(os.environ)
     if built.broker:
         env_base["ARCHON_BROKER"] = os.path.join(rt_dir, built.broker)
     for conn, endpoint in built.rpc:
         env_base[_env_name(conn)] = os.path.join(rt_dir, endpoint)
 
-    reader_kind: dict[str, str] = {}
-    writer_kind: dict[str, str] = {}
-    for stage in built.stages:
-        for ch in stage.reads:
-            reader_kind[ch] = stage.kind
-        for ch in stage.writes:
-            writer_kind[ch] = stage.kind
-
+    read_fd: dict[str, int] = {}
+    write_fd: dict[str, int] = {}
     procs: dict[str, subprocess.Popen] = {}
-    stage_threads: list[threading.Thread] = []
-    for stage in built.stages:
-        if stage.kind == PROCESS:
-            stdin = read_fd[stage.reads[0]] if stage.reads else subprocess.DEVNULL
-            stdout = write_fd[stage.writes[0]] if stage.writes else subprocess.DEVNULL
-            env = dict(env_base)
-            env["ARCHON_INSTANCE"] = stage.instance
-            env["ARCHON_REPLICA"] = str(stage.replica)
-            try:
-                procs[stage.name] = subprocess.Popen(
-                    stage.argv, stdin=stdin, stdout=stdout, env=env
-                )
-            except OSError as err:
-                report.spawn_failures[stage.name] = str(err)
-        else:
-            ins = [read_fd[ch] for ch in stage.reads]
-            outs = {ch: write_fd[ch] for ch in stage.writes}
-            thread = threading.Thread(
-                target=_stage_body, args=(stage, ins, outs, report), daemon=True
-            )
-            thread.start()
-            stage_threads.append(thread)
+    pidfds: dict[int, str] = {}  # a pidfd turns a process's exit into a poll event
+    threads: list[threading.Thread] = []
+    try:
+        try:
+            for channel in built.channels:
+                if channel.kind == "pipe":
+                    read_fd[channel.name], write_fd[channel.name] = os.pipe()
+                    continue
+                reading = channel.kind == "file-in"
+                flags = os.O_RDONLY if reading else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                try:
+                    fd = os.open(channel.path, flags, 0o644)
+                except OSError as err:
+                    what = "input" if reading else "output"
+                    raise fail("IoError", f"cannot open {what} '{channel.path}': {err}")
+                (read_fd if reading else write_fd)[channel.name] = fd
 
-    # Parent copies of process-held descriptors must go so EOF can travel.
-    for channel in built.channels:
-        if reader_kind.get(channel.name, PROCESS) == PROCESS:
-            fd = read_fd.pop(channel.name, None)
-            if fd is not None:
-                os.close(fd)
-        if writer_kind.get(channel.name, PROCESS) == PROCESS:
-            fd = write_fd.pop(channel.name, None)
-            if fd is not None:
-                os.close(fd)
-
-    deadline = time.monotonic() + timeout if timeout else None
-    waiters: list[threading.Thread] = []
-
-    def reap(name: str, proc: subprocess.Popen) -> None:
-        report.statuses[name] = proc.wait()
-
-    for name, proc in procs.items():
-        thread = threading.Thread(target=reap, args=(name, proc), daemon=True)
-        thread.start()
-        waiters.append(thread)
-
-    for thread in waiters:
-        if deadline is None:
-            thread.join()
-        else:
-            remaining = deadline - time.monotonic()
-            thread.join(max(remaining, 0))
-    if any(t.is_alive() for t in waiters):
-        report.timed_out = True
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
-        for thread in waiters:
-            thread.join(5)
-
-    for thread in stage_threads:
-        thread.join(5)
-
+            # Each stage takes its ends when it starts: a process's are closed
+            # once it is spawned, a synthetic stage's by its thread.
+            for stage in built.stages:
+                ins = [read_fd.pop(ch) for ch in stage.reads]
+                outs = {ch: write_fd.pop(ch) for ch in stage.writes}
+                if stage.kind != PROCESS:
+                    thread = threading.Thread(
+                        target=_stage_body, args=(stage, ins, outs, report), daemon=True
+                    )
+                    thread.start()
+                    threads.append(thread)
+                    continue
+                env = dict(env_base)
+                env["ARCHON_INSTANCE"] = stage.instance
+                env["ARCHON_REPLICA"] = str(stage.replica)
+                try:
+                    procs[stage.name] = subprocess.Popen(
+                        stage.argv,
+                        stdin=ins[0] if ins else subprocess.DEVNULL,
+                        stdout=outs[stage.writes[0]] if outs else subprocess.DEVNULL,
+                        env=env,
+                    )
+                except OSError as err:
+                    report.spawn_failures[stage.name] = str(err)
+                    continue
+                finally:
+                    _close_all([*ins, *outs.values()])
+                pidfds[os.pidfd_open(procs[stage.name].pid)] = stage.name
+        finally:
+            # No copy of an end may stay here, or it holds back end of file.
+            _close_all([*read_fd.values(), *write_fd.values()])
+        _wait(procs, pidfds, threads, time.monotonic() + timeout if timeout else None, report)
+        report.timed_out = bool(pidfds) or any(t.is_alive() for t in threads)
+    finally:
+        # still running at the deadline, or left behind by a failed start
+        stragglers = [proc for proc in procs.values() if proc.returncode is None]
+        for proc in stragglers:
+            proc.kill()
+        if stragglers:
+            _wait(procs, pidfds, threads, time.monotonic() + 5, report)
+        _close_all(pidfds)
     report.early_close = frozenset(
         name for name, status in report.statuses.items() if status == SIGPIPE_STATUS
     )
+
+
+def _wait(
+    procs: dict[str, subprocess.Popen],
+    pidfds: dict[int, str],
+    threads: list[threading.Thread],
+    deadline: float | None,
+    report: RunReport,
+) -> None:
+    """Reap processes in one poll over ``pidfds``, then join the stage
+    threads, until ``deadline`` (None: until all are done).  A reaped
+    process leaves ``pidfds``; the ones left were running at the deadline."""
+    poller = select.poll()
+    for fd in pidfds:
+        poller.register(fd, select.POLLIN)
+    while pidfds:
+        left = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
+        ready = poller.poll(left)
+        if not ready:
+            break
+        for fd, _ in ready:
+            poller.unregister(fd)
+            os.close(fd)
+            name = pidfds.pop(fd)
+            report.statuses[name] = procs[name].wait()
+    for thread in threads:
+        thread.join(None if deadline is None else max(deadline - time.monotonic(), 0))
 
 
 def _overall(built: BuildPlan, report: RunReport) -> int:
@@ -211,8 +212,8 @@ def _overall(built: BuildPlan, report: RunReport) -> int:
     return 0
 
 
-def _close_all(read_fd: dict[str, int], write_fd: dict[str, int]) -> None:
-    for fd in list(read_fd.values()) + list(write_fd.values()):
+def _close_all(fds: Iterable[int]) -> None:
+    for fd in fds:
         try:
             os.close(fd)
         except OSError:
@@ -279,11 +280,7 @@ def _stage_body(
     except Exception as exc:
         report.stage_errors[stage.name] = f"{type(exc).__name__}: {exc}"
     finally:
-        for fd in [*ins, *outs.values()]:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
+        _close_all([*ins, *outs.values()])
 
 
 def _emit(live: dict[str, int], channel: str, data: bytes, report: RunReport) -> None:

@@ -237,6 +237,23 @@ def test_compile_call_counts_scale_linearly():
         assert large / small <= 4.2, (system.__name__, small, large)
 
 
+def test_pipeline_desugaring_call_counts_scale_linearly():
+    """One pipeline of n undeclared stages: resolve's profiled calls grow at
+    most 4.2x for 4x the stages (such stages have no impl, so no plan)."""
+
+    def calls(n: int) -> int:
+        chain = " | ".join(f"S{i}()" for i in range(n))
+        source = f'system Long {{ pipeline P: input | {chain} | output; input "i"; output "o"; }}'
+        ast, table = parse(source), builtin_type_table()
+        profiler = cProfile.Profile()
+        result = profiler.runcall(resolve, ast, table)
+        assert result.diagnostics == [] and len(result.architecture.instances) == n
+        return pstats.Stats(profiler).total_calls
+
+    small, large = calls(1000), calls(4000)
+    assert large / small <= 4.2, (small, large)
+
+
 # --- check_types -----------------------------------------------------------
 
 

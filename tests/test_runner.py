@@ -1,4 +1,7 @@
+import os
+import signal
 import subprocess
+import threading
 import time
 
 import pytest
@@ -7,7 +10,7 @@ from archon.checker import ExternalIO, resolve
 from archon.cli import main
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import plan
+from archon.plan import PROCESS, plan
 from archon.runner import CHUNK, run
 
 UPPER = """
@@ -108,6 +111,22 @@ system S {{
 """
 
 
+@pytest.fixture(autouse=True)
+def _leaves_no_descriptor_or_thread():
+    """Each test leaves this process's open descriptors and live threads as
+    it found them, once stage threads still draining have had a moment."""
+
+    def counts() -> tuple[int, int]:
+        return len(os.listdir("/proc/self/fd")), threading.active_count()
+
+    before = counts()
+    yield
+    settle = time.monotonic() + 5
+    while counts() != before and time.monotonic() < settle:
+        time.sleep(0.01)
+    assert counts() == before
+
+
 def _built(src: str, io: ExternalIO | None = None):
     result = resolve(parse(src), builtin_type_table())
     assert result.architecture is not None, result.diagnostics
@@ -171,6 +190,63 @@ def test_timeout_kills_and_reports_124(tmp_path, make_filter):
     assert report.timed_out
     assert report.overall == 124
     assert time.monotonic() - t0 < 10
+
+
+def test_orphaned_grandchild_cannot_outlast_the_deadline(tmp_path):
+    # each replica exits at once, but the sleep it leaves behind keeps the
+    # merge stage's input open: only the deadline can end the run
+    impl = "sh -c '(sleep 3 &); exec cat'"
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    inp.write_bytes(b"a\nb\nc\n")
+    src = _pipeline([impl], inp, out).replace(
+        f'impl "{impl}";', f'impl "{impl}" stateless replicas 2;'
+    )
+    t0 = time.monotonic()
+    report = run(_built(src), timeout=1)
+    assert time.monotonic() - t0 < 2.5
+    assert report.timed_out
+    assert report.overall == 124
+
+
+def test_run_starts_no_thread_per_process(tmp_path, monkeypatch):
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    inp.write_bytes(b"x\ny\n")
+    built = _built(_pipeline(["cat"] * 8, inp, out))
+    synthetic = [stage for stage in built.stages if stage.kind != PROCESS]
+    started: list[threading.Thread] = []
+    real_start = threading.Thread.start
+
+    def start(thread: threading.Thread) -> None:
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    report = run(built)
+    assert report.overall == 0
+    assert out.read_bytes() == b"x\ny\n"
+    assert len(started) == len(synthetic) == 0
+
+
+def test_pidfd_failure_is_raised_and_kills_what_was_spawned(tmp_path, make_filter, monkeypatch):
+    sleeper = make_filter("sleeper", SLEEPER)
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    inp.write_bytes(b"")
+    spawned: list[subprocess.Popen] = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    def refuse(pid: int) -> int:
+        raise OSError("pidfd_open refused")
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(os, "pidfd_open", refuse)
+    # the stage did spawn: the error is the run's, not a 127 for the stage
+    with pytest.raises(OSError, match="refused"):
+        run(_built(_pipeline([sleeper], inp, out)), timeout=10)
+    assert [proc.wait(5) for proc in spawned] == [-signal.SIGKILL]
 
 
 def test_spawn_failure_reported(tmp_path):
