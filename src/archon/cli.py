@@ -100,7 +100,7 @@ def _dispatch(args) -> int:
     try:
         with open(args.source, encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"archon: cannot read '{args.source}': {err}", file=sys.stderr)
         return _fail_code(args)
 
@@ -124,7 +124,7 @@ def _dispatch(args) -> int:
         try:
             with open(path, encoding="utf-8") as handle:
                 decls = parse_library(handle.read())
-        except (OSError, ParseError) as exc:
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
             print(f"archon: cannot load library '{path}': {exc}", file=sys.stderr)
             return 2
         table, lib_diags = fold_typedefs(table, decls, origin="library")

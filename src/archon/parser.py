@@ -27,8 +27,8 @@ multi-error recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+import re
+from typing import NamedTuple, Optional, Union
 
 from .diagnostics import Span
 from .syntax import (
@@ -77,18 +77,40 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT = {"{", "}", ";", ":", ".", ",", "|", "(", ")", "*"}
-
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items()}
 
+# A string literal up to, not including, its closing quote.
+_STRING_OPEN = r'"(?:[^"\\\n]|\\[' + re.escape("".join(_ESCAPES)) + "])*"
+# One named group per token shape, tried in this order.
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("skip", r"[ \t\r]+|#[^\n]*"),
+            ("newline", r"\n"),
+            ("ident", r"[^\W\d][\w-]*"),
+            ("int", r"\d+"),
+            ("string", _STRING_OPEN + '"'),
+            ("punct", r"\.\.|[{};:.,|()*]"),
+        )
+    )
+)
+_ESCAPE = re.compile(r"\\(.)")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # 'ident', 'int', 'string', 'eof', or the punctuation itself
     text: str
     value: Union[str, int, None]
-    span: Span
+    start: int
+    end: int
+    line: int
+    col: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end, self.line, self.col)
 
 
 class ParseError(Exception):
@@ -118,91 +140,56 @@ def escape_string(value: str) -> str:
     return "".join(out)
 
 
+def _scan_error(text: str, start: int, line: int, col: int) -> ParseError:
+    """The error for the character at ``start``, where no token shape fits."""
+    if text[start] == '"':
+        end = re.compile(_STRING_OPEN).match(text, start).end()
+        if end < len(text) and text[end] == "\\":
+            end, message = min(end + 2, len(text)), "bad string escape"
+        else:
+            message = "unterminated string literal"
+    else:
+        end, message = start + 1, f"unexpected character {text[start]!r}"
+    return ParseError(Span(start, end, line, col), frozenset(), text[start:end], message)
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with an ``eof`` token."""
     tokens: list[Token] = []
-    i = 0
+    pos = line_start = 0
     line = 1
-    line_start = 0
-    n = len(text)
-
-    def span_at(start: int, end: int, start_line: int, start_col: int) -> Span:
-        return Span(start, end, start_line, start_col)
-
-    def err(start: int, end: int, start_line: int, start_col: int, msg: str) -> ParseError:
-        return ParseError(
-            span_at(start, end, start_line, start_col), frozenset(), text[start:end], msg
-        )
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span()
+        if start != pos:
+            break  # no token shape fits at pos
+        if kind == "ident" and not (text[start].isalpha() or text[start] == "_"):
+            break  # \w also admits non-letters such as ² and ½
+        pos = end
+        if kind == "skip":
+            continue
+        if kind == "newline":
             line += 1
-            line_start = i
+            line_start = end
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        col = i - line_start + 1
-        start = i
-        if ch.isalpha() or ch == "_":
-            i += 1
-            while i < n and (text[i].isalnum() or text[i] in "_-"):
-                i += 1
-            word = text[start:i]
-            tokens.append(Token("ident", word, word, span_at(start, i, line, col)))
-            continue
-        if ch.isdecimal():
-            i += 1
-            while i < n and text[i].isdecimal():
-                i += 1
-            word = text[start:i]
-            tokens.append(Token("int", word, int(word), span_at(start, i, line, col)))
-            continue
-        if ch == '"':
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise err(start, i, line, col, "unterminated string literal")
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise err(start, min(i + 2, n), line, col, "bad string escape")
-                    parts.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    continue
-                parts.append(c)
-                i += 1
-            tokens.append(
-                Token("string", text[start:i], "".join(parts), span_at(start, i, line, col))
-            )
-            continue
-        if ch == "." and i + 1 < n and text[i + 1] == ".":
-            i += 2
-            tokens.append(Token("..", "..", None, span_at(start, i, line, col)))
-            continue
-        if ch in _PUNCT:
-            i += 1
-            tokens.append(Token(ch, ch, None, span_at(start, i, line, col)))
-            continue
-        raise err(start, i + 1, line, col, f"unexpected character {ch!r}")
-
-    col = n - line_start + 1
-    tokens.append(Token("eof", "", None, Span(n, n, line, col)))
+        word = m.group()
+        if kind == "ident":
+            value: Union[str, int, None] = word
+        elif kind == "punct":
+            kind, value = word, None
+        elif kind == "int":
+            value = int(word)
+        else:
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], word[1:-1])
+        tokens.append(Token(kind, word, value, start, end, line, start - line_start + 1))
+    if pos < len(text):
+        raise _scan_error(text, pos, line, pos - line_start + 1)
+    tokens.append(Token("eof", "", None, pos, pos, line, pos - line_start + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -250,13 +237,8 @@ class _Parser:
             raise self.fail(frozenset({"ident"}), tok)
         return self.advance()
 
-    def expect_type_name(self) -> Token:
-        # Type positions admit any identifier shape, including hyphenated
-        # names, but still not keywords.
-        return self.expect_name()
-
-    def span_from(self, start: Span, end: Span) -> Span:
-        return Span(start.start, end.end, start.line, start.col)
+    def span_from(self, first: Token, last: Token) -> Span:
+        return Span(first.start, last.end, first.line, first.col)
 
     # -- grammar ------------------------------------------------------------
 
@@ -272,154 +254,120 @@ class _Parser:
             self.advance()
             allow_skip = True
         self.expect("{")
-        decls: list[Declaration] = []
-        while not self.peek().kind == "}":
-            decls.append(self.parse_item())
+        decls = self.parse_items(_ITEMS, "}")
         close = self.expect("}")
         self.expect("eof")
         return SystemAst(
             name=name.text,
             style=style,
             allow_skip=allow_skip,
-            declarations=tuple(decls),
-            span=self.span_from(first.span, close.span),
+            declarations=decls,
+            span=self.span_from(first, close),
         )
 
-    _ITEM_KEYWORDS = frozenset(
-        {
-            "porttype",
-            "componenttype",
-            "connectortype",
-            "component",
-            "connector",
-            "attach",
-            "pipeline",
-            "input",
-            "output",
-        }
-    )
+    def parse_items(self, table: dict, end: str) -> tuple[Declaration, ...]:
+        """Declarations, each dispatched on its keyword, up to a token of kind ``end``.
 
-    def parse_item(self) -> Declaration:
-        tok = self.peek()
-        if tok.kind == "ident":
-            handler = {
-                "porttype": self._parse_port_type,
-                "componenttype": self._parse_component_type,
-                "connectortype": self._parse_connector_type,
-                "component": self._parse_component,
-                "connector": self._parse_connector,
-                "attach": self._parse_attach,
-                "pipeline": self._parse_pipeline,
-                "input": self._parse_input,
-                "output": self._parse_output,
-            }.get(tok.text)
-            if handler is not None:
-                return handler()
-        raise self.fail(self._ITEM_KEYWORDS | {"}"}, tok)
+        A closing ``}`` is named among the expected tokens; end of input is not.
+        """
+        expected = frozenset(table) if end == "eof" else frozenset(table) | {end}
+        decls: list[Declaration] = []
+        while (tok := self.peek()).kind != end:
+            parse_one = table.get(tok.text) if tok.kind == "ident" else None
+            if parse_one is None:
+                raise self.fail(expected, tok)
+            decls.append(parse_one(self))
+        return tuple(decls)
+
+    # Each declaration parser starts at its keyword, which parse_items or
+    # the caller's loop has already matched.
 
     def _parse_port_type(self) -> PortTypeDef:
-        first = self.expect_keyword("porttype")
+        first = self.advance()
         name = self.expect_name()
-        end = name.span
+        last = name
         if self.peek().kind == ";":  # terminator is optional here
-            end = self.advance().span
-        return PortTypeDef(name.text, span=self.span_from(first.span, end))
+            last = self.advance()
+        return PortTypeDef(name.text, span=self.span_from(first, last))
 
     def _parse_component_type(self) -> ComponentTypeDef:
-        first = self.expect_keyword("componenttype")
+        first = self.advance()
         name = self.expect_name()
         self.expect("{")
         ports: list[PortDecl] = []
         while self.at_keyword("port"):
             ports.append(self._parse_port_decl())
         close = self.expect("}")
-        return ComponentTypeDef(name.text, tuple(ports), span=self.span_from(first.span, close.span))
+        return ComponentTypeDef(name.text, tuple(ports), span=self.span_from(first, close))
 
     def _parse_port_decl(self) -> PortDecl:
-        first = self.expect_keyword("port")
+        first = self.advance()
         name = self.expect_name()
         self.expect(":")
-        ptype = self.expect_type_name()
+        ptype = self.expect_name()
         many = False
         if self.at_keyword("many"):
             self.advance()
             many = True
         end = self.expect(";")
-        return PortDecl(name.text, ptype.text, many, span=self.span_from(first.span, end.span))
+        return PortDecl(name.text, ptype.text, many, span=self.span_from(first, end))
 
     def _parse_connector_type(self) -> ConnectorTypeDef:
-        first = self.expect_keyword("connectortype")
+        first = self.advance()
         name = self.expect_name()
         self.expect("{")
         roles: list[RoleDecl] = []
         while self.at_keyword("role"):
             roles.append(self._parse_role_decl())
         close = self.expect("}")
-        return ConnectorTypeDef(name.text, tuple(roles), span=self.span_from(first.span, close.span))
+        return ConnectorTypeDef(name.text, tuple(roles), span=self.span_from(first, close))
 
     def _parse_role_decl(self) -> RoleDecl:
-        first = self.expect_keyword("role")
+        first = self.advance()
         name = self.expect_name()
         self.expect_keyword("accepts")
-        accepts = [self.expect_type_name().text]
+        accepts = [self.expect_name().text]
         while self.peek().kind == ",":
             self.advance()
-            accepts.append(self.expect_type_name().text)
+            accepts.append(self.expect_name().text)
         self.expect_keyword("fill")
         min_fill = self.expect("int")
         self.expect("..")
-        tok = self.peek()
-        max_fill: Optional[int]
-        if tok.kind == "int":
-            max_fill = self.advance().value  # type: ignore[assignment]
-        elif tok.kind == "*":
-            max_fill = None
-            self.advance()
-        else:
-            raise self.fail(frozenset({"int", "*"}), tok)
+        max_fill = self.advance()  # an int, or '*' for no bound, whose value is None
+        if max_fill.kind not in ("int", "*"):
+            raise self.fail(frozenset({"int", "*"}), max_fill)
         end = self.expect(";")
         return RoleDecl(
             name.text,
             tuple(accepts),
             min_fill.value,  # type: ignore[arg-type]
-            max_fill,
-            span=self.span_from(first.span, end.span),
+            max_fill.value,  # type: ignore[arg-type]
+            span=self.span_from(first, end),
         )
-
-    _ATTR_KEYWORDS = frozenset({"impl", "replicas", "layer", "stateless", "seed", "site"})
 
     def _parse_component(self) -> InstanceDecl:
-        first = self.expect_keyword("component")
+        first = self.advance()
         name = self.expect_name()
         self.expect(":")
-        type_name = self.expect_type_name()
+        type_name = self.expect_name()
         attrs: list[tuple[str, Union[str, int, bool]]] = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "ident" or tok.text not in self._ATTR_KEYWORDS:
-                break
+        while (tok := self.peek()).kind == "ident" and tok.text in _ATTRS:
             self.advance()
-            if tok.text in ("impl", "seed", "site"):
-                attrs.append((tok.text, self.expect("string").value))  # type: ignore[arg-type]
-            elif tok.text in ("replicas", "layer"):
-                attrs.append((tok.text, self.expect("int").value))  # type: ignore[arg-type]
-            else:  # stateless
-                attrs.append((tok.text, True))
+            kind = _ATTRS[tok.text]
+            attrs.append((tok.text, self.expect(kind).value if kind else True))  # type: ignore[arg-type]
         end = self.expect(";")
-        return InstanceDecl(
-            name.text, type_name.text, tuple(attrs), span=self.span_from(first.span, end.span)
-        )
+        return InstanceDecl(name.text, type_name.text, tuple(attrs), span=self.span_from(first, end))
 
     def _parse_connector(self) -> ConnectorDecl:
-        first = self.expect_keyword("connector")
+        first = self.advance()
         name = self.expect_name()
         self.expect(":")
-        type_name = self.expect_type_name()
+        type_name = self.expect_name()
         end = self.expect(";")
-        return ConnectorDecl(name.text, type_name.text, span=self.span_from(first.span, end.span))
+        return ConnectorDecl(name.text, type_name.text, span=self.span_from(first, end))
 
     def _parse_attach(self) -> AttachDecl:
-        first = self.expect_keyword("attach")
+        first = self.advance()
         inst = self.expect_name()
         self.expect(".")
         port = self.expect_name()
@@ -428,12 +376,10 @@ class _Parser:
         self.expect(".")
         role = self.expect_name()
         end = self.expect(";")
-        return AttachDecl(
-            inst.text, port.text, conn.text, role.text, span=self.span_from(first.span, end.span)
-        )
+        return AttachDecl(inst.text, port.text, conn.text, role.text, span=self.span_from(first, end))
 
     def _parse_pipeline(self) -> PipelineDecl:
-        first = self.expect_keyword("pipeline")
+        first = self.advance()
         name = self.expect_name()
         self.expect(":")
         self.expect_keyword("input")
@@ -450,19 +396,36 @@ class _Parser:
             self.expect(")")
             stages.append(stage.text)
         end = self.expect(";")
-        return PipelineDecl(name.text, tuple(stages), span=self.span_from(first.span, end.span))
+        return PipelineDecl(name.text, tuple(stages), span=self.span_from(first, end))
 
-    def _parse_input(self) -> IoDecl:
-        return self._parse_iodecl("input")
-
-    def _parse_output(self) -> IoDecl:
-        return self._parse_iodecl("output")
-
-    def _parse_iodecl(self, direction: str) -> IoDecl:
-        first = self.expect_keyword(direction)
+    def _parse_iodecl(self) -> IoDecl:
+        first = self.advance()
         path = self.expect("string")
         end = self.expect(";")
-        return IoDecl(direction, path.value, span=self.span_from(first.span, end.span))  # type: ignore[arg-type]
+        return IoDecl(first.text, path.value, span=self.span_from(first, end))  # type: ignore[arg-type]
+
+
+# Component attributes and the token kind of their value; a flag has none.
+_ATTRS = {"impl": "string", "seed": "string", "site": "string",
+          "replicas": "int", "layer": "int", "stateless": None}
+
+# The type definitions, which are all a library may hold.
+_TYPEDEFS = {
+    "porttype": _Parser._parse_port_type,
+    "componenttype": _Parser._parse_component_type,
+    "connectortype": _Parser._parse_connector_type,
+}
+
+# Every declaration a system body may hold, by its keyword.
+_ITEMS = {
+    **_TYPEDEFS,
+    "component": _Parser._parse_component,
+    "connector": _Parser._parse_connector,
+    "attach": _Parser._parse_attach,
+    "pipeline": _Parser._parse_pipeline,
+    "input": _Parser._parse_iodecl,
+    "output": _Parser._parse_iodecl,
+}
 
 
 def _check_size(text: str) -> None:
@@ -485,12 +448,4 @@ def parse(text: str) -> SystemAst:
 def parse_library(text: str) -> tuple[Declaration, ...]:
     """Parse a type library: a bare sequence of type definitions."""
     _check_size(text)
-    p = _Parser(text)
-    decls: list[Declaration] = []
-    while p.peek().kind != "eof":
-        tok = p.peek()
-        if tok.kind == "ident" and tok.text in ("porttype", "componenttype", "connectortype"):
-            decls.append(p.parse_item())
-        else:
-            raise p.fail(frozenset({"porttype", "componenttype", "connectortype"}), tok)
-    return tuple(decls)
+    return _Parser(text).parse_items(_TYPEDEFS, "eof")

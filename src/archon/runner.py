@@ -162,6 +162,9 @@ def _execute(
             proc.kill()
         if stragglers:
             _wait(procs, pidfds, threads, time.monotonic() + 5, report)
+        # a process whose pidfd_open failed has no pidfd to poll
+        for name in procs.keys() - pidfds.values() - report.statuses.keys():
+            procs[name].wait()
         _close_all(pidfds)
     report.early_close = frozenset(
         name for name, status in report.statuses.items() if status == SIGPIPE_STATUS

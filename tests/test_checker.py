@@ -224,17 +224,22 @@ def test_compile_passes_scale_linearly():
 
 def test_compile_call_counts_scale_linearly():
     """The deterministic companion of the CPU gate: profiled function calls of
-    resolve + check_all + plan grow at most 4.2x for 4x the stages."""
+    parse, and of resolve + check_all + plan, each grow at most 4.2x for 4x
+    the stages."""
 
-    def calls(source: str) -> int:
-        ast, table = parse(source), builtin_type_table()
+    def calls(fn, *args) -> tuple[int, object]:
         profiler = cProfile.Profile()
-        profiler.runcall(_compile, ast, table)
-        return pstats.Stats(profiler).total_calls
+        result = profiler.runcall(fn, *args)
+        return pstats.Stats(profiler).total_calls, result
 
     for system in _COMPILE_INPUTS:
-        small, large = calls(system(1000)), calls(system(4000))
-        assert large / small <= 4.2, (system.__name__, small, large)
+        counts = []
+        for n in (1000, 4000):
+            parse_calls, ast = calls(parse, system(n))
+            compile_calls, _ = calls(_compile, ast, builtin_type_table())
+            counts.append((parse_calls, compile_calls))
+        for name, small, large in zip(("parse", "compile"), *counts):
+            assert large / small <= 4.2, (system.__name__, name, small, large)
 
 
 def test_pipeline_desugaring_call_counts_scale_linearly():

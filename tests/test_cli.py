@@ -74,6 +74,23 @@ def test_missing_file_check_is_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.arch")]) == 2
 
 
+@pytest.mark.parametrize("command, code", [("check", 2), ("fmt", 1)])
+def test_non_utf8_source_is_reported(tmp_path, capsys, command, code):
+    path = tmp_path / "s.arch"
+    path.write_bytes(b"system S { }\n# \xff\n")
+    assert main([command, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"archon: cannot read '{path}': 'utf-8' codec can't decode byte 0xff")
+
+
+def test_non_utf8_library_is_2(src, tmp_path, capsys):
+    lib = tmp_path / "bad.arch"
+    lib.write_bytes(b"porttype \xff;\n")
+    assert main(["check", src(GOOD), "--lib", str(lib)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"archon: cannot load library '{lib}': 'utf-8' codec can't decode")
+
+
 def test_graph_dot_and_json(src, capsys):
     path = src(GOOD)
     assert main(["graph", path]) == 0

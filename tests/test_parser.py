@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from archon.diagnostics import Span
 from archon.parser import MAX_SOURCE_BYTES, ParseError, parse, parse_library, tokenize
 from archon.syntax import (
     AttachDecl,
@@ -171,3 +175,49 @@ def test_parse_library_accepts_typedefs_only():
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse("system S { } system T { }")
+
+
+# (source, (code, (start, end, line, col), message, found)) for faults the
+# scanner reports itself, before any grammar rule runs.
+_SCAN_ERRORS = [
+    ('system S { input "oops', ("ParseError", (17, 22, 1, 18), "unterminated string literal", '"oops')),
+    ('system S { input "oops\n; }', ("ParseError", (17, 22, 1, 18), "unterminated string literal", '"oops')),
+    (r'system S { input "a\qb"; }', ("ParseError", (17, 21, 1, 18), "bad string escape", r'"a\q')),
+    ('system S { input "ab\\', ("ParseError", (17, 21, 1, 18), "bad string escape", '"ab\\')),
+    ('system S {\r\n  input "x\\\n"; }', ("ParseError", (20, 24, 2, 9), "bad string escape", '"x\\\n')),
+    ("system S { component A : Filter replicas ²; }", ("ParseError", (41, 42, 1, 42), "unexpected character '²'", "²")),
+    ("system S {\n  @ }", ("ParseError", (13, 14, 2, 3), "unexpected character '@'", "@")),
+    ("system S { component ½A : Filter; }", ("ParseError", (21, 22, 1, 22), "unexpected character '½'", "½")),
+]
+
+
+@pytest.mark.parametrize("src, want", _SCAN_ERRORS)
+def test_scanner_errors(src, want):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    err = exc.value
+    span = (err.span.start, err.span.end, err.span.line, err.span.col)
+    assert (err.code, span, err.message, err.found) == want
+
+
+_BETWEEN_TOKENS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
+_FRAGMENTS = [
+    " ", "\t", "\n", "\r\n", "# note\n", "#",
+    "system", "a-b", "_x", "été", "一", "x²", "٣", "42", '"s"', r'"\n\t\"\\"', '"一"',
+    "{", "}", ";", ":", ".", "..", ",", "|", "(", ")", "*",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+def test_tokens_tile_the_source(src):
+    tokens = tokenize(src)
+    assert tokens[-1].kind == "eof" and tokens[-1].start == len(src)
+    end = 0
+    for tok in tokens:
+        assert tok.text == src[tok.start : tok.end]
+        assert tok.line == src.count("\n", 0, tok.start) + 1
+        assert tok.col == tok.start - src.rfind("\n", 0, tok.start)
+        assert tok.span == Span(tok.start, tok.end, tok.line, tok.col)
+        assert _BETWEEN_TOKENS.fullmatch(src, end, tok.start)
+        end = tok.end

@@ -246,7 +246,7 @@ def test_pidfd_failure_is_raised_and_kills_what_was_spawned(tmp_path, make_filte
     # the stage did spawn: the error is the run's, not a 127 for the stage
     with pytest.raises(OSError, match="refused"):
         run(_built(_pipeline([sleeper], inp, out)), timeout=10)
-    assert [proc.wait(5) for proc in spawned] == [-signal.SIGKILL]
+    assert [proc.returncode for proc in spawned] == [-signal.SIGKILL]
 
 
 def test_spawn_failure_reported(tmp_path):
