@@ -353,15 +353,11 @@ def _instance_conforms(rule: StyleRule, arch: Architecture, table: TypeTable, in
     return rule.allowed_component_types is None and rule.component_port_types is None
 
 
-def check_style(
-    arch: Architecture,
-    table: TypeTable,
-    styles: Mapping[str, StyleRule] | None = None,
-) -> list[Diagnostic]:
+def check_style(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
     """Enforce the system's declared style; empty when no style is set."""
     if arch.style is None:
         return []
-    rule = (styles if styles is not None else BUILTIN_STYLES).get(arch.style)
+    rule = BUILTIN_STYLES.get(arch.style)
     if rule is None:
         return [error("UnknownStyle", f"unknown style '{arch.style}'")]
 
@@ -447,11 +443,10 @@ def check_all(
     arch: Architecture,
     table: TypeTable,
     io: ExternalIO = ExternalIO(),
-    styles: Mapping[str, StyleRule] | None = None,
 ) -> list[Diagnostic]:
     """Every check, aggregated; the full compile-side verdict."""
     return (
         check_types(arch, table)
         + check_completeness(arch, table, io)
-        + check_style(arch, table, styles)
+        + check_style(arch, table)
     )

@@ -178,7 +178,11 @@ def tokenize(text: str) -> list[Token]:
         elif kind == "punct":
             kind, value = word, None
         elif kind == "int":
-            value = int(word)
+            try:
+                value = int(word)
+            except ValueError:  # more digits than int() converts
+                span = Span(start, end, line, start - line_start + 1)
+                raise ParseError(span, frozenset(), word, "integer literal too long") from None
         else:
             value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], word[1:-1])
         tokens.append(Token(kind, word, value, start, end, line, start - line_start + 1))

@@ -6,26 +6,29 @@ sites joined by a relay reach each other's registered services by name
 only; concrete endpoints never cross the link, and both sites may bind
 identical endpoint values without conflict.
 
-Stream protocol over one relay connection, multiplexed by stream id:
+Each relay stream is its own connection to the caller's ``relay.sock``:
 
-    FWD  name=svc  payload=b""      open a stream to logical service svc
-    FWD  name=""   payload=chunk    data, forwarded bytewise in order
-    FWD  name=""   payload=b""      half-close (EOF) for that direction
-    RSP  correlation=stream id      relay-level error, payload "Code: why"
+    FWD  name=svc               the caller opens a stream to logical service svc
+    RSP  payload=b""            the relay: the stream is open
+    RSP  payload="Code: why"    the relay: it is not (UnknownService,
+                                PeerDown), and it closes the connection
 
-Names are never empty, so the open frame cannot be mistaken for EOF.
+After the empty RSP the connection carries raw bytes both ways, joined
+to a connection of the relay's own to the service.  Each side ends its
+direction by shutting down its writing half, and the relay passes that
+EOF on.  A stream that is not read fills only its own socket buffers,
+so it holds up only its own sender.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import socket
 import threading
 
 from .diagnostics import ArchonError, fail
-from .frames import FWD, MAX_FRAME_BYTES, RSP, Frame, read_frame, write_frame
-from .server import SocketClient, SocketServer
+from .frames import FWD, KIND_NAMES, RSP, Frame, encode, read_frame, write_frame
+from .server import SocketServer, dial, shut
 
 RELAY_SOCKET = "relay.sock"
 
@@ -118,7 +121,7 @@ def resolve(link: RelayLink, from_site: str, logical: str) -> Route:
 
 
 class Relay(SocketServer):
-    """Listens inside both namespaces; forwards streams to name owners."""
+    """Listens inside both namespaces; joins each stream to its name's owner."""
 
     def __init__(self, link: RelayLink) -> None:
         sites = (link.site_a, link.site_b)
@@ -126,210 +129,141 @@ class Relay(SocketServer):
         self.link = link
 
     def _serve(self, client: socket.socket) -> None:
-        write_lock = threading.Lock()
-        lock = threading.Lock()
-        backends: dict[int, socket.socket] = {}
-        open_ends: dict[int, set[str]] = {}
-
-        def to_client(frame: Frame) -> None:
-            with write_lock:
-                try:
-                    write_frame(client, frame)
-                except OSError:
-                    self._count_error()
-
-        def ended(stream_id: int, direction: str) -> None:
-            # a stream's backend is closed once both directions saw EOF
-            with lock:
-                ends = open_ends.get(stream_id)
-                if ends is None:
-                    return
-                ends.discard(direction)
-                if ends:
-                    return
-                del open_ends[stream_id]
-                backend = backends.pop(stream_id)
+        frame = read_frame(client)
+        if frame is None:
+            return
+        if frame.kind != FWD or not frame.name:
+            raise fail("BadFrame", "a relay stream opens with a named FWD frame")
+        owner = self.link.owner(frame.name)
+        if owner is None:
+            why = f"UnknownService: no service '{frame.name}' on this link"
+            write_frame(client, Frame(RSP, why.encode()))
+            return
+        backend = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            backend.connect(owner.endpoint_path(frame.name))
+        except OSError as err:
+            backend.close()
+            write_frame(client, Frame(RSP, f"PeerDown: {err}".encode()))
+            return
+        self._track(backend)
+        try:
+            write_frame(client, Frame(RSP))
+            down = self._spawn(self._copy, backend, client)
+            self._copy(client, backend)
+            down.join()
+        finally:
             self._release(backend)
 
-        def backend_reader(stream_id: int, backend: socket.socket) -> None:
-            while True:
-                try:
-                    chunk = backend.recv(_CHUNK)
-                except OSError:
-                    chunk = b""
-                to_client(Frame(FWD, chunk, stream_id=stream_id))  # empty is EOF
-                if not chunk:
-                    ended(stream_id, "down")
-                    return
-
+    def _copy(self, src: socket.socket, dst: socket.socket) -> None:
+        """One direction of a stream: its bytes in order, then its EOF."""
         try:
-            while (frame := read_frame(client)) is not None:
-                if frame.kind != FWD:
-                    continue
-                sid = frame.stream_id
-                if frame.name:
-                    owner = self.link.owner(frame.name)
-                    if owner is None:
-                        to_client(
-                            Frame(
-                                RSP,
-                                f"UnknownService: no service '{frame.name}' on this link".encode(),
-                                correlation=sid,
-                            )
-                        )
-                        continue
-                    backend = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    try:
-                        backend.connect(owner.endpoint_path(frame.name))
-                    except OSError as err:
-                        backend.close()
-                        to_client(
-                            Frame(RSP, f"PeerDown: {err}".encode(), correlation=sid)
-                        )
-                        continue
-                    self._track(backend)
-                    with lock:
-                        backends[sid] = backend
-                        open_ends[sid] = {"up", "down"}
-                    self._spawn(backend_reader, sid, backend)
-                    if frame.payload:
-                        backend.sendall(frame.payload)
-                    continue
-                backend = backends.get(sid)
-                if backend is None:
-                    continue
-                try:
-                    if frame.payload:
-                        backend.sendall(frame.payload)
-                    else:
-                        backend.shutdown(socket.SHUT_WR)
-                except OSError:
-                    self._count_error()
-                if not frame.payload:
-                    ended(sid, "up")
-        finally:
-            with lock:
-                rest = list(backends.values())
-                backends.clear()
-                open_ends.clear()
-            for backend in rest:
-                self._release(backend)
+            while chunk := src.recv(_CHUNK):
+                dst.sendall(chunk)
+            dst.shutdown(socket.SHUT_WR)
+        except OSError:
+            # one end is gone: end both directions, so nothing waits on it
+            self._count_error()
+            shut(src)
+            shut(dst)
 
 
-# --- caller-side multiplexing ----------------------------------------------
+# --- the caller side --------------------------------------------------------
 
 
-class RelayConnection(SocketClient):
-    """One socket to the local relay endpoint, many independent streams."""
+class RelayConnection:
+    """Opens streams through the local relay endpoint, one connection each."""
 
     def __init__(self, relay_endpoint: str) -> None:
-        self._ids = itertools.count(1)
-        self._streams: dict[int, "RelayStream"] = {}
+        self._endpoint = relay_endpoint
+        self._streams: set[RelayStream] = set()  # released by close()
         self._lock = threading.Lock()
-        super().__init__(relay_endpoint, "PeerDown", "relay")
 
     def open_stream(self, service: str) -> "RelayStream":
-        sid = next(self._ids)
-        stream = RelayStream(self, sid)
-        with self._lock:
-            self._streams[sid] = stream
+        opener = encode(Frame(FWD, name=service))
+        sock = dial(self._endpoint, "PeerDown", "relay")
         try:
-            self._send(Frame(FWD, b"", name=service, stream_id=sid))
-        except ArchonError:
-            self._forget(sid)  # never opened, so nothing will end it
-            raise
+            sock.sendall(opener)
+        except OSError as err:
+            sock.close()
+            raise fail("PeerDown", f"connection to relay closed: {err}") from None
+        stream = RelayStream(self, sock)
+        with self._lock:
+            self._streams.add(stream)
         return stream
 
-    def _forget(self, stream_id: int) -> None:
+    def close(self) -> None:
         with self._lock:
-            self._streams.pop(stream_id, None)
-
-    def _on_frame(self, frame: Frame) -> None:
-        with self._lock:
-            stream = self._streams.get(frame.stream_id if frame.kind == FWD else frame.correlation)
-        if stream is None:
-            return
-        if frame.kind == RSP:
-            code, _, message = frame.payload.decode("utf-8", "replace").partition(": ")
-            stream._push_end(fail(code or "RelayError", message))
-        elif frame.kind == FWD:
-            if frame.payload:
-                stream._push_data(frame.payload)
-            else:
-                stream._push_end(None)
-
-    def _on_end(self, failure: ArchonError | None) -> None:
-        with self._lock:
-            streams = list(self._streams.values())
+            streams = list(self._streams)
         for stream in streams:
-            stream._push_end(failure)
+            self._release(stream)
+
+    def _release(self, stream: "RelayStream") -> None:
+        with self._lock:
+            self._streams.discard(stream)
+        shut(stream._sock)  # wakes a reader blocked in recv
+        stream._sock.close()
 
 
 class RelayStream:
     """Socket-shaped: sendall / recv / close, so protocol clients stack on it."""
 
-    def __init__(self, conn: RelayConnection, stream_id: int) -> None:
+    def __init__(self, conn: RelayConnection, sock: socket.socket) -> None:
         self._conn = conn
-        self._id = stream_id
-        self._buf = bytearray()
-        self._eof = False
-        self._error: ArchonError | None = None
-        self._cond = threading.Condition()
+        self._sock = sock
+        self._answered = False
+        self._lock = threading.Lock()
         self._closed = False
+        self._ended = False
 
     def sendall(self, data: bytes) -> None:
-        with self._cond:
-            self._raise_if_error()
-        limit = MAX_FRAME_BYTES - 64  # headroom for kind + headers
-        for i in range(0, len(data), limit):
-            self._conn._send(Frame(FWD, bytes(data[i : i + limit]), stream_id=self._id))
+        try:
+            self._sock.sendall(data)
+        except OSError as err:
+            raise fail("PeerDown", f"relay stream closed: {err}") from None
 
     def recv(self, n: int) -> bytes:
-        with self._cond:
-            while not self._buf and not self._eof:
-                self._cond.wait()
-            self._raise_if_error()
-            if self._buf:
-                out = bytes(self._buf[:n])
-                del self._buf[:n]
-                return out
-            return b""
+        try:
+            if not self._answered:
+                self._answered = True
+                self._read_answer()
+            data = self._sock.recv(n)
+        except OSError:
+            data = b""  # a reset stream ends like EOF
+        except ArchonError:
+            shut(self._sock)  # the relay sees this end hang up
+            self._settle(ended=True)
+            raise
+        if not data:
+            self._settle(ended=True)
+        return data
 
     def close(self) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
+        """Half-close: the service sees EOF, and replies still arrive."""
         try:
-            self._conn._send(Frame(FWD, b"", stream_id=self._id))
-        except ArchonError:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError:
             pass  # the relay is gone; there is no one left to tell
-        self._forget_if_done()
+        self._settle(closed=True)
 
     def shutdown(self, how: int) -> None:
         self.close()
 
-    def _push_data(self, payload: bytes) -> None:
-        with self._cond:
-            self._buf.extend(payload)
-            self._cond.notify_all()
+    def _read_answer(self) -> None:
+        frame = read_frame(self._sock)
+        if frame is None:
+            return  # the relay went away; recv finds the same EOF
+        if frame.kind != RSP:
+            raise fail("BadFrame", f"relay answered a stream open with {KIND_NAMES[frame.kind]}")
+        if frame.payload:
+            code, _, why = frame.payload.decode("utf-8", "replace").partition(": ")
+            raise fail(code or "RelayError", why)
 
-    def _push_end(self, error: ArchonError | None) -> None:
-        """EOF for this stream, or the relay-level error that ended it."""
-        with self._cond:
-            self._eof = True
-            self._error = error or self._error
-            self._cond.notify_all()
-        self._forget_if_done()
-
-    def _forget_if_done(self) -> None:
-        # the connection holds a stream until it has sent its close and
-        # heard EOF or an error back
-        with self._cond:
-            done = self._closed and self._eof
+    def _settle(self, closed: bool = False, ended: bool = False) -> None:
+        # the socket is released once it is closed and has seen EOF or an error
+        with self._lock:
+            self._closed |= closed
+            self._ended |= ended
+            done = self._closed and self._ended
         if done:
-            self._conn._forget(self._id)
-
-    def _raise_if_error(self) -> None:  # called holding _cond
-        if self._error is not None:
-            raise ArchonError(self._error.diagnostic)
+            self._conn._release(self)

@@ -9,7 +9,7 @@ that.
 A client holds one connection and one reader thread, which runs the only
 client-side frame loop.  A dead peer ends that loop like EOF; the client
 reports it with its own error code, both to the calls waiting on a reply
-and to the next send.
+and to the next send.  Every client connection is made by ``dial``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,17 @@ import threading
 
 from .diagnostics import ArchonError, fail
 from .frames import Frame, read_frame, write_frame
+
+
+def dial(endpoint: str, code: str, what: str) -> socket.socket:
+    """Connect to the UNIX ``endpoint``; an unreachable peer raises ``code``."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        sock.connect(endpoint)
+    except OSError as err:
+        sock.close()
+        raise fail(code, f"cannot reach {what} at '{endpoint}': {err}")
+    return sock
 
 
 def shut(sock) -> None:
@@ -82,7 +93,7 @@ class SocketServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _spawn(self, target, *args) -> None:
+    def _spawn(self, target, *args) -> threading.Thread:
         """Run ``target(*args)`` in a daemon thread, live-listed while it runs."""
 
         def run() -> None:
@@ -96,6 +107,7 @@ class SocketServer:
         with self._lock:  # started under the lock: stop() never sees it unstarted
             thread.start()
             self._threads.add(thread)
+        return thread
 
     def _track(self, sock: socket.socket) -> None:
         """Live-list a socket so stop() shuts it down."""
@@ -151,15 +163,7 @@ class SocketClient:
     """
 
     def __init__(self, endpoint, code: str, what: str) -> None:
-        if isinstance(endpoint, str):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.connect(endpoint)
-            except OSError as err:
-                sock.close()
-                raise fail(code, f"cannot reach {what} at '{endpoint}': {err}")
-            endpoint = sock
-        self.sock = endpoint
+        self.sock = dial(endpoint, code, what) if isinstance(endpoint, str) else endpoint
         self._code = code
         self._what = what
         self._failure: ArchonError | None = None  # why the reader stopped early

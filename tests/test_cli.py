@@ -65,6 +65,12 @@ def test_check_non_decimal_digit_is_2(src, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_check_overlong_integer_is_2(src, capsys):
+    text = 'system S { component A : Filter impl "cat" replicas ' + "1" * 5000 + "; }"
+    assert main(["check", src(text)]) == 2
+    assert "integer literal too long" in capsys.readouterr().err
+
+
 def test_usage_error_is_64(capsys):
     assert main([]) == 64
     assert main(["frobnicate", "x.arch"]) == 64

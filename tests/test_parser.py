@@ -188,6 +188,8 @@ _SCAN_ERRORS = [
     ("system S { component A : Filter replicas ²; }", ("ParseError", (41, 42, 1, 42), "unexpected character '²'", "²")),
     ("system S {\n  @ }", ("ParseError", (13, 14, 2, 3), "unexpected character '@'", "@")),
     ("system S { component ½A : Filter; }", ("ParseError", (21, 22, 1, 22), "unexpected character '½'", "½")),
+    ("system S { component A : Filter replicas " + "1" * 5000 + "; }",
+     ("ParseError", (41, 5041, 1, 42), "integer literal too long", "1" * 5000)),
 ]
 
 

@@ -2,13 +2,15 @@ import os
 import random
 import socket
 import struct
+import sys
 import tempfile
 import threading
+import time
 
 import pytest
 
 from archon.diagnostics import ArchonError
-from archon.frames import MAX_FRAME_BYTES, read_frame
+from archon.frames import MAX_FRAME_BYTES, REQ, Frame, read_frame, write_frame
 from archon.relay import (
     Relay,
     RelayConnection,
@@ -18,6 +20,7 @@ from archon.relay import (
     resolve,
 )
 from archon.rpc import RpcClient, RpcServer
+from archon.server import shut
 
 
 @pytest.fixture
@@ -26,16 +29,20 @@ def roots():
     return os.path.join(base, "a"), os.path.join(base, "b")
 
 
-def _echo_server(path):
-    """Raw byte echo on a UNIX socket, one connection at a time."""
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    listener.bind(path)
-    listener.listen()
+class _echo_server:
+    """Raw byte echo on a UNIX socket, one connection at a time, until close()."""
 
-    def serve():
+    def __init__(self, path):
+        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.listener.bind(path)
+        self.listener.listen()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
         while True:
             try:
-                sock, _ = listener.accept()
+                sock, _ = self.listener.accept()
             except OSError:
                 return
             while True:
@@ -48,9 +55,11 @@ def _echo_server(path):
                 sock.sendall(chunk)
             sock.close()
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    return listener
+    def close(self):
+        # close() alone leaves a blocked accept() waiting on a stale descriptor
+        shut(self.listener)
+        self.listener.close()
+        self.thread.join(5)
 
 
 def test_register_and_duplicate(roots):
@@ -238,3 +247,153 @@ def test_dead_relay_ends_streams_and_fails_sends(roots):
     assert not conn._streams  # neither the ended stream nor the failed open is kept
     conn.close()
     listener.close()
+
+
+def test_a_stream_nobody_reads_does_not_stall_its_neighbours(roots):
+    a = make_site("A", roots[0])
+    b = register_service(make_site("B", roots[1]), "echo", "echo.sock")
+    b = register_service(b, "sink", "sink.sock")
+    echo = _echo_server(b.endpoint_path("echo"))
+    sink = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)  # never accepts, never reads
+    sink.bind(b.endpoint_path("sink"))
+    sink.listen()
+    link = RelayLink(a, b)
+    relay = Relay(link).start()
+    conn = RelayConnection(resolve(link, "A", "echo").endpoint)
+    stuck = conn.open_stream("sink")
+
+    def flood():
+        try:
+            stuck.sendall(bytes(8 << 20))
+        except ArchonError:
+            pass  # the relay is stopped below
+
+    flooder = threading.Thread(target=flood, daemon=True)
+    flooder.start()
+    time.sleep(0.2)  # the flood fills every buffer on its way to the sink
+    answers = []
+
+    def ping():
+        try:
+            stream = conn.open_stream("echo")
+            stream.sendall(b"ping")
+            answers.append(stream.recv(4))
+        except ArchonError:
+            pass  # the relay is stopped below
+
+    pinger = threading.Thread(target=ping, daemon=True)
+    pinger.start()
+    pinger.join(1.0)
+    try:
+        assert answers == [b"ping"]
+        assert flooder.is_alive()  # the flood is still blocked, on its own stream only
+    finally:
+        relay.stop()
+        flooder.join(5)
+        pinger.join(5)
+        conn.close()
+        sink.close()
+        echo.close()
+
+
+def test_an_unread_stream_holds_up_its_sender(roots):
+    size = 32 << 20
+    payload = bytes(range(256)) * (size // 256)
+    a = make_site("A", roots[0])
+    b = register_service(make_site("B", roots[1]), "source", "source.sock")
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(b.endpoint_path("source"))
+    listener.listen()
+    sent = threading.Event()
+
+    def source():
+        sock, _ = listener.accept()
+        try:
+            sock.sendall(payload)
+            sent.set()
+            sock.shutdown(socket.SHUT_WR)
+            sock.recv(1)  # until the caller closes its end
+        except OSError:
+            pass
+        finally:
+            sock.close()
+
+    sender = threading.Thread(target=source, daemon=True)
+    sender.start()
+    link = RelayLink(a, b)
+    with Relay(link):
+        conn = RelayConnection(resolve(link, "A", "source").endpoint)
+        stream = conn.open_stream("source")
+        try:
+            assert not sent.wait(1.0)  # held by the socket buffers, not buffered in memory
+            got = []
+
+            def drain():
+                while chunk := stream.recv(1 << 16):
+                    got.append(chunk)
+
+            reader = threading.Thread(target=drain, daemon=True)
+            reader.start()
+            reader.join(10)
+            assert not reader.is_alive()
+            assert sent.is_set()
+            assert b"".join(got) == payload
+            stream.close()
+            sender.join(5)
+        finally:
+            conn.close()
+            listener.close()
+
+
+def test_concurrent_streams_are_each_released(roots):
+    """Whichever of close() and the end of its reads comes second releases a
+    stream's socket, under many threads and frequent thread switches."""
+    a = make_site("A", roots[0])
+    b = register_service(make_site("B", roots[1]), "svc", "svc.sock")
+    link = RelayLink(a, b)
+    failures = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with RpcServer(b.endpoint_path("svc")), Relay(link):
+            conn = RelayConnection(resolve(link, "A", "svc").endpoint)
+
+            def worker(k):
+                for i in range(30):
+                    payload = b"%d-%d" % (k, i)
+                    try:
+                        if i % 3 == 0:  # closed, then its reader sees EOF, then closed again
+                            client = RpcClient(conn.open_stream("svc"))
+                            got = client.call(payload)
+                            client.close()
+                        elif i % 3 == 1:  # closed once, then read to EOF
+                            stream = conn.open_stream("svc")
+                            write_frame(stream, Frame(REQ, payload, correlation=1))
+                            stream.close()
+                            got = read_frame(stream).payload
+                            assert read_frame(stream) is None
+                        else:  # refused, then closed
+                            stream = conn.open_stream("ghost")
+                            with pytest.raises(ArchonError, match="UnknownService"):
+                                stream.recv(1)
+                            stream.close()
+                            got = payload
+                    except (ArchonError, AssertionError) as exc:
+                        got = exc
+                    if got != payload:
+                        failures.append(got)
+
+            workers = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in workers)
+            assert failures == []
+            deadline = time.monotonic() + 5
+            while conn._streams and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not conn._streams
+            conn.close()
+    finally:
+        sys.setswitchinterval(interval)
