@@ -176,7 +176,11 @@ def _dispatch(args) -> int:
             _emit(serialize_plan(built), args.out)
         return 0
 
-    report = execute(built, timeout=args.timeout)
+    try:
+        report = execute(built, timeout=args.timeout)
+    except ArchonError as exc:  # nothing was started: an unopenable file, say
+        print(render_lines([exc.diagnostic], args.source), file=sys.stderr)
+        return 2
     for stage, why in sorted(report.stage_errors.items()):
         print(f"archon: stage '{stage}' failed: {why}", file=sys.stderr)
     return report.overall

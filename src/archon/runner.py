@@ -1,11 +1,14 @@
 """Executing a build plan: real processes, kernel pipes, stage threads.
 
 Every ``pipe`` channel is one kernel pipe.  A process stage gets the
-read end as stdin and the write end as stdout; each synthetic stage
-holds its ends in one thread inside this process, running the record
-pump below.  Each descriptor has one owner: a process's ends are closed
-here once it is spawned, a synthetic stage's by its thread, so
-end-of-file propagates the moment a writer exits.
+read end as stdin and the write end as stdout; each ``tee``, ``merge``
+and ``split`` stage holds its ends in one thread inside this process,
+running the record pump below.  A ``seed`` stage is a primed pipe, not
+a thread: its primer is written into the seeded pipe before any stage
+starts, and the loop's producer writes straight into that pipe, so the
+channel the seed broke is never made.  Each descriptor has one owner: a
+process's ends are closed here once it is spawned, a synthetic stage's
+by its thread, so end-of-file propagates the moment a writer exits.
 
 One poll over a pidfd per process (Linux >= 5.3) reaps them all, and
 the stage threads are joined, against one deadline.  A downstream stage
@@ -17,6 +20,7 @@ with the threads, get one shared 5 s grace.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import select
 import shutil
@@ -107,9 +111,12 @@ def _execute(
     procs: dict[str, subprocess.Popen] = {}
     pidfds: dict[int, str] = {}  # a pidfd turns a process's exit into a poll event
     threads: list[threading.Thread] = []
+    seeds = {stage.reads[0]: stage for stage in built.stages if stage.kind == SEED}
     try:
         try:
             for channel in built.channels:
+                if channel.name in seeds:
+                    continue  # its producer writes into the seeded pipe
                 if channel.kind == "pipe":
                     read_fd[channel.name], write_fd[channel.name] = os.pipe()
                     continue
@@ -121,10 +128,16 @@ def _execute(
                     what = "input" if reading else "output"
                     raise fail("IoError", f"cannot open {what} '{channel.path}': {err}")
                 (read_fd if reading else write_fd)[channel.name] = fd
+            for broken, seed in seeds.items():
+                seeded = seed.writes[0]
+                _prime(write_fd[seeded], seed.seed.encode("utf-8"), seeded, report)
+                write_fd[broken] = write_fd.pop(seeded)
 
             # Each stage takes its ends when it starts: a process's are closed
             # once it is spawned, a synthetic stage's by its thread.
             for stage in built.stages:
+                if stage.kind == SEED:
+                    continue
                 ins = [read_fd.pop(ch) for ch in stage.reads]
                 outs = {ch: write_fd.pop(ch) for ch in stage.writes}
                 if stage.kind != PROCESS:
@@ -215,6 +228,22 @@ def _overall(built: BuildPlan, report: RunReport) -> int:
     return 0
 
 
+def _prime(fd: int, primer: bytes, channel: str, report: RunReport) -> None:
+    """Write ``primer`` into the empty pipe ``fd`` without blocking, growing
+    the pipe first if the primer is larger than it."""
+    try:
+        if len(primer) > fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ):
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, len(primer))
+        os.set_blocking(fd, False)
+        _write_all(fd, primer)
+    except OSError as err:  # a full pipe raises BlockingIOError
+        raise fail("IoError", f"cannot seed '{channel}' with {len(primer)} bytes: {err}")
+    finally:
+        # O_NONBLOCK is shared with the producer that inherits this end
+        os.set_blocking(fd, True)
+    _count(report, channel, primer)
+
+
 def _close_all(fds: Iterable[int]) -> None:
     for fd in fds:
         try:
@@ -234,13 +263,13 @@ def _stage_body(
     Each ready input gets one read of up to CHUNK bytes, cut after its
     last newline; the cut-off tail waits for the rest of its record, and
     at end of input it goes out as a record of its own.  The whole
-    records are written before the next read, so a seeded cycle cannot
-    stall on records held back here.  ``tee`` copies them to every output,
-    ``split`` deals them round-robin one record at a time, ``merge`` and
-    ``seed`` forward them (``seed`` writes its primer first).  An output
-    whose reader has gone is dropped; the stage ends when its inputs are
-    at end of file or no output is left.  It closes every descriptor it
-    was given, and a failure is recorded in ``report.stage_errors``.
+    records are written before the next read, so a cycle cannot stall on
+    records held back here.  ``tee`` copies them to every output,
+    ``split`` deals them round-robin one record at a time, and ``merge``
+    forwards them.  An output whose reader has gone is dropped; the stage
+    ends when its inputs are at end of file or no output is left.  It
+    closes every descriptor it was given, and a failure is recorded in
+    ``report.stage_errors``.
     """
     live = dict(outs)
     dealt = 0  # records dealt so far, so split's round-robin spans chunks
@@ -251,8 +280,6 @@ def _stage_body(
         for fd in ins:
             poller.register(fd, select.POLLIN)
             tails[fd] = []
-        if stage.kind == SEED:
-            _emit(live, stage.writes[0], stage.seed.encode("utf-8"), report)
         while tails and live:
             for fd, _ in poller.poll():
                 data = os.read(fd, CHUNK)
@@ -289,14 +316,25 @@ def _stage_body(
 def _emit(live: dict[str, int], channel: str, data: bytes, report: RunReport) -> None:
     """Write all of ``data`` to a live output, or drop it if its reader left."""
     fd = live.get(channel)
-    if fd is None or not data:
+    if fd is None:
         return
-    view = memoryview(data)
     try:
-        while view:  # os.write may take only part of it
-            view = view[os.write(fd, view) :]
+        _write_all(fd, data)
     except BrokenPipeError:
         del live[channel]
+        return
+    _count(report, channel, data)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:  # os.write may take only part of it
+        view = view[os.write(fd, view) :]
+
+
+def _count(report: RunReport, channel: str, data: bytes) -> None:
+    """Add ``data``, written to ``channel``, to the report's channel counts."""
+    if not data:
         return
     # a channel has one writer, so no other thread updates these entries
     report.channel_bytes[channel] = report.channel_bytes.get(channel, 0) + len(data)

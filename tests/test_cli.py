@@ -208,6 +208,13 @@ def test_run_pipeline_end_to_end(src, tmp_path, make_filter, capsys):
     assert out.read_bytes() == b"HELLO\n"
 
 
+def test_run_that_cannot_start_is_2(src, tmp_path, capsys):
+    path = src('system S { component C : Filter impl "cat"; pipeline P: input | C() | output; }')
+    missing, out = tmp_path / "missing.txt", tmp_path / "o.txt"
+    assert main(["run", path, "--input", str(missing), "--output", str(out)]) == 2
+    assert "IoError" in capsys.readouterr().err
+
+
 def test_run_emit_plan_writes_file(src, tmp_path, make_filter):
     cat = make_filter(
         "cat",

@@ -141,6 +141,9 @@ def test_interleaved_streams_stay_intact(roots):
     with Relay(link):
         conn = RelayConnection(resolve(link, "A", "echo").endpoint)
         streams = [conn.open_stream("echo") for _ in range(2)]
+        for stream in streams:
+            # a stream whose EOF the relay loses fails the test, not hangs it
+            stream._sock.settimeout(10)
         payloads = [bytes([i]) * 5000 for i in range(2)]
         for i in range(5):
             for stream, payload in zip(streams, payloads):

@@ -1,3 +1,4 @@
+import fcntl
 import os
 import signal
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from archon.checker import ExternalIO, resolve
 from archon.cli import main
+from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
 from archon.plan import PROCESS, plan
@@ -78,6 +80,26 @@ with open(sys.argv[1], "wb") as out:
         out.write(line)
 """
 
+LAPS = """
+# forward the first lap of records, note every record, stop after two laps
+n = int(sys.argv[2])
+side = open(sys.argv[1], "wb")
+for count, line in enumerate(sys.stdin.buffer, 1):
+    side.write(line)
+    if count == 2 * n:
+        break
+    if count <= n:
+        sys.stdout.buffer.write(line)
+        sys.stdout.buffer.flush()
+"""
+
+STDOUT_FLAGS = """
+import fcntl
+with open(sys.argv[1], "w") as side:
+    side.write("%d\\n" % (fcntl.fcntl(1, fcntl.F_GETFL) & os.O_NONBLOCK))
+sys.stdin.buffer.readline()
+"""
+
 WHOAMI = """
 sys.stdin.buffer.read()
 sys.stdout.write(os.environ["ARCHON_INSTANCE"] + ":" + os.environ["ARCHON_REPLICA"] + "\\n")
@@ -125,6 +147,34 @@ def _leaves_no_descriptor_or_thread():
     while counts() != before and time.monotonic() < settle:
         time.sleep(0.01)
     assert counts() == before
+
+
+@pytest.fixture
+def started(monkeypatch) -> list[threading.Thread]:
+    """Every thread started while the test runs."""
+    threads: list[threading.Thread] = []
+    real_start = threading.Thread.start
+
+    def start(thread: threading.Thread) -> None:
+        threads.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return threads
+
+
+@pytest.fixture
+def spawned(monkeypatch) -> list[subprocess.Popen]:
+    """Every process spawned while the test runs."""
+    procs: list[subprocess.Popen] = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs
 
 
 def _built(src: str, io: ExternalIO | None = None):
@@ -208,40 +258,27 @@ def test_orphaned_grandchild_cannot_outlast_the_deadline(tmp_path):
     assert report.overall == 124
 
 
-def test_run_starts_no_thread_per_process(tmp_path, monkeypatch):
+def test_run_starts_no_thread_per_process(tmp_path, started):
     inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
     inp.write_bytes(b"x\ny\n")
     built = _built(_pipeline(["cat"] * 8, inp, out))
     synthetic = [stage for stage in built.stages if stage.kind != PROCESS]
-    started: list[threading.Thread] = []
-    real_start = threading.Thread.start
-
-    def start(thread: threading.Thread) -> None:
-        started.append(thread)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
     report = run(built)
     assert report.overall == 0
     assert out.read_bytes() == b"x\ny\n"
     assert len(started) == len(synthetic) == 0
 
 
-def test_pidfd_failure_is_raised_and_kills_what_was_spawned(tmp_path, make_filter, monkeypatch):
+def test_pidfd_failure_is_raised_and_kills_what_was_spawned(
+    tmp_path, make_filter, monkeypatch, spawned
+):
     sleeper = make_filter("sleeper", SLEEPER)
     inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
     inp.write_bytes(b"")
-    spawned: list[subprocess.Popen] = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            spawned.append(self)
 
     def refuse(pid: int) -> int:
         raise OSError("pidfd_open refused")
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.setattr(os, "pidfd_open", refuse)
     # the stage did spawn: the error is the run's, not a 127 for the stage
     with pytest.raises(OSError, match="refused"):
@@ -432,3 +469,91 @@ def test_failed_stage_is_reported_and_does_not_hang(tmp_path, make_filter, capsy
     path.write_text(src)
     assert main(["run", str(path), "--timeout", "30"]) == 0
     assert "stage 'S0.split' failed: IsADirectoryError" in capsys.readouterr().err
+
+
+def _self_loop(impl: str, primer: str) -> str:
+    return f"""
+    system S {{
+      component A : Filter impl "{impl}" seed "{primer}";
+      connector p : Pipe;
+      attach A.stdout to p.source; attach A.stdin to p.sink;
+    }}
+    """
+
+
+def _seeded_pair(a: str, b: str, primer: str) -> str:
+    return f"""
+    system S {{
+      component A : Filter impl "{a}" seed "{primer}";
+      component B : Filter impl "{b}";
+      connector p1 : Pipe; connector p2 : Pipe;
+      attach A.stdout to p1.source; attach B.stdin to p1.sink;
+      attach B.stdout to p2.source; attach A.stdin to p2.sink;
+    }}
+    """
+
+
+def test_seeded_cycle_starts_no_thread(tmp_path, make_filter, started):
+    countdown, cat = make_filter("countdown", COUNTDOWN), make_filter("cat", CAT)
+    side = tmp_path / "seen.txt"
+    built = _built(_seeded_pair(f"{countdown} {side}", cat, "3\\n"))
+    assert [stage.kind for stage in built.stages if stage.kind != PROCESS] == ["seed"]
+    report = run(built, timeout=10)
+    assert report.overall == 0
+    assert side.read_text() == "3\n2\n1\n"
+    assert started == []
+    # archon itself writes only the primer
+    assert report.channel_bytes == {"p2.seeded": 2}
+    assert report.channel_records == {"p2.seeded": 1}
+
+
+def test_seeded_self_loop_runs_to_completion(tmp_path, make_filter):
+    countdown = make_filter("countdown", COUNTDOWN)
+    side = tmp_path / "seen.txt"
+    report = run(_built(_self_loop(f"{countdown} {side}", "5\\n")), timeout=10)
+    assert not report.timed_out
+    assert report.overall == 0
+    assert side.read_text() == "5\n4\n3\n2\n1\n"
+
+
+def test_primer_larger_than_a_pipe_circulates_whole(tmp_path, make_filter):
+    n = 40_000  # 320 kB, five times a default pipe
+    laps, cat = make_filter("laps", LAPS), make_filter("cat", CAT)
+    side = tmp_path / "seen.txt"
+    primer = "".join("%07d\\n" % i for i in range(n))
+    report = run(_built(_seeded_pair(f"{laps} {side} {n}", cat, primer)), timeout=30)
+    assert not report.timed_out
+    assert report.overall == 0
+    lap = b"".join(b"%07d\n" % i for i in range(n))
+    assert side.read_bytes() == lap + lap
+    assert report.channel_bytes["p2.seeded"] == len(lap)
+    assert report.channel_records["p2.seeded"] == n
+
+
+def test_writer_of_the_seeded_pipe_gets_a_blocking_stdout(tmp_path, make_filter):
+    flags = make_filter("flags", STDOUT_FLAGS)
+    side = tmp_path / "flags.txt"
+    report = run(_built(_self_loop(f"{flags} {side}", "x\\n")), timeout=10)
+    assert report.overall == 0
+    assert side.read_text() == "0\n"
+
+
+def test_primer_the_pipe_refuses_is_an_io_error(tmp_path, make_filter, monkeypatch, spawned):
+    countdown, cat = make_filter("countdown", COUNTDOWN), make_filter("cat", CAT)
+    primer = "".join("%07d\\n" % i for i in range(40_000))
+    built = _built(_seeded_pair(f"{countdown} {tmp_path}/seen.txt", cat, primer))
+    real_fcntl = fcntl.fcntl
+
+    def no_growth(fd, cmd, *args):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            raise PermissionError("pipe size refused")
+        return real_fcntl(fd, cmd, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", no_growth)
+    t0 = time.monotonic()
+    with pytest.raises(ArchonError) as exc:
+        run(built, timeout=10)
+    assert time.monotonic() - t0 < 5
+    assert exc.value.code == "IoError"
+    assert "p2.seeded" in str(exc.value)
+    assert spawned == []
