@@ -1,11 +1,15 @@
 """Local publish/subscribe hub for event connectors.
 
 One broker serves a whole run over a UNIX stream socket.  Clients send
-REG frames to subscribe to topics and EVT frames to publish.  Every
-publish is pushed, synchronously with receipt, to each other connection
-currently registered for that topic, so per-announcer order falls out of
-the per-connection reader thread.  An announcer never hears its own
-events back.
+REG frames to subscribe to topics and EVT frames to publish; any other
+frame is counted in ``errors`` and the connection is served on.  The
+broker keeps an index from each topic to its subscribed connections.
+Every publish is pushed, synchronously with receipt, to each other
+connection currently registered for that topic: the broker reads a
+connection in bursts, encodes each event once, and writes each target
+the events of one burst with one write, in arrival order, so
+per-announcer order falls out of the per-connection reader thread.  An
+announcer never hears its own events back.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import socket
 import threading
 
 from .diagnostics import ArchonError, fail
-from .frames import EVT, REG, Frame, read_frame, write_frame
+from .frames import EVT, REG, Frame, bursts, encode
 from .server import SocketClient, SocketServer
 
 
@@ -25,44 +29,60 @@ class _Conn:
         self.topics: set[str] = set()
         self.write_lock = threading.Lock()
 
-    def send(self, frame: Frame) -> None:
-        with self.write_lock:
-            write_frame(self.sock, frame)
-
 
 class EventBroker(SocketServer):
     def __init__(self, endpoint: str) -> None:
         super().__init__("broker endpoint", endpoint)
         self.endpoint = endpoint
-        self._conns: set[_Conn] = set()
+        # topic -> its subscribers; a set is replaced, never changed, so a
+        # publisher reads the one it gets without holding the lock
+        self._topics: dict[str, frozenset[_Conn]] = {}
 
     def registered(self, topic: str) -> int:
         """How many live connections are subscribed; lets callers sync up."""
-        with self._lock:
-            return sum(1 for c in self._conns if topic in c.topics)
+        return len(self._topics.get(topic, ()))
 
     def _serve(self, sock: socket.socket) -> None:
         conn = _Conn(sock)
-        with self._lock:
-            self._conns.add(conn)
         try:
-            while (frame := read_frame(sock)) is not None:
-                if frame.kind == REG:
-                    with self._lock:
-                        conn.topics.add(frame.topic)
-                elif frame.kind == EVT:
-                    with self._lock:
-                        targets = [
-                            c for c in self._conns if c is not conn and frame.topic in c.topics
-                        ]
-                    for target in targets:
-                        try:
-                            target.send(frame)
-                        except OSError:
-                            self._count_error()
+            for burst in bursts(sock):
+                self._fan_out(conn, burst)
+                del burst  # the next read waits holding no frame
         finally:
             with self._lock:
-                self._conns.discard(conn)
+                for topic in conn.topics:
+                    left = self._topics[topic] - {conn}
+                    if left:
+                        self._topics[topic] = left
+                    else:
+                        del self._topics[topic]
+
+    def _fan_out(self, conn: _Conn, burst: list[Frame]) -> None:
+        """Serve one burst: each target gets its events of the burst in one write."""
+        out: dict[_Conn, list[bytes]] = {}
+        for frame in burst:
+            if frame.kind == EVT:
+                targets = self._topics.get(frame.topic, ())
+                if targets:
+                    wire = encode(frame)
+                    for target in targets:
+                        if target is not conn:
+                            out.setdefault(target, []).append(wire)
+            elif frame.kind == REG:
+                self._subscribe(conn, frame.topic)
+            else:
+                self._count_error()
+        for target, wires in out.items():
+            try:
+                with target.write_lock:
+                    target.sock.sendall(b"".join(wires))
+            except OSError:
+                self._count_error()
+
+    def _subscribe(self, conn: _Conn, topic: str) -> None:
+        with self._lock:
+            conn.topics.add(topic)
+            self._topics[topic] = self._topics.get(topic, frozenset()) | {conn}
 
 
 class BrokerClient(SocketClient):

@@ -16,14 +16,25 @@ Kind headers:
 The length field counts the kind byte, the header, and the payload, and is
 capped at 1 MiB in both directions: encoding a larger frame raises, and a
 reader that sees a larger length aborts instead of buffering it.
+
+Reading.  A long-lived connection is read in bursts by ``bursts``: each
+``recv_into`` fills one 16 KiB buffer per connection, and every frame that
+read completed comes out as one list, in arrival order.  A partial frame
+stays in the buffer for the next read; a frame larger than the buffer grows
+it to that frame's size, and it shrinks back once the frame is out.  The
+cap is checked on the 4-byte header, before any of the body is buffered,
+and the whole frames ahead of a bad header or body are delivered before
+the error is raised.  ``read_frame`` reads exactly one frame and nothing
+past it, for a handshake that hands the connection on as a raw stream.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .diagnostics import fail
+from .diagnostics import ArchonError, fail
 
 EVT = 1
 REQ = 2
@@ -34,6 +45,8 @@ FWD = 5
 KIND_NAMES = {EVT: "EVT", REQ: "REQ", RSP: "RSP", REG: "REG", FWD: "FWD"}
 
 MAX_FRAME_BYTES = 1 << 20
+
+_BURST = 1 << 14  # bytes a burst reader holds between frames
 
 _LEN = struct.Struct(">I")
 _SHORT = struct.Struct(">H")
@@ -75,40 +88,98 @@ def encode(frame: Frame) -> bytes:
 
 def decode(body: bytes) -> Frame:
     """Decode a frame body (everything after the length prefix)."""
-    if not body:
+    return _decode(body, 0, len(body))
+
+
+def _decode(buf, at: int, end: int) -> Frame:
+    """Decode the frame body ``buf[at:end]``; ``buf`` is bytes or a memoryview."""
+    if at >= end:
         raise fail("BadFrame", "empty frame body")
-    kind = body[0]
+    kind = buf[at]
     if kind not in KIND_NAMES:
         raise fail("BadFrame", f"unknown frame kind {kind}")
-    rest = body[1:]
+    at += 1
     if kind in (EVT, REG):
-        if len(rest) < 2:
+        if end - at < 2:
             raise fail("BadFrame", "truncated topic header")
-        (tlen,) = _SHORT.unpack_from(rest)
-        if len(rest) < 2 + tlen:
+        (tlen,) = _SHORT.unpack_from(buf, at)
+        at += 2
+        if end - at < tlen:
             raise fail("BadFrame", "truncated topic")
-        topic = _text(rest[2 : 2 + tlen], "topic")
-        return Frame(kind, rest[2 + tlen :], topic=topic)
+        topic = _text(buf[at : at + tlen], "topic")
+        return Frame(kind, bytes(buf[at + tlen : end]), topic=topic)
     if kind in (REQ, RSP):
-        if len(rest) < 8:
+        if end - at < 8:
             raise fail("BadFrame", "truncated correlation id")
-        (corr,) = _CORR.unpack_from(rest)
-        return Frame(kind, rest[8:], correlation=corr)
-    if len(rest) < 2:
+        (corr,) = _CORR.unpack_from(buf, at)
+        return Frame(kind, bytes(buf[at + 8 : end]), correlation=corr)
+    if end - at < 2:
         raise fail("BadFrame", "truncated name header")
-    (nlen,) = _SHORT.unpack_from(rest)
-    if len(rest) < 2 + nlen + 8:
+    (nlen,) = _SHORT.unpack_from(buf, at)
+    at += 2
+    if end - at < nlen + 8:
         raise fail("BadFrame", "truncated forward header")
-    name = _text(rest[2 : 2 + nlen], "service name")
-    (stream_id,) = _CORR.unpack_from(rest, 2 + nlen)
-    return Frame(kind, rest[2 + nlen + 8 :], name=name, stream_id=stream_id)
+    name = _text(buf[at : at + nlen], "service name")
+    (stream_id,) = _CORR.unpack_from(buf, at + nlen)
+    return Frame(kind, bytes(buf[at + nlen + 8 : end]), name=name, stream_id=stream_id)
 
 
-def _text(raw: bytes, what: str) -> str:
+def _text(raw, what: str) -> str:
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError:
         raise fail("BadFrame", f"{what} is not UTF-8") from None
+
+
+def bursts(sock) -> Iterator[list[Frame]]:
+    """The frames of a connection, one list per ``recv_into`` that completed any.
+
+    Ends on EOF between frames; EOF inside a frame is a BadFrame.
+    """
+    buf = bytearray(_BURST)
+    view = memoryview(buf)
+    start = end = 0  # buf[start:end] is read but not yet decoded
+    while True:
+        got = sock.recv_into(view[end:])
+        if not got:
+            if end > start:
+                raise fail("BadFrame", "connection closed mid-frame")
+            return
+        end += got
+        frames = []
+        failure = None
+        need = 0  # the whole size of the frame left partial, once its header is in
+        while end - start >= 4:
+            (length,) = _LEN.unpack_from(buf, start)
+            if length > MAX_FRAME_BYTES:
+                failure = _too_large(length)
+                break
+            need = 4 + length
+            if start + need > end:
+                break
+            try:
+                frames.append(_decode(view, start + 4, start + need))
+            except ArchonError as exc:
+                failure = exc
+                break
+            start += need
+            need = 0
+        if frames:
+            yield frames
+            del frames  # the next read waits holding no frame
+        if failure is not None:
+            raise failure
+        # the partial frame moves to the front of a buffer that holds all of it
+        left = end - start
+        size = max(_BURST, need)
+        if size != len(buf):
+            grown = bytearray(size)
+            grown[:left] = view[start:end]
+            view.release()
+            buf, view = grown, memoryview(grown)
+        elif start:
+            view[:left] = view[start:end]
+        start, end = 0, left
 
 
 def read_frame(sock) -> Frame | None:
@@ -118,11 +189,15 @@ def read_frame(sock) -> Frame | None:
         return None
     (length,) = _LEN.unpack(head)
     if length > MAX_FRAME_BYTES:
-        raise fail("FrameTooLarge", f"peer announced {length} byte frame, cap is {MAX_FRAME_BYTES}")
+        raise _too_large(length)
     body = _read_exact(sock, length)
     if body is None:
         raise fail("BadFrame", "connection closed mid-frame")
     return decode(body)
+
+
+def _too_large(length: int) -> ArchonError:
+    return fail("FrameTooLarge", f"peer announced {length} byte frame, cap is {MAX_FRAME_BYTES}")
 
 
 def write_frame(sock, frame: Frame) -> None:

@@ -206,7 +206,7 @@ class RelayConnection:
 
 
 class RelayStream:
-    """Socket-shaped: sendall / recv / close, so protocol clients stack on it."""
+    """Socket-shaped: sendall / recv / recv_into / close, so protocol clients stack on it."""
 
     def __init__(self, conn: RelayConnection, sock: socket.socket) -> None:
         self._conn = conn
@@ -223,20 +223,27 @@ class RelayStream:
             raise fail("PeerDown", f"relay stream closed: {err}") from None
 
     def recv(self, n: int) -> bytes:
+        return self._read(self._sock.recv, n) or b""
+
+    def recv_into(self, buffer, nbytes: int = 0) -> int:
+        return self._read(self._sock.recv_into, buffer, nbytes) or 0
+
+    def _read(self, read, *args):
+        """``read(*args)`` after the relay's answer; falsy at the end of the stream."""
         try:
             if not self._answered:
                 self._answered = True
                 self._read_answer()
-            data = self._sock.recv(n)
+            got = read(*args)
         except OSError:
-            data = b""  # a reset stream ends like EOF
+            got = None  # a reset stream ends like EOF
         except ArchonError:
             shut(self._sock)  # the relay sees this end hang up
             self._settle(ended=True)
             raise
-        if not data:
+        if not got:
             self._settle(ended=True)
-        return data
+        return got
 
     def close(self) -> None:
         """Half-close: the service sees EOF, and replies still arrive."""

@@ -3,21 +3,27 @@
 A definer listens on a UNIX stream socket and answers REQ frames with
 RSP frames carrying the same 8-byte correlation id.  Callers may
 pipeline; responses are matched by id, never by arrival order.  The
-server side is scriptable for tests: a handler maps request payload to
-response payload, and ``batch=n`` holds n requests and answers them in
-reverse arrival order to exercise out-of-order matching.
+server reads each connection in bursts and answers all the requests a
+burst completed with one write; a frame that is not a REQ is counted in
+``errors`` and the connection is served on.  The server side is
+scriptable for tests: a handler maps request payload to response
+payload, and ``batch=n`` holds n requests, across bursts, and answers
+them in reverse arrival order to exercise out-of-order matching.
+
+Each call waits on a slot of its own: a lock taken when the call is made
+and released by the reader when the answer, or the end of the
+connection, arrives.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
 import threading
 from typing import Callable, Optional
 
 from .diagnostics import ArchonError, fail
-from .frames import REQ, RSP, Frame, read_frame, write_frame
+from .frames import REQ, RSP, Frame, bursts, encode
 from .server import SocketClient, SocketServer
 
 
@@ -35,19 +41,36 @@ class RpcServer(SocketServer):
 
     def _serve(self, sock: socket.socket) -> None:
         held: list[Frame] = []
-        while (frame := read_frame(sock)) is not None:
-            if frame.kind != REQ:
-                continue
-            held.append(frame)
-            if len(held) < self.batch:
-                continue
-            for req in reversed(held):
-                rsp = Frame(RSP, self.handler(req.payload), correlation=req.correlation)
-                write_frame(sock, rsp)
-            held.clear()
+        for burst in bursts(sock):
+            answers = []
+            for frame in burst:
+                if frame.kind != REQ:
+                    self._count_error()
+                    continue
+                held.append(frame)
+                if len(held) == self.batch:
+                    answers += [
+                        encode(Frame(RSP, self.handler(req.payload), correlation=req.correlation))
+                        for req in reversed(held)
+                    ]
+                    held.clear()
+            if answers:
+                sock.sendall(b"".join(answers))
+            del burst, frame, answers  # the next read waits holding no frame
 
 
 _CLOSED = object()
+
+
+class _Slot:
+    """One call's answer: ``done`` is held until ``value`` is set."""
+
+    __slots__ = ("done", "value")
+
+    def __init__(self) -> None:
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.value = _CLOSED
 
 
 class RpcClient(SocketClient):
@@ -57,8 +80,8 @@ class RpcClient(SocketClient):
         self._ids = itertools.count(1)
         # _pending is consumed by the reader on delivery, so a second RSP
         # with the same id shows up as unknown; _slots lives until result().
-        self._pending: dict[int, queue.Queue] = {}
-        self._slots: dict[int, queue.Queue] = {}
+        self._pending: dict[int, _Slot] = {}
+        self._slots: dict[int, _Slot] = {}
         self._lock = threading.Lock()
         super().__init__(endpoint, "DefinerUnavailable", "definer")
 
@@ -67,7 +90,7 @@ class RpcClient(SocketClient):
 
     def call_async(self, payload: bytes) -> int:
         corr = next(self._ids)
-        slot: queue.Queue = queue.Queue(maxsize=1)
+        slot = _Slot()
         with self._lock:
             # checked under the lock, so a violation found after this
             # point drains the new slot too
@@ -89,12 +112,11 @@ class RpcClient(SocketClient):
         if slot is None:
             self._raise_failure()
             raise fail("CorrelationViolation", f"no outstanding request with id {corr}")
-        try:
-            value = slot.get(timeout=timeout)
-        except queue.Empty:
+        if not slot.done.acquire(timeout=-1 if timeout is None else timeout):
             raise fail("DefinerUnavailable", f"no response for id {corr} within {timeout}s")
         with self._lock:
             self._slots.pop(corr, None)
+        value = slot.value
         if value is _CLOSED:
             self._raise_failure()
             raise fail("DefinerUnavailable", "connection closed before response")
@@ -108,7 +130,8 @@ class RpcClient(SocketClient):
         if slot is None:
             why = f"response with unknown or already answered id {frame.correlation}"
             raise fail("CorrelationViolation", why)
-        slot.put(frame.payload)
+        slot.value = frame.payload
+        slot.done.release()
 
     def _on_end(self, failure: ArchonError | None) -> None:
         # only unanswered slots: a delivered response stays until result()
@@ -116,4 +139,4 @@ class RpcClient(SocketClient):
             slots = list(self._pending.values())
             self._pending.clear()
         for slot in slots:
-            slot.put_nowait(_CLOSED)
+            slot.done.release()  # its value is still _CLOSED

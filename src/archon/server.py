@@ -7,18 +7,20 @@ server holds only what is in use and stop() shuts down and joins exactly
 that.
 
 A client holds one connection and one reader thread, which runs the only
-client-side frame loop.  A dead peer ends that loop like EOF; the client
-reports it with its own error code, both to the calls waiting on a reply
-and to the next send.  Every client connection is made by ``dial``.
+client-side frame loop and reads the connection in bursts.  A dead peer
+ends that loop like EOF; the client reports it with its own error code,
+both to the calls waiting on a reply and to the next send.  Every client
+connection is made by ``dial``.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+from itertools import chain
 
 from .diagnostics import ArchonError, fail
-from .frames import Frame, read_frame, write_frame
+from .frames import Frame, bursts, write_frame
 
 
 def dial(endpoint: str, code: str, what: str) -> socket.socket:
@@ -152,7 +154,7 @@ class SocketClient:
     """Caller side of one frame connection.
 
     ``endpoint`` is a UNIX endpoint path to dial, or a socket-like
-    transport (``sendall``/``recv``/``shutdown``/``close``).  ``code``
+    transport (``sendall``/``recv_into``/``shutdown``/``close``).  ``code``
     names the peer's failure, raised when it cannot be reached and when a
     send finds it gone.  Subclasses define ``_on_frame(frame)``, called by
     the reader for each frame, and ``_on_end(failure)``, called once when
@@ -197,7 +199,7 @@ class SocketClient:
     def _read_loop(self) -> None:
         failure = None
         try:
-            while (frame := read_frame(self.sock)) is not None:
+            for frame in chain.from_iterable(bursts(self.sock)):
                 self._on_frame(frame)
         except ArchonError as exc:
             failure = exc

@@ -8,7 +8,8 @@ whole node set lies on one directed path, and excludes every other label.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 LINEAR = "linear"
@@ -22,7 +23,20 @@ class TopologyReport:
     classification: frozenset[str]
     forks: tuple[str, ...]
     joins: tuple[str, ...]
-    cycles: tuple[tuple[str, ...], ...]
+    _adj: dict[str, list[str]] = field(repr=False, compare=False)  # for ``cycles``
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[str, ...], ...]:
+        """One closed walk per cyclic strongly connected set, sorted; found on first read."""
+        if CYCLIC not in self.classification:
+            return ()
+        adj = {n: sorted(succ) for n, succ in self._adj.items()}
+        cycles = [
+            _representative_cycle(set(scc), adj)
+            for scc in _strongly_connected_components(list(adj), adj)
+            if len(scc) > 1 or scc[0] in adj[scc[0]]
+        ]
+        return tuple(sorted(cycles))
 
     @property
     def is_linear(self) -> bool:
@@ -126,29 +140,35 @@ def classify_digraph(
         out_deg[src] += 1
         in_deg[dst] += 1
         adj[src].append(dst)
-    for n in adj:
-        adj[n] = sorted(adj[n])
 
     forks = tuple(n for n in node_list if out_deg[n] > 1)
     joins = tuple(n for n in node_list if in_deg[n] > 1)
-
-    self_loops = {src for src, dst in edge_list if src == dst}
-    cycles: list[tuple[str, ...]] = []
-    for scc in _strongly_connected_components(node_list, adj):
-        if len(scc) > 1 or scc[0] in self_loops:
-            cycles.append(_representative_cycle(set(scc), adj))
-    cycles.sort()
 
     labels: set[str] = set()
     if forks:
         labels.add(FORK)
     if joins:
         labels.add(JOIN)
-    if cycles:
+    if _has_cycle(node_list, adj, in_deg):
         labels.add(CYCLIC)
     if not labels and _is_single_path(node_list, edge_list, in_deg, out_deg):
         labels.add(LINEAR)
-    return TopologyReport(frozenset(labels), forks, joins, tuple(cycles))
+    return TopologyReport(frozenset(labels), forks, joins, adj)
+
+
+def _has_cycle(nodes: list[str], adj: dict[str, list[str]], in_deg: dict[str, int]) -> bool:
+    """Kahn's peel: a node that never runs out of in-edges lies on or after a cycle."""
+    left = dict(in_deg)
+    ready = [n for n in nodes if not left[n]]
+    peeled = 0
+    while ready:
+        node = ready.pop()
+        peeled += 1
+        for child in adj[node]:
+            left[child] -= 1
+            if not left[child]:
+                ready.append(child)
+    return peeled < len(nodes)
 
 
 def _is_single_path(

@@ -1,15 +1,17 @@
 import os
 import socket
 import struct
+import sys
 import tempfile
 import threading
 import time
 
 import pytest
 
+from archon import broker as broker_module
 from archon.broker import BrokerClient, EventBroker
 from archon.diagnostics import ArchonError
-from archon.frames import EVT, MAX_FRAME_BYTES, Frame, write_frame
+from archon.frames import EVT, MAX_FRAME_BYTES, REG, REQ, Frame, read_frame, write_frame
 
 
 @pytest.fixture
@@ -172,3 +174,85 @@ def test_dead_broker_is_reported_to_blocked_readers_and_publishers(endpoint):
             client.publish("t", b"late")
         assert exc.value.code == "BrokerUnavailable"
         client.close()
+
+
+def test_wrong_kind_frame_is_counted_and_the_connection_served_on(endpoint):
+    with EventBroker(endpoint) as broker:
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(endpoint)
+        write_frame(raw, Frame(REQ, b"stray", correlation=1))
+        write_frame(raw, Frame(REG, topic="t"))
+        _wait_registered(broker, "t", 1)
+        assert broker.errors == 1
+        announcer = BrokerClient(endpoint)
+        announcer.publish("t", b"heard")
+        assert read_frame(raw) == Frame(EVT, b"heard", topic="t")
+        announcer.close()
+        raw.close()
+
+
+def test_an_event_is_encoded_once_for_all_its_subscribers(endpoint, monkeypatch):
+    encoded = []
+    real = broker_module.encode
+
+    def counting(frame):
+        encoded.append(frame)
+        return real(frame)
+
+    monkeypatch.setattr(broker_module, "encode", counting)
+    published = 20
+    with EventBroker(endpoint) as broker:
+        listeners = [BrokerClient(endpoint) for _ in range(3)]
+        others = [BrokerClient(endpoint) for _ in range(61)]
+        for listener in listeners:
+            listener.subscribe("t")
+        for i, other in enumerate(others):
+            other.subscribe("o%d" % (i % 8))
+        _wait_registered(broker, "t", 3)
+        for i in range(8):
+            _wait_registered(broker, "o%d" % i, len(others[i::8]))
+        announcer = BrokerClient(endpoint)
+        for i in range(published):
+            announcer.publish("t", b"e%d" % i)
+        delivered = 0
+        for listener in listeners:
+            got = [listener.next_event(timeout=5) for _ in range(published)]
+            assert got == [("t", b"e%d" % i) for i in range(published)]
+            delivered += len(got)
+        assert delivered == published * len(listeners)
+        assert len(encoded) == published
+        for client in (announcer, *listeners, *others):
+            client.close()
+
+
+def test_concurrent_subscribes_and_hang_ups_keep_the_topic_index_exact(endpoint):
+    workers, each = 8, 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with EventBroker(endpoint) as broker:
+            clients = [[BrokerClient(endpoint) for _ in range(each)] for _ in range(workers)]
+
+            def subscribe(mine):
+                for client in mine:
+                    client.subscribe("t")
+
+            threads = [threading.Thread(target=subscribe, args=(mine,)) for mine in clients]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert not any(thread.is_alive() for thread in threads)
+            _wait_registered(broker, "t", workers * each)
+            for mine in clients[::2]:  # half the workers hang up, all at once
+                for client in mine:
+                    client.close()
+            end = time.monotonic() + 5
+            while broker.registered("t") > workers * each // 2 and time.monotonic() < end:
+                time.sleep(0.005)
+            assert broker.registered("t") == workers * each // 2
+            for mine in clients[1::2]:
+                for client in mine:
+                    client.close()
+    finally:
+        sys.setswitchinterval(interval)

@@ -13,6 +13,7 @@ from archon.frames import (
     REQ,
     RSP,
     Frame,
+    bursts,
     decode,
     encode,
     read_frame,
@@ -123,6 +124,71 @@ def test_mid_frame_eof_is_an_error():
         right.close()
 
 
+class _Pieces:
+    """Socket-like: ``recv_into`` hands out ``data`` in pieces of the given sizes."""
+
+    def __init__(self, data: bytes, sizes=()) -> None:
+        self.data = memoryview(data)
+        self.sizes = iter(sizes)
+        self.buffers = []  # the size of the whole buffer behind each read
+
+    def recv_into(self, buffer, nbytes=0):
+        self.buffers.append(len(buffer.obj))
+        n = min(len(buffer), next(self.sizes, len(buffer)), len(self.data))
+        buffer[:n] = self.data[:n]
+        self.data = self.data[n:]
+        return n
+
+
+def test_burst_reader_yields_every_frame_a_read_completed():
+    frames = [Frame(REQ, b"r%d" % i, correlation=i) for i in range(5)]
+    sock = _Pieces(b"".join(encode(f) for f in frames))
+    assert list(bursts(sock)) == [frames]
+    assert len(sock.buffers) == 2  # one read for all five frames, one for EOF
+
+
+def test_burst_reader_delivers_good_frames_before_an_oversized_header():
+    good = [Frame(EVT, b"fine", topic="t"), Frame(EVT, b"also", topic="t")]
+    raw = b"".join(encode(f) for f in good) + (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+    reader = bursts(_Pieces(raw + bytes(64)))
+    assert next(reader) == good
+    with pytest.raises(ArchonError) as exc:
+        next(reader)
+    assert exc.value.code == "FrameTooLarge"
+
+
+def test_burst_reader_delivers_good_frames_before_a_bad_body():
+    good = Frame(RSP, b"ok", correlation=1)
+    reader = bursts(_Pieces(encode(good) + b"\x00\x00\x00\x02\x09x"))  # kind 9
+    assert next(reader) == [good]
+    with pytest.raises(ArchonError) as exc:
+        next(reader)
+    assert exc.value.code == "BadFrame"
+
+
+@pytest.mark.parametrize("cut", [2, 4, 9])  # inside the header, after it, inside the body
+def test_burst_reader_eof_mid_frame_is_a_bad_frame(cut):
+    good = Frame(REQ, b"whole", correlation=3)
+    raw = encode(good) + encode(Frame(REQ, b"cut short", correlation=4))[:cut]
+    reader = bursts(_Pieces(raw))
+    assert next(reader) == [good]
+    with pytest.raises(ArchonError) as exc:
+        next(reader)
+    assert exc.value.code == "BadFrame"
+
+
+def test_burst_reader_grows_for_the_largest_frame_and_shrinks_back():
+    big = Frame(EVT, b"x" * (MAX_FRAME_BYTES - 4), topic="t")  # body of exactly the cap
+    after = Frame(EVT, b"after", topic="t")
+    raw = encode(big)
+    assert len(raw) == 4 + MAX_FRAME_BYTES
+    sock = _Pieces(raw + encode(after), sizes=[100, 1 << 16, 1 << 20, 50])
+    got = [frame for burst in bursts(sock) for frame in burst]
+    assert got == [big, after]
+    assert max(sock.buffers) == 4 + MAX_FRAME_BYTES
+    assert sock.buffers[0] == sock.buffers[-1] == 1 << 14
+
+
 _topics = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=40
 )
@@ -151,3 +217,25 @@ def test_forward_frames_round_trip(name, stream_id, payload):
 def test_length_prefix_counts_body(payload):
     raw = encode(Frame(EVT, payload, topic="tp"))
     assert int.from_bytes(raw[:4], "big") == len(raw) - 4
+
+
+_any_frame = st.one_of(
+    st.builds(Frame, st.sampled_from([EVT, REG]), _payloads, topic=_topics),
+    st.builds(Frame, st.sampled_from([REQ, RSP]), _payloads, correlation=st.integers(0, 2**64 - 1)),
+    st.builds(Frame, st.just(FWD), _payloads, name=_topics, stream_id=st.integers(0, 2**64 - 1)),
+    # larger than the reader's 16 KiB buffer: it grows for the frame and shrinks back
+    st.builds(Frame, st.just(EVT), st.integers(0, 40_000).map(bytes), topic=st.just("big")),
+)
+
+
+@given(
+    frames=st.lists(_any_frame, max_size=30),
+    sizes=st.lists(st.integers(1, 300), max_size=60),
+)
+def test_burst_reader_reassembles_any_split_of_a_stream(frames, sizes):
+    sock = _Pieces(b"".join(encode(f) for f in frames), sizes)
+    got = []
+    for burst in bursts(sock):
+        assert burst  # a read that completes no frame yields nothing
+        got += burst
+    assert got == frames

@@ -1,13 +1,14 @@
 import os
 import socket
 import struct
+import sys
 import tempfile
 import threading
 
 import pytest
 
 from archon.diagnostics import ArchonError
-from archon.frames import MAX_FRAME_BYTES, REQ, RSP, Frame, read_frame, write_frame
+from archon.frames import EVT, MAX_FRAME_BYTES, REQ, RSP, Frame, read_frame, write_frame
 from archon.rpc import RpcClient, RpcServer
 
 
@@ -172,3 +173,86 @@ def test_dead_definer_is_reported_as_definer_unavailable(endpoint):
             client.call(b"late", timeout=2)
         assert exc.value.code == "DefinerUnavailable"
     client.close()
+
+
+def test_wrong_kind_frame_is_counted_and_the_connection_served_on(endpoint):
+    with RpcServer(endpoint) as server:
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(endpoint)
+        for frame in (Frame(EVT, b"stray", topic="t"), Frame(RSP, b"", correlation=1)):
+            write_frame(raw, frame)
+        write_frame(raw, Frame(REQ, b"still here", correlation=7))
+        assert read_frame(raw) == Frame(RSP, b"still here", correlation=7)
+        assert server.errors == 2
+        raw.close()
+
+
+class _CountedReads:
+    """A server connection that counts the reads made on it."""
+
+    def __init__(self, sock, server) -> None:
+        self._sock = sock
+        self._server = server
+
+    def recv(self, n):
+        self._server.reads += 1
+        return self._sock.recv(n)
+
+    def recv_into(self, buffer, nbytes=0):
+        self._server.reads += 1
+        return self._sock.recv_into(buffer, nbytes)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _ReadCountingServer(RpcServer):
+    reads = 0
+
+    def _serve(self, sock):
+        super()._serve(_CountedReads(sock, self))
+
+
+def test_pipelined_requests_cost_at_most_one_read_each(endpoint):
+    calls, window = 1000, 32
+    server = _ReadCountingServer(endpoint).start()
+    try:
+        client = RpcClient(endpoint)
+        pending = []
+        for i in range(calls):
+            pending.append((client.call_async(b"%d" % i), b"%d" % i))
+            if len(pending) == window:
+                corr, payload = pending.pop(0)
+                assert client.result(corr) == payload
+        for corr, payload in pending:
+            assert client.result(corr) == payload
+        client.close()
+    finally:
+        server.stop()  # the connection's last read is its EOF
+    assert server.reads <= calls + 1
+
+
+def test_one_client_shared_by_many_threads_matches_every_answer(endpoint):
+    workers, calls = 6, 200
+    mismatched = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with RpcServer(endpoint, batch=3):
+            client = RpcClient(endpoint)
+
+            def caller(w):
+                wants = [b"%d:%d" % (w, i) for i in range(calls)]
+                ids = [client.call_async(want) for want in wants]
+                mismatched.extend(want for corr, want in zip(ids, wants) if client.result(corr) != want)
+
+            threads = [threading.Thread(target=caller, args=(w,)) for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            client.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatched == []
