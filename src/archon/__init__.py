@@ -39,7 +39,7 @@ from .model import (
 )
 from .parser import ParseError, parse, parse_library
 from .formatter import format_system
-from .plan import BuildPlan, Channel, Stage, expand_fanout, plan, serialize_plan
+from .plan import BuildPlan, Channel, Stage, plan, serialize_plan
 from .relay import (
     Relay,
     RelayConnection,
@@ -103,7 +103,6 @@ __all__ = [
     "define_port_type",
     "detach",
     "encode",
-    "expand_fanout",
     "format_system",
     "graphdoc",
     "load_graphdoc",

@@ -5,17 +5,18 @@ A plan is a flat, serializable description of what to run:
 * stages: OS processes (one per instance, or per replica after fan-out)
   plus synthetic coordinators.  ``tee`` duplicates every record to each
   of its outputs, ``merge`` interleaves inputs in arrival order,
-  ``split`` deals records round-robin, ``seed`` writes its initial bytes
-  and then forwards its input unchanged.  Records are newline-delimited.
+  ``split`` deals records round-robin.  Records are newline-delimited.
 * channels: the byte streams between stages.  ``pipe`` is an anonymous
-  kernel pipe, ``file-in``/``file-out`` are the external bindings.
+  kernel pipe, ``file-in``/``file-out`` are the external bindings.  A
+  pipe with a ``primer`` holds those bytes before any stage starts.
 * broker / rpc endpoints: socket names, relative to a runtime directory
   that is chosen only when the plan is executed.  Keeping them symbolic
   makes the serialized plan reproducible byte for byte.
 
 Stage order in the plan is start order: consumers before producers so
 that every pipe has a reader by the time its writer starts.  A cycle
-bootstrapped by a ``seed`` attribute is broken at the seeded instance.
+bootstrapped by a ``seed`` attribute is broken at the primed pipe into
+the seeded instance.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ PROCESS = "process"
 TEE = "tee"
 MERGE = "merge"
 SPLIT = "split"
-SEED = "seed"
 
 BROKER_ENDPOINT = "broker.sock"
 
@@ -53,7 +53,6 @@ class Stage:
     argv: tuple[str, ...] = ()
     reads: tuple[str, ...] = ()
     writes: tuple[str, ...] = ()
-    seed: str = ""
     stateless: bool = False
     site: str = ""
 
@@ -66,7 +65,6 @@ class Stage:
             "argv": list(self.argv),
             "reads": list(self.reads),
             "writes": list(self.writes),
-            "seed": self.seed,
             "stateless": self.stateless,
             "site": self.site,
         }
@@ -77,9 +75,10 @@ class Channel:
     name: str
     kind: str  # "pipe" | "file-in" | "file-out"
     path: str = ""
+    primer: str = ""  # bytes in the pipe before any stage starts
 
     def to_json_obj(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "path": self.path}
+        return {"name": self.name, "kind": self.kind, "path": self.path, "primer": self.primer}
 
 
 @dataclass(frozen=True)
@@ -164,46 +163,10 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
         for att in arch.attachments_of_connector(conn_name, "sink"):
             reads[att.instance].append(conn_name)
 
-    synthetic: list[Stage] = []
+    _prime_cycles(arch, channels)
 
-    # Seed stages sit on one in-cycle edge per seeded instance, so the rest
-    # of the loop can start up against an already-primed pipe.
-    edges = dataflow_edges(arch)
-    adj: dict[str, list[str]] = defaultdict(list)
-    into: dict[str, list[tuple[str, str]]] = defaultdict(list)  # consumer -> (producer, pipe)
-    for producer, consumer, ch in edges:
-        adj[producer].append(consumer)
-        into[consumer].append((producer, ch))
     node_names = sorted(arch.instances)
-    sccs = _strongly_connected_components(node_names, adj)
-    scc_of = {member: idx for idx, scc in enumerate(sccs) for member in scc}
-
-    for inst_name in node_names:
-        inst = arch.instances[inst_name]
-        seed_bytes = inst.attrs.get("seed")
-        if not isinstance(seed_bytes, str):
-            continue
-        # An edge into the instance from its own component (a self-loop
-        # included) exists exactly when the instance is on a cycle.
-        candidates = sorted(
-            ch for producer, ch in into[inst_name] if scc_of[producer] == scc_of[inst_name]
-        )
-        if not candidates:
-            continue
-        broken = candidates[0]
-        seeded_ch = f"{broken}.seeded"
-        channels[seeded_ch] = Channel(seeded_ch, "pipe", "")
-        reads[inst_name][reads[inst_name].index(broken)] = seeded_ch
-        synthetic.append(
-            Stage(
-                name=f"{inst_name}.seed",
-                kind=SEED,
-                reads=(broken,),
-                writes=(seeded_ch,),
-                seed=seed_bytes,
-            )
-        )
-
+    synthetic: list[Stage] = []
     for inst_name in node_names:
         if len(writes[inst_name]) > 1:
             out_ch = f"{inst_name}.out"
@@ -300,19 +263,32 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
     return _finalize(draft, stages, channels)
 
 
-def expand_fanout(built: BuildPlan, stage_name: str, n: int) -> BuildPlan:
-    """Replace one stateless stage by split -> n replicas -> merge."""
-    target = built.stage(stage_name)
-    if target is None or target.kind != PROCESS:
-        raise fail("UnknownStage", f"no process stage named '{stage_name}'")
-    if n == 1:
-        return built
-    if n < 1:
-        raise fail("BadReplicaCount", f"replica count must be at least 1, got {n}")
-    channels = {c.name: c for c in built.channels}
-    stages = [s for s in built.stages if s.name != stage_name]
-    stages += _fan_out(target, n, channels)
-    return _finalize(built, stages, channels)
+def _prime_cycles(arch: Architecture, channels: dict[str, Channel]) -> None:
+    """Put each seeded instance's primer on the first (by name) pipe into it
+    from its own cycle, so the loop starts against a pipe that holds it."""
+    primers = {
+        name: inst.attrs["seed"]
+        for name, inst in arch.instances.items()
+        if isinstance(inst.attrs.get("seed"), str)
+    }
+    if not primers:
+        return
+    adj: dict[str, list[str]] = defaultdict(list)
+    into: dict[str, list[tuple[str, str]]] = defaultdict(list)  # consumer -> (producer, pipe)
+    for producer, consumer, ch in dataflow_edges(arch):
+        adj[producer].append(consumer)
+        into[consumer].append((producer, ch))
+    sccs = _strongly_connected_components(sorted(arch.instances), adj)
+    scc_of = {member: idx for idx, scc in enumerate(sccs) for member in scc}
+    for inst_name, primer in primers.items():
+        # An edge into the instance from its own component (a self-loop
+        # included) exists exactly when the instance is on a cycle.
+        in_cycle = [
+            ch for producer, ch in into[inst_name] if scc_of[producer] == scc_of[inst_name]
+        ]
+        if in_cycle:
+            broken = min(in_cycle)
+            channels[broken] = replace(channels[broken], primer=primer)
 
 
 def _fan_out(target: Stage, n: int, channels: dict[str, Channel]) -> list[Stage]:
@@ -346,7 +322,7 @@ def _finalize(draft: BuildPlan, stages: list[Stage], channels: dict[str, Channel
     """The draft with its stages in start order, channels sorted and the final stage."""
     writer_of = {ch: stage for stage in stages for ch in stage.writes}
     by_name = {s.name: s for s in stages}
-    ordered = tuple(by_name[name] for name in _start_order(stages, writer_of))
+    ordered = tuple(by_name[name] for name in _start_order(stages, writer_of, channels))
     chans = tuple(sorted(channels.values(), key=lambda c: c.name))
     final = next(
         (writer_of[c.name].name for c in chans if c.kind == "file-out" and c.name in writer_of),
@@ -355,14 +331,16 @@ def _finalize(draft: BuildPlan, stages: list[Stage], channels: dict[str, Channel
     return replace(draft, stages=ordered, channels=chans, final=final)
 
 
-def _start_order(stages: list[Stage], writer_of: dict[str, Stage]) -> list[str]:
+def _start_order(
+    stages: list[Stage], writer_of: dict[str, Stage], channels: dict[str, Channel]
+) -> list[str]:
     """Consumers before producers; ties and cycle interiors by name."""
     adj: dict[str, list[str]] = {s.name: [] for s in stages}
     for stage in stages:
         for ch in stage.reads:
             writer = writer_of.get(ch)
-            # The seeded instance starts last; the seed primes its pipe.
-            if writer is not None and writer.kind != SEED:
+            # A primed pipe already holds what its reader needs first.
+            if writer is not None and not channels[ch].primer:
                 adj[stage.name].append(writer.name)
 
     names = sorted(adj)

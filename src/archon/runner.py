@@ -3,12 +3,12 @@
 Every ``pipe`` channel is one kernel pipe.  A process stage gets the
 read end as stdin and the write end as stdout; each ``tee``, ``merge``
 and ``split`` stage holds its ends in one thread inside this process,
-running the record pump below.  A ``seed`` stage is a primed pipe, not
-a thread: its primer is written into the seeded pipe before any stage
-starts, and the loop's producer writes straight into that pipe, so the
-channel the seed broke is never made.  Each descriptor has one owner: a
-process's ends are closed here once it is spawned, a synthetic stage's
-by its thread, so end-of-file propagates the moment a writer exits.
+running the record pump below.  A pipe with a ``primer`` (a cycle's
+``seed``) has it written in as the pipe is made, before any stage
+starts; no stage or thread runs for it.  Each descriptor has one owner:
+a process's ends are closed here once it is spawned, a synthetic
+stage's by its thread, so end-of-file propagates the moment a writer
+exits.
 
 One poll over a pidfd per process (Linux >= 5.3) reaps them all, and
 the stage threads are joined, against one deadline.  A downstream stage
@@ -34,7 +34,7 @@ from typing import Iterable
 
 from .broker import EventBroker
 from .diagnostics import fail
-from .plan import PROCESS, SEED, SPLIT, BuildPlan, Stage
+from .plan import PROCESS, SPLIT, BuildPlan, Channel, Stage
 
 SIGPIPE_STATUS = -int(signal.SIGPIPE)
 
@@ -111,14 +111,13 @@ def _execute(
     procs: dict[str, subprocess.Popen] = {}
     pidfds: dict[int, str] = {}  # a pidfd turns a process's exit into a poll event
     threads: list[threading.Thread] = []
-    seeds = {stage.reads[0]: stage for stage in built.stages if stage.kind == SEED}
     try:
         try:
             for channel in built.channels:
-                if channel.name in seeds:
-                    continue  # its producer writes into the seeded pipe
                 if channel.kind == "pipe":
                     read_fd[channel.name], write_fd[channel.name] = os.pipe()
+                    if channel.primer:
+                        _prime(write_fd[channel.name], channel, report)
                     continue
                 reading = channel.kind == "file-in"
                 flags = os.O_RDONLY if reading else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
@@ -128,16 +127,10 @@ def _execute(
                     what = "input" if reading else "output"
                     raise fail("IoError", f"cannot open {what} '{channel.path}': {err}")
                 (read_fd if reading else write_fd)[channel.name] = fd
-            for broken, seed in seeds.items():
-                seeded = seed.writes[0]
-                _prime(write_fd[seeded], seed.seed.encode("utf-8"), seeded, report)
-                write_fd[broken] = write_fd.pop(seeded)
 
             # Each stage takes its ends when it starts: a process's are closed
             # once it is spawned, a synthetic stage's by its thread.
             for stage in built.stages:
-                if stage.kind == SEED:
-                    continue
                 ins = [read_fd.pop(ch) for ch in stage.reads]
                 outs = {ch: write_fd.pop(ch) for ch in stage.writes}
                 if stage.kind != PROCESS:
@@ -228,20 +221,21 @@ def _overall(built: BuildPlan, report: RunReport) -> int:
     return 0
 
 
-def _prime(fd: int, primer: bytes, channel: str, report: RunReport) -> None:
-    """Write ``primer`` into the empty pipe ``fd`` without blocking, growing
-    the pipe first if the primer is larger than it."""
+def _prime(fd: int, channel: Channel, report: RunReport) -> None:
+    """Write the channel's primer into its empty pipe ``fd`` without
+    blocking, growing the pipe first if the primer is larger than it."""
+    primer = channel.primer.encode("utf-8")
     try:
         if len(primer) > fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ):
             fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, len(primer))
         os.set_blocking(fd, False)
         _write_all(fd, primer)
     except OSError as err:  # a full pipe raises BlockingIOError
-        raise fail("IoError", f"cannot seed '{channel}' with {len(primer)} bytes: {err}")
+        raise fail("IoError", f"cannot seed '{channel.name}' with {len(primer)} bytes: {err}")
     finally:
         # O_NONBLOCK is shared with the producer that inherits this end
         os.set_blocking(fd, True)
-    _count(report, channel, primer)
+    _count(report, channel.name, primer)
 
 
 def _close_all(fds: Iterable[int]) -> None:

@@ -1,6 +1,6 @@
 import importlib
 import json
-import re
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +8,10 @@ from archon.checker import ExternalIO, resolve
 from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import expand_fanout, plan, serialize_plan
+from archon.plan import MERGE, PROCESS, SPLIT, TEE, plan, serialize_plan
 
 plan_module = importlib.import_module("archon.plan")  # the package exports a plan() function
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def _arch(src: str):
@@ -127,28 +128,35 @@ def test_plan_serialization_is_stable():
     ]
 
 
+def _replicated(n: str) -> str:
+    """PIPELINE with B stateless and, unless n is empty, ``replicas n``."""
+    attrs = f"stateless replicas {n}" if n else "stateless"
+    return PIPELINE.replace('component B : Filter impl "./b";',
+                            f'component B : Filter impl "./b" {attrs};')
+
+
 def test_fanout_expansion_shape():
-    src = PIPELINE.replace('component B : Filter impl "./b";',
-                           'component B : Filter impl "./b" stateless;')
-    built = _plan(src)
-    expanded = expand_fanout(built, "B", 4)
-    names = {s.name for s in expanded.stages}
-    assert {"B.split", "B#0", "B#1", "B#2", "B#3", "B.merge"} <= names
+    built = _plan(_replicated("4"))
+    names = [s.name for s in built.stages]
+    assert {"B.split", "B#0", "B#1", "B#2", "B#3", "B.merge"} <= set(names)
     assert "B" not in names
-    split = expanded.stage("B.split")
+    split = built.stage("B.split")
+    assert split.kind == SPLIT
     assert split.reads == ("P_p1",)
-    assert len(split.writes) == 4
-    merge = expanded.stage("B.merge")
+    assert split.writes == tuple(f"B.in#{i}" for i in range(4))
+    merge = built.stage("B.merge")
+    assert merge.kind == MERGE
+    assert merge.reads == tuple(f"B.out#{i}" for i in range(4))
     assert merge.writes == ("P_p2",)
     for i in range(4):
-        rep = expanded.stage(f"B#{i}")
+        rep = built.stage(f"B#{i}")
         assert rep.replica == i
         assert rep.argv == ("./b",)
+        assert rep.reads == (f"B.in#{i}",) and rep.writes == (f"B.out#{i}",)
 
 
 def test_fanout_identity_at_one():
-    built = _plan(PIPELINE)
-    assert expand_fanout(built, "B", 1) is built
+    assert serialize_plan(_plan(_replicated("1"))) == serialize_plan(_plan(_replicated("")))
 
 
 def test_fanout_requires_stateless():
@@ -188,17 +196,30 @@ system Farm {
 """
 
 
-def test_replicas_lower_like_expand_fanout_in_name_order():
-    built = _plan(re.sub(r" replicas \d+", "", FARM))
-    for name, n in (("A", 2), ("B", 3), ("L", 4), ("R", 1)):
-        built = expand_fanout(built, name, n)
-    assert serialize_plan(_plan(FARM)) == serialize_plan(built)
+def test_replicas_lower_in_name_order():
+    built = _plan(FARM)
+    assert [s.name for s in built.stages] == [
+        "B.merge", "B#0", "B#1", "B#2", "B.split",
+        "A.merge", "A#0", "A#1", "A.split",
+        "J", "J.merge",
+        "L.merge", "L#0", "L#1", "L#2", "L#3", "L.split",
+        "R", "F.tee", "F",
+    ]
     assert built.stage("L.split").reads == ("f1",) and built.stage("L.merge").writes == ("j1",)
     assert built.stage("R").replica == 0 and built.stage("R.split") is None
+    assert built.stage("R").reads == ("f2",) and built.stage("R").writes == ("j2",)
 
 
-@pytest.mark.parametrize("replicated", [0, 1, 6])
-def test_plan_orders_stages_once(monkeypatch, replicated):
+@pytest.mark.parametrize(
+    "replicated, seeded",
+    [
+        pytest.param(0, False, id="0"),
+        pytest.param(1, False, id="1"),
+        pytest.param(6, False, id="6"),
+        pytest.param(0, True, id="seeded"),
+    ],
+)
+def test_plan_orders_stages_once(monkeypatch, replicated, seeded):
     calls = []
     scc = plan_module._strongly_connected_components
 
@@ -208,13 +229,16 @@ def test_plan_orders_stages_once(monkeypatch, replicated):
 
     monkeypatch.setattr(plan_module, "_strongly_connected_components", spy)
     names = [f"S{i}" for i in range(6)]
+    seed = ' seed "1\\n"'
     decls = "".join(
-        f'component {s} : Filter impl "./s"{" stateless replicas 2" * (i < replicated)};'
+        f'component {s} : Filter impl "./s"'
+        f'{" stateless replicas 2" * (i < replicated)}{seed * (seeded and i == 0)};'
         for i, s in enumerate(names)
     )
     pipeline = "pipeline P: input | " + " | ".join(f"{s}()" for s in names) + " | output;"
     built = _plan(f'system S {{ {decls} {pipeline} input "i"; output "o"; }}')
-    assert calls == [6, len(built.stages)]  # instances, then stages
+    # the seed pass looks for cycles among the instances only if one is seeded
+    assert calls == ([6] if seeded else []) + [len(built.stages)]
 
 
 def test_missing_impl_reported_before_fanout_errors():
@@ -232,26 +256,34 @@ def test_missing_impl_reported_before_fanout_errors():
     assert exc.value.code == "MissingImplementation"
 
 
-def test_seeded_cycle_gets_seed_stage():
-    built = _plan(
-        """
-        system S {
-          component A : Filter impl "./a" seed "8\\n";
-          component B : Filter impl "./b";
-          connector p1 : Pipe; connector p2 : Pipe;
-          attach A.stdout to p1.source; attach B.stdin to p1.sink;
-          attach B.stdout to p2.source; attach A.stdin to p2.sink;
-        }
-        """
-    )
-    seed = next(s for s in built.stages if s.kind == "seed")
-    assert seed.name == "A.seed"
-    assert seed.seed == "8\n"
-    assert seed.reads == ("p2",)
-    assert seed.writes == ("p2.seeded",)
-    assert built.stage("A").reads == ("p2.seeded",)
-    order = [s.name for s in built.stages]
-    assert order.index("A.seed") < order.index("A")
+SEEDED_PAIR = """
+system S {
+  component A : Filter impl "./a" seed "8\\n";
+  component B : Filter impl "./b";
+  connector p1 : Pipe; connector p2 : Pipe;
+  attach A.stdout to p1.source; attach B.stdin to p1.sink;
+  attach B.stdout to p2.source; attach A.stdin to p2.sink;
+}
+"""
+
+
+def test_seeded_cycle_primes_the_broken_channel():
+    built = _plan(SEEDED_PAIR)
+    primed = {c.name: c.primer for c in built.channels if c.primer}
+    assert primed == {"p2": "8\n"}
+    assert [c.name for c in built.channels] == ["p1", "p2"]
+    assert [s.name for s in built.stages] == ["B", "A"]
+    assert built.stage("A").reads == ("p2",)
+    assert json.loads(serialize_plan(built))["channels"][1] == {
+        "name": "p2", "kind": "pipe", "path": "", "primer": "8\n",
+    }
+
+
+@pytest.mark.parametrize("source", [SEEDED_PAIR, (CORPUS / "05_cycle.arch").read_text()])
+def test_every_stage_of_a_seeded_plan_runs(source):
+    built = _plan(source)
+    assert {s.kind for s in built.stages} <= {PROCESS, TEE, MERGE, SPLIT}
+    assert sum(bool(c.primer) for c in built.channels) == 1
 
 
 def test_event_connector_sets_broker_endpoint():

@@ -12,7 +12,7 @@ from archon.cli import main
 from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import PROCESS, plan
+from archon.plan import MERGE, PROCESS, SPLIT, TEE, plan
 from archon.runner import CHUNK, run
 
 UPPER = """
@@ -62,6 +62,21 @@ for line in sys.stdin.buffer:
     n = int(line)
     side.write("%d\\n" % n)
     side.flush()
+    if n <= 1:
+        break
+    sys.stdout.buffer.write(b"%d\\n" % (n - 1))
+    sys.stdout.buffer.flush()
+"""
+
+NOTED_COUNTDOWN = """
+# COUNTDOWN, but a record that is not a number is only noted
+side = open(sys.argv[1], "a")
+for line in sys.stdin.buffer:
+    side.write(line.decode())
+    side.flush()
+    if not line[:1].isdigit():
+        continue
+    n = int(line)
     if n <= 1:
         break
     sys.stdout.buffer.write(b"%d\\n" % (n - 1))
@@ -497,14 +512,15 @@ def test_seeded_cycle_starts_no_thread(tmp_path, make_filter, started):
     countdown, cat = make_filter("countdown", COUNTDOWN), make_filter("cat", CAT)
     side = tmp_path / "seen.txt"
     built = _built(_seeded_pair(f"{countdown} {side}", cat, "3\\n"))
-    assert [stage.kind for stage in built.stages if stage.kind != PROCESS] == ["seed"]
+    assert {stage.kind for stage in built.stages} == {PROCESS}
+    assert {c.name: c.primer for c in built.channels if c.primer} == {"p2": "3\n"}
     report = run(built, timeout=10)
     assert report.overall == 0
     assert side.read_text() == "3\n2\n1\n"
     assert started == []
     # archon itself writes only the primer
-    assert report.channel_bytes == {"p2.seeded": 2}
-    assert report.channel_records == {"p2.seeded": 1}
+    assert report.channel_bytes == {"p2": 2}
+    assert report.channel_records == {"p2": 1}
 
 
 def test_seeded_self_loop_runs_to_completion(tmp_path, make_filter):
@@ -526,8 +542,8 @@ def test_primer_larger_than_a_pipe_circulates_whole(tmp_path, make_filter):
     assert report.overall == 0
     lap = b"".join(b"%07d\n" % i for i in range(n))
     assert side.read_bytes() == lap + lap
-    assert report.channel_bytes["p2.seeded"] == len(lap)
-    assert report.channel_records["p2.seeded"] == n
+    assert report.channel_bytes["p2"] == len(lap)
+    assert report.channel_records["p2"] == n
 
 
 def test_writer_of_the_seeded_pipe_gets_a_blocking_stdout(tmp_path, make_filter):
@@ -555,5 +571,89 @@ def test_primer_the_pipe_refuses_is_an_io_error(tmp_path, make_filter, monkeypat
         run(built, timeout=10)
     assert time.monotonic() - t0 < 5
     assert exc.value.code == "IoError"
-    assert "p2.seeded" in str(exc.value)
+    assert "'p2'" in str(exc.value)
     assert spawned == []
+
+
+def _primers(built) -> dict[str, str]:
+    """The primed channels of a plan whose every stage is something that runs."""
+    assert {stage.kind for stage in built.stages} <= {PROCESS, TEE, MERGE, SPLIT}
+    return {channel.name: channel.primer for channel in built.channels if channel.primer}
+
+
+def test_merge_reads_the_primed_pipe_beside_an_external_input(tmp_path, make_filter):
+    countdown, cat = make_filter("countdown", NOTED_COUNTDOWN), make_filter("cat", CAT)
+    side, inp, out = tmp_path / "seen.txt", tmp_path / "in.txt", tmp_path / "out.txt"
+    notes = [b"note%d\n" % i for i in range(3)]
+    inp.write_bytes(b"".join(notes))
+    built = _built(
+        f"""
+        system S {{
+          componenttype Loop {{ port stdin : StreamIn many; port stdout : StreamOut many; }}
+          component A : Loop impl "{countdown} {side}" seed "8\\n";
+          component B : Filter impl "{cat}";
+          pipeline P: input | A() | output;
+          connector p1 : Pipe; connector p2 : Pipe;
+          attach A.stdout to p1.source; attach B.stdin to p1.sink;
+          attach B.stdout to p2.source; attach A.stdin to p2.sink;
+          input "{inp}"; output "{out}";
+        }}
+        """
+    )
+    assert _primers(built) == {"p2": "8\n"}
+    assert built.stage("A.merge").reads == ("P_p0", "p2")
+    report = run(built, timeout=30)
+    assert not report.timed_out
+    assert report.overall == 0
+    seen = side.read_bytes().splitlines(keepends=True)
+    assert [line for line in seen if line[:1].isdigit()] == [b"%d\n" % n for n in range(8, 0, -1)]
+    assert sorted(line for line in seen if not line[:1].isdigit()) == notes
+    assert out.read_bytes() == b"".join(b"%d\n" % n for n in range(7, 0, -1))
+    assert report.channel_records["p2"] == 1
+    assert report.channel_records["A.in"] == 8 + len(notes)
+    assert report.channel_records["p1"] == 7
+
+
+def test_tee_out_of_a_seeded_instance(tmp_path, make_filter):
+    countdown, cat = make_filter("countdown", COUNTDOWN), make_filter("cat", CAT)
+    sink = make_filter("sink", SINK)
+    side, kept = tmp_path / "seen.txt", tmp_path / "kept.txt"
+    built = _built(
+        f"""
+        system S {{
+          componenttype Fan {{ port stdin : StreamIn; port stdout : StreamOut many; }}
+          component A : Fan impl "{countdown} {side}" seed "5\\n";
+          component B : Filter impl "{cat}";
+          component C : Filter impl "{sink} {kept}";
+          connector p1 : Pipe; connector p2 : Pipe; connector p3 : Pipe;
+          attach A.stdout to p1.source; attach B.stdin to p1.sink;
+          attach B.stdout to p2.source; attach A.stdin to p2.sink;
+          attach A.stdout to p3.source; attach C.stdin to p3.sink;
+        }}
+        """
+    )
+    assert _primers(built) == {"p2": "5\n"}
+    assert built.stage("A.tee").writes == ("p1", "p3")
+    report = run(built, timeout=30)
+    assert not report.timed_out
+    assert report.overall == 0
+    assert side.read_text() == "5\n4\n3\n2\n1\n"
+    assert kept.read_text() == "4\n3\n2\n1\n"
+    assert report.channel_records == {"p1": 4, "p2": 1, "p3": 4}
+
+
+def test_two_seeded_instances_prime_two_channels(tmp_path, make_filter):
+    countdown = make_filter("countdown", COUNTDOWN)
+    seen_a, seen_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    src = _seeded_pair(f"{countdown} {seen_a}", f"{countdown} {seen_b}", "4\\n").replace(
+        f'impl "{countdown} {seen_b}";', f'impl "{countdown} {seen_b}" seed "4\\n";'
+    )
+    built = _built(src)
+    assert _primers(built) == {"p1": "4\n", "p2": "4\n"}
+    report = run(built, timeout=30)
+    assert not report.timed_out
+    assert report.overall == 0
+    # each pipe has one writer, so each instance reads the two tokens in turn:
+    # its own primer, the other's primer less one, its own less two, ...
+    assert seen_a.read_text() == seen_b.read_text() == "4\n3\n2\n1\n"
+    assert report.channel_records == {"p1": 1, "p2": 1}
