@@ -21,14 +21,20 @@ Comments run from ``#`` to end of line.  Identifiers may contain interior
 hyphens (style names like ``pipes-and-filters``).  Stage calls take no
 arguments; anything between the parentheses is rejected.
 
-The first error aborts the parse: there is no partial tree and no
-multi-error recovery.
+The scanner cuts the source into pieces with one ``findall`` and keeps
+the non-trivia ones as two parallel lists, texts and start offsets; there
+is no token object.  Line and column are found by bisect over the line
+starts, only when a span is built.  The first error aborts the parse:
+there is no partial tree and no multi-error recovery.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Union
+from bisect import bisect_right
+from itertools import accumulate, compress
+from operator import itemgetter
+from typing import Iterable, Optional, Union
 
 from .diagnostics import Span
 from .syntax import (
@@ -82,35 +88,18 @@ _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items()}
 
 # A string literal up to, not including, its closing quote.
 _STRING_OPEN = r'"(?:[^"\\\n]|\\[' + re.escape("".join(_ESCAPES)) + "])*"
-# One named group per token shape, tried in this order.
-_TOKEN = re.compile(
-    "|".join(
-        f"(?P<{kind}>{pattern})"
-        for kind, pattern in (
-            ("skip", r"[ \t\r]+|#[^\n]*"),
-            ("newline", r"\n"),
-            ("ident", r"[^\W\d][\w-]*"),
-            ("int", r"\d+"),
-            ("string", _STRING_OPEN + '"'),
-            ("punct", r"\.\.|[{};:.,|()*]"),
-        )
-    )
+# The pieces that tile a well-formed source: trivia, ident, int, string, punct.
+_PIECE = re.compile(
+    r"[ \t\r\n]+|#[^\n]*|[^\W\d][\w-]*|\d+|" + _STRING_OPEN + r'"|\.\.|[{};:.,|()*]'
 )
+# The first characters of trivia pieces, and of int and string tokens.
+_TRIVIA_HEADS = frozenset(" \t\r\n#")
+_LITERAL_HEAD = re.compile(r'[\d"]')
+_PUNCT = frozenset(["..", *"{};:.,|()*"])
+# Token texts that are not names.
+_NOT_NAMES = KEYWORDS | _PUNCT | {""}
 _ESCAPE = re.compile(r"\\(.)")
-
-
-class Token(NamedTuple):
-    kind: str  # 'ident', 'int', 'string', 'eof', or the punctuation itself
-    text: str
-    value: Union[str, int, None]
-    start: int
-    end: int
-    line: int
-    col: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.end, self.line, self.col)
+_LINE = re.compile(r"[^\n]*\n")
 
 
 class ParseError(Exception):
@@ -140,7 +129,41 @@ def escape_string(value: str) -> str:
     return "".join(out)
 
 
-def _scan_error(text: str, start: int, line: int, col: int) -> ParseError:
+def _line_starts(text: str) -> list[int]:
+    return [0, *accumulate(map(len, _LINE.findall(text)))]
+
+
+def _span(lines: list[int], start: int, end: int) -> Span:
+    """[start, end) with the line and column of ``start``, given the line start offsets."""
+    line = bisect_right(lines, start)
+    return Span(start, end, line, start - lines[line - 1] + 1)
+
+
+def _kind(text: str) -> str:
+    """A token's kind: 'eof', the punctuation itself, or by the first
+    character 'string', 'int' or 'ident'."""
+    if not text or text in _PUNCT:
+        return text or "eof"
+    head = text[0]
+    return "string" if head == '"' else "int" if head.isdecimal() else "ident"
+
+
+def _bad_head(ch: str) -> bool:
+    """Whether ``ch`` is a word character that starts no identifier, such as ² or ½."""
+    return ch.isalnum() and not (ch.isalpha() or ch.isdecimal())
+
+
+def _first_fault(text: str) -> tuple[int, int]:
+    """How many pieces tile ``text`` before its first fault, and the fault's offset."""
+    count = pos = 0
+    for m in _PIECE.finditer(text):
+        if m.start() != pos or _bad_head(text[pos]):
+            break
+        count, pos = count + 1, m.end()
+    return count, pos
+
+
+def _scan_error(text: str, start: int) -> ParseError:
     """The error for the character at ``start``, where no token shape fits."""
     if text[start] == '"':
         end = re.compile(_STRING_OPEN).match(text, start).end()
@@ -150,136 +173,123 @@ def _scan_error(text: str, start: int, line: int, col: int) -> ParseError:
             message = "unterminated string literal"
     else:
         end, message = start + 1, f"unexpected character {text[start]!r}"
-    return ParseError(Span(start, end, line, col), frozenset(), text[start:end], message)
+    return ParseError(_span(_line_starts(text), start, end), frozenset(), text[start:end], message)
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending with an ``eof`` token."""
-    tokens: list[Token] = []
-    pos = line_start = 0
-    line = 1
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start, end = m.span()
-        if start != pos:
-            break  # no token shape fits at pos
-        if kind == "ident" and not (text[start].isalpha() or text[start] == "_"):
-            break  # \w also admits non-letters such as ² and ½
-        pos = end
-        if kind == "skip":
+def tokenize(text: str) -> tuple[list[str], list[int], dict[int, Union[str, int]]]:
+    """The tokens of ``text`` as two parallel lists, their texts and start
+    offsets, each ending with end of input ("" at ``len(text)``); and the
+    value of every int and string token, by index."""
+    pieces = _PIECE.findall(text)
+    starts = list(accumulate(map(len, pieces), initial=0))
+    heads = "".join(map(itemgetter(0), pieces))
+    fault = None
+    if starts[-1] != len(text) or any(map(_bad_head, set(heads))):
+        count, fault = _first_fault(text)  # the pieces after it are misplaced
+        pieces, starts, heads = pieces[:count], starts[:count], heads[:count]
+    keep = [head not in _TRIVIA_HEADS for head in heads]
+    texts, offsets = list(compress(pieces, keep)), list(compress(starts, keep))
+    values: dict[int, Union[str, int]] = {}
+    for m in _LITERAL_HEAD.finditer("".join(compress(heads, keep))):
+        i = m.start()
+        word = texts[i]
+        if word[0] == '"':
+            body = word[1:-1]
+            values[i] = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
             continue
-        if kind == "newline":
-            line += 1
-            line_start = end
-            continue
-        word = m.group()
-        if kind == "ident":
-            value: Union[str, int, None] = word
-        elif kind == "punct":
-            kind, value = word, None
-        elif kind == "int":
-            try:
-                value = int(word)
-            except ValueError:  # more digits than int() converts
-                span = Span(start, end, line, start - line_start + 1)
-                raise ParseError(span, frozenset(), word, "integer literal too long") from None
-        else:
-            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], word[1:-1])
-        tokens.append(Token(kind, word, value, start, end, line, start - line_start + 1))
-    if pos < len(text):
-        raise _scan_error(text, pos, line, pos - line_start + 1)
-    tokens.append(Token("eof", "", None, pos, pos, line, pos - line_start + 1))
-    return tokens
+        try:
+            values[i] = int(word)
+        except ValueError:  # more digits than int() converts
+            span = _span(_line_starts(text), offsets[i], offsets[i] + len(word))
+            raise ParseError(span, frozenset(), word, "integer literal too long") from None
+    if fault is not None:
+        raise _scan_error(text, fault)
+    texts.append("")
+    offsets.append(len(text))
+    return texts, offsets, values
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.texts, self.starts, self.values = tokenize(text)
+        self.lines = _line_starts(text)
+        self.pos = 0  # the index of the current token
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def advance(self) -> int:
+        """Step past the current token; its index."""
+        self.pos += 1
+        return self.pos - 1
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def accept(self, word: str) -> bool:
+        """Step past the punctuation or keyword ``word`` if it is next."""
+        if self.texts[self.pos] != word:
+            return False
+        self.pos += 1
+        return True
 
-    def _describe(self, want: str) -> str:
-        if want in ("ident", "int", "string"):
-            return want
-        return f"'{want}'"
+    def fail(self, expected: Iterable[str]) -> ParseError:
+        text = self.texts[self.pos]
+        start = self.starts[self.pos]
+        names = ", ".join(sorted(e if e in ("ident", "int", "string") else f"'{e}'" for e in expected))
+        shown = repr(text) if text else "end of input"
+        span = _span(self.lines, start, start + len(text))
+        return ParseError(span, frozenset(expected), text, f"expected {names}, found {shown}")
 
-    def fail(self, expected: frozenset[str], found: Token) -> ParseError:
-        names = ", ".join(sorted(self._describe(e) for e in expected))
-        shown = repr(found.text) if found.kind != "eof" else "end of input"
-        return ParseError(found.span, expected, found.text, f"expected {names}, found {shown}")
+    def expect(self, word: str) -> None:
+        """Step past the punctuation or keyword ``word``, which must be next."""
+        if self.texts[self.pos] != word:
+            raise self.fail({word})
+        self.pos += 1
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.fail(frozenset({kind}), tok)
-        return self.advance()
+    def literal(self, *kinds: str) -> Union[str, int, None]:
+        """The value of the next token, whose kind must be one of ``kinds``;
+        None for punctuation."""
+        if _kind(self.texts[self.pos]) not in kinds:
+            raise self.fail(kinds)
+        self.pos += 1
+        return self.values.get(self.pos - 1)
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.fail(frozenset({word}), tok)
-        return self.advance()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def expect_name(self) -> Token:
+    def name(self) -> str:
         """A non-keyword identifier."""
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise self.fail(frozenset({"ident"}), tok)
-        return self.advance()
+        text = self.texts[self.pos]
+        if text in _NOT_NAMES or self.pos in self.values:  # int and string tokens have values
+            raise self.fail({"ident"})
+        self.pos += 1
+        return text
 
-    def span_from(self, first: Token, last: Token) -> Span:
-        return Span(first.start, last.end, first.line, first.col)
+    def span_from(self, first: int) -> Span:
+        """From the start of token ``first`` to the end of the last token consumed."""
+        last = self.pos - 1
+        return _span(self.lines, self.starts[first], self.starts[last] + len(self.texts[last]))
 
     # -- grammar ------------------------------------------------------------
 
     def parse_system(self) -> SystemAst:
-        first = self.expect_keyword("system")
-        name = self.expect_name()
-        style: Optional[str] = None
-        if self.at_keyword("style"):
-            self.advance()
-            style = self.expect_name().text
-        allow_skip = False
-        if self.at_keyword("allow-skip"):
-            self.advance()
-            allow_skip = True
+        self.expect("system")
+        name = self.name()
+        style: Optional[str] = self.name() if self.accept("style") else None
+        allow_skip = self.accept("allow-skip")
         self.expect("{")
         decls = self.parse_items(_ITEMS, "}")
-        close = self.expect("}")
-        self.expect("eof")
-        return SystemAst(
-            name=name.text,
-            style=style,
-            allow_skip=allow_skip,
-            declarations=decls,
-            span=self.span_from(first, close),
-        )
+        self.expect("}")
+        span = self.span_from(0)
+        if self.texts[self.pos]:
+            raise self.fail({"eof"})
+        return SystemAst(name=name, style=style, allow_skip=allow_skip, declarations=decls, span=span)
 
     def parse_items(self, table: dict, end: str) -> tuple[Declaration, ...]:
-        """Declarations, each dispatched on its keyword, up to a token of kind ``end``.
+        """Declarations, each dispatched on its keyword, up to the token
+        ``end``: '}', or '' for end of input.
 
         A closing ``}`` is named among the expected tokens; end of input is not.
         """
-        expected = frozenset(table) if end == "eof" else frozenset(table) | {end}
         decls: list[Declaration] = []
-        while (tok := self.peek()).kind != end:
-            parse_one = table.get(tok.text) if tok.kind == "ident" else None
+        while (word := self.texts[self.pos]) != end:
+            parse_one = table.get(word)
             if parse_one is None:
-                raise self.fail(expected, tok)
+                raise self.fail({*table, end} if end else table)
             decls.append(parse_one(self))
         return tuple(decls)
 
@@ -288,125 +298,113 @@ class _Parser:
 
     def _parse_port_type(self) -> PortTypeDef:
         first = self.advance()
-        name = self.expect_name()
-        last = name
-        if self.peek().kind == ";":  # terminator is optional here
-            last = self.advance()
-        return PortTypeDef(name.text, span=self.span_from(first, last))
+        name = self.name()
+        self.accept(";")  # terminator is optional here
+        return PortTypeDef(name, span=self.span_from(first))
 
     def _parse_component_type(self) -> ComponentTypeDef:
         first = self.advance()
-        name = self.expect_name()
+        name = self.name()
         self.expect("{")
         ports: list[PortDecl] = []
-        while self.at_keyword("port"):
+        while self.texts[self.pos] == "port":
             ports.append(self._parse_port_decl())
-        close = self.expect("}")
-        return ComponentTypeDef(name.text, tuple(ports), span=self.span_from(first, close))
+        self.expect("}")
+        return ComponentTypeDef(name, tuple(ports), span=self.span_from(first))
 
     def _parse_port_decl(self) -> PortDecl:
         first = self.advance()
-        name = self.expect_name()
+        name = self.name()
         self.expect(":")
-        ptype = self.expect_name()
-        many = False
-        if self.at_keyword("many"):
-            self.advance()
-            many = True
-        end = self.expect(";")
-        return PortDecl(name.text, ptype.text, many, span=self.span_from(first, end))
+        ptype = self.name()
+        many = self.accept("many")
+        self.expect(";")
+        return PortDecl(name, ptype, many, span=self.span_from(first))
 
     def _parse_connector_type(self) -> ConnectorTypeDef:
         first = self.advance()
-        name = self.expect_name()
+        name = self.name()
         self.expect("{")
         roles: list[RoleDecl] = []
-        while self.at_keyword("role"):
+        while self.texts[self.pos] == "role":
             roles.append(self._parse_role_decl())
-        close = self.expect("}")
-        return ConnectorTypeDef(name.text, tuple(roles), span=self.span_from(first, close))
+        self.expect("}")
+        return ConnectorTypeDef(name, tuple(roles), span=self.span_from(first))
 
     def _parse_role_decl(self) -> RoleDecl:
         first = self.advance()
-        name = self.expect_name()
-        self.expect_keyword("accepts")
-        accepts = [self.expect_name().text]
-        while self.peek().kind == ",":
-            self.advance()
-            accepts.append(self.expect_name().text)
-        self.expect_keyword("fill")
-        min_fill = self.expect("int")
+        name = self.name()
+        self.expect("accepts")
+        accepts = [self.name()]
+        while self.accept(","):
+            accepts.append(self.name())
+        self.expect("fill")
+        min_fill = self.literal("int")
         self.expect("..")
-        max_fill = self.advance()  # an int, or '*' for no bound, whose value is None
-        if max_fill.kind not in ("int", "*"):
-            raise self.fail(frozenset({"int", "*"}), max_fill)
-        end = self.expect(";")
+        max_fill = self.literal("int", "*")  # None for '*', no bound
+        self.expect(";")
         return RoleDecl(
-            name.text,
+            name,
             tuple(accepts),
-            min_fill.value,  # type: ignore[arg-type]
-            max_fill.value,  # type: ignore[arg-type]
-            span=self.span_from(first, end),
+            min_fill,  # type: ignore[arg-type]
+            max_fill,  # type: ignore[arg-type]
+            span=self.span_from(first),
         )
 
     def _parse_component(self) -> InstanceDecl:
         first = self.advance()
-        name = self.expect_name()
+        name = self.name()
         self.expect(":")
-        type_name = self.expect_name()
+        type_name = self.name()
         attrs: list[tuple[str, Union[str, int, bool]]] = []
-        while (tok := self.peek()).kind == "ident" and tok.text in _ATTRS:
-            self.advance()
-            kind = _ATTRS[tok.text]
-            attrs.append((tok.text, self.expect(kind).value if kind else True))  # type: ignore[arg-type]
-        end = self.expect(";")
-        return InstanceDecl(name.text, type_name.text, tuple(attrs), span=self.span_from(first, end))
+        while (word := self.texts[self.pos]) in _ATTRS:
+            self.pos += 1
+            kind = _ATTRS[word]
+            attrs.append((word, self.literal(kind) if kind else True))  # type: ignore[arg-type]
+        self.expect(";")
+        return InstanceDecl(name, type_name, tuple(attrs), span=self.span_from(first))
 
     def _parse_connector(self) -> ConnectorDecl:
         first = self.advance()
-        name = self.expect_name()
+        name = self.name()
         self.expect(":")
-        type_name = self.expect_name()
-        end = self.expect(";")
-        return ConnectorDecl(name.text, type_name.text, span=self.span_from(first, end))
+        type_name = self.name()
+        self.expect(";")
+        return ConnectorDecl(name, type_name, span=self.span_from(first))
 
     def _parse_attach(self) -> AttachDecl:
         first = self.advance()
-        inst = self.expect_name()
+        inst = self.name()
         self.expect(".")
-        port = self.expect_name()
-        self.expect_keyword("to")
-        conn = self.expect_name()
+        port = self.name()
+        self.expect("to")
+        conn = self.name()
         self.expect(".")
-        role = self.expect_name()
-        end = self.expect(";")
-        return AttachDecl(inst.text, port.text, conn.text, role.text, span=self.span_from(first, end))
+        role = self.name()
+        self.expect(";")
+        return AttachDecl(inst, port, conn, role, span=self.span_from(first))
 
     def _parse_pipeline(self) -> PipelineDecl:
         first = self.advance()
-        name = self.expect_name()
+        name = self.name()
         self.expect(":")
-        self.expect_keyword("input")
+        self.expect("input")
         stages: list[str] = []
         while True:
             self.expect("|")
-            if self.at_keyword("output"):
-                if not stages:  # at least one stage between input and output
-                    raise self.fail(frozenset({"ident"}), self.peek())
-                self.advance()
+            if stages and self.accept("output"):  # at least one stage before it
                 break
-            stage = self.expect_name()
+            stages.append(self.name())
             self.expect("(")
             self.expect(")")
-            stages.append(stage.text)
-        end = self.expect(";")
-        return PipelineDecl(name.text, tuple(stages), span=self.span_from(first, end))
+        self.expect(";")
+        return PipelineDecl(name, tuple(stages), span=self.span_from(first))
 
     def _parse_iodecl(self) -> IoDecl:
         first = self.advance()
-        path = self.expect("string")
-        end = self.expect(";")
-        return IoDecl(first.text, path.value, span=self.span_from(first, end))  # type: ignore[arg-type]
+        path = self.literal("string")
+        self.expect(";")
+        return IoDecl(self.texts[first], path, span=self.span_from(first))  # type: ignore[arg-type]
 
 
 # Component attributes and the token kind of their value; a flag has none.
@@ -452,4 +450,4 @@ def parse(text: str) -> SystemAst:
 def parse_library(text: str) -> tuple[Declaration, ...]:
     """Parse a type library: a bare sequence of type definitions."""
     _check_size(text)
-    return _Parser(text).parse_items(_TYPEDEFS, "eof")
+    return _Parser(text).parse_items(_TYPEDEFS, "")

@@ -25,7 +25,7 @@ from archon.checker import (
     resolve,
 )
 from archon.model import builtin_type_table
-from archon.parser import parse
+from archon.parser import parse, tokenize
 from archon.plan import plan
 from archon.topology import classify_digraph
 
@@ -225,7 +225,8 @@ def test_compile_passes_scale_linearly():
 def test_compile_call_counts_scale_linearly():
     """The deterministic companion of the CPU gate: profiled function calls of
     parse, and of resolve + check_all + plan, each grow at most 4.2x for 4x
-    the stages."""
+    the stages; and parse makes at most 4 calls per token at 1000 stages, so
+    no per-token object or helper call comes back unnoticed."""
 
     def calls(fn, *args) -> tuple[int, object]:
         profiler = cProfile.Profile()
@@ -235,9 +236,13 @@ def test_compile_call_counts_scale_linearly():
     for system in _COMPILE_INPUTS:
         counts = []
         for n in (1000, 4000):
-            parse_calls, ast = calls(parse, system(n))
+            source = system(n)
+            parse_calls, ast = calls(parse, source)
             compile_calls, _ = calls(_compile, ast, builtin_type_table())
             counts.append((parse_calls, compile_calls))
+            if n == 1000:
+                tokens = len(tokenize(source)[0]) - 1  # less end of input
+                assert parse_calls <= 4 * tokens, (system.__name__, parse_calls, tokens)
         for name, small, large in zip(("parse", "compile"), *counts):
             assert large / small <= 4.2, (system.__name__, name, small, large)
 

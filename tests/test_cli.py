@@ -1,10 +1,21 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from archon.checker import fold_typedefs, resolve
 from archon.cli import main
+from archon.diagnostics import ArchonError, render_lines
+from archon.export import to_json
+from archon.model import builtin_type_table
+from archon.parser import parse
+from archon.plan import plan
+
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = REPO / "tests" / "corpus"
 
 GOOD = 'system S {\n  component A : Filter impl "./a";\n}\n'
 BAD_PARSE = "system S { component }"
@@ -170,6 +181,48 @@ def test_lib_search_path_env(src, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ARCHON_LIB_PATH", str(libdir))
     path = src('system S { component G : Gate impl "./g"; }')
     assert main(["check", path, "--lib", "gates"]) == 0
+
+
+def test_lib_file_of_bare_typedefs_types_the_corpus_user(capsys, monkeypatch):
+    """The --lib twin of tests/corpus/15_lib_gauges.arch gives 14_libuser.arch
+    the graph and plan outcome of folding that file's declarations in process,
+    as A9 does."""
+    monkeypatch.chdir(REPO)
+    user, lib = "tests/corpus/14_libuser.arch", "tests/lib/gauges.arch"
+    assert main(["check", user]) == 2  # its types come only from the library
+    capsys.readouterr()
+    assert main(["check", user, "--lib", lib]) == 0
+    assert capsys.readouterr() == ("", "")
+
+    folded = parse((CORPUS / "15_lib_gauges.arch").read_text()).declarations
+    table, diags = fold_typedefs(builtin_type_table(), folded, origin="library")
+    assert diags == []
+    result = resolve(parse((REPO / user).read_text()), table)
+    assert main(["graph", user, "--lib", lib, "--json"]) == 0
+    assert capsys.readouterr().out == to_json(result.architecture, result.table)
+    with pytest.raises(ArchonError) as exc:  # no runtime realizes a Telemetry connector
+        plan(result.architecture, result.table)
+    assert main(["plan", user, "--lib", lib]) == 2
+    assert capsys.readouterr() == ("", render_lines([exc.value.diagnostic], user) + "\n")
+
+
+# SHA-256 of [exit status, stdout, stderr] of each command on each corpus file.
+_CORPUS_DIGESTS = json.loads((REPO / "tests" / "corpus_digests.json").read_text())
+
+
+def test_every_corpus_file_has_digests():
+    assert sorted(_CORPUS_DIGESTS) == sorted(p.name for p in CORPUS.glob("*.arch"))
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS_DIGESTS))
+def test_corpus_output_matches_stored_digests(name, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    got = {}
+    for command in _CORPUS_DIGESTS[name]:
+        status = main([*command.split(), f"tests/corpus/{name}"])
+        out, err = capsys.readouterr()
+        got[command] = hashlib.sha256(json.dumps([status, out, err]).encode()).hexdigest()
+    assert got == _CORPUS_DIGESTS[name]
 
 
 def test_run_checks_first_no_spawning(src, tmp_path):

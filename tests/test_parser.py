@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from archon.diagnostics import Span
-from archon.parser import MAX_SOURCE_BYTES, ParseError, parse, parse_library, tokenize
+from archon.parser import (
+    MAX_SOURCE_BYTES,
+    ParseError,
+    _line_starts,
+    _span,
+    parse,
+    parse_library,
+    tokenize,
+)
 from archon.syntax import (
     AttachDecl,
     ComponentTypeDef,
@@ -143,7 +151,7 @@ def test_oversize_input_rejected():
 
 def test_error_span_is_token_boundary():
     src = "system S { component A : ; }"
-    starts = {t.span.start for t in tokenize(src)}
+    starts = set(tokenize(src)[1])
     with pytest.raises(ParseError) as exc:
         parse(src)
     assert exc.value.span.start in starts
@@ -202,6 +210,176 @@ def test_scanner_errors(src, want):
     assert (err.code, span, err.message, err.found) == want
 
 
+# (entry point, source, (code, (start, end, line, col), message, found,
+# sorted expected)) for grammar faults: one row per failure point of every
+# declaration rule, plus library, end-of-input and keyword-as-name rows.
+_PARSE_ERRORS = [
+    (parse, '',
+     ('ParseError', (0, 0, 1, 1), "expected 'system', found end of input", '', ('system',))),
+    (parse, 'component A : Filter;',
+     ('ParseError', (0, 9, 1, 1), "expected 'system', found 'component'", 'component', ('system',))),
+    (parse, 'system { }',
+     ('ParseError', (7, 8, 1, 8), "expected ident, found '{'", '{', ('ident',))),
+    (parse, 'system input { }',
+     ('ParseError', (7, 12, 1, 8), "expected ident, found 'input'", 'input', ('ident',))),
+    (parse, 'system S style { }',
+     ('ParseError', (15, 16, 1, 16), "expected ident, found '{'", '{', ('ident',))),
+    (parse, 'system S style layered ; { }',
+     ('ParseError', (23, 24, 1, 24), "expected '{', found ';'", ';', ('{',))),
+    (parse, 'system S allow-skip allow-skip { }',
+     ('ParseError', (20, 30, 1, 21), "expected '{', found 'allow-skip'", 'allow-skip', ('{',))),
+    (parse, 'system S {',
+     ('ParseError', (10, 10, 1, 11), "expected 'attach', 'component', 'componenttype', 'connector', 'connectortype', 'input', 'output', 'pipeline', 'porttype', '}', found end of input", '', ('attach', 'component', 'componenttype', 'connector', 'connectortype', 'input', 'output', 'pipeline', 'porttype', '}'))),
+    (parse, 'system S { ; }',
+     ('ParseError', (11, 12, 1, 12), "expected 'attach', 'component', 'componenttype', 'connector', 'connectortype', 'input', 'output', 'pipeline', 'porttype', '}', found ';'", ';', ('attach', 'component', 'componenttype', 'connector', 'connectortype', 'input', 'output', 'pipeline', 'porttype', '}'))),
+    (parse, 'system S { } system T { }',
+     ('ParseError', (13, 19, 1, 14), "expected 'eof', found 'system'", 'system', ('eof',))),
+    (parse, 'system S { porttype ; }',
+     ('ParseError', (20, 21, 1, 21), "expected ident, found ';'", ';', ('ident',))),
+    (parse, 'system S { porttype T x }',
+     ('ParseError', (22, 23, 1, 23), "expected 'attach', 'component', 'componenttype', 'connector', 'connectortype', 'input', 'output', 'pipeline', 'porttype', '}', found 'x'", 'x', ('attach', 'component', 'componenttype', 'connector', 'connectortype', 'input', 'output', 'pipeline', 'porttype', '}'))),
+    (parse, 'system S { componenttype { } }',
+     ('ParseError', (25, 26, 1, 26), "expected ident, found '{'", '{', ('ident',))),
+    (parse, 'system S { componenttype C port x : T; } }',
+     ('ParseError', (27, 31, 1, 28), "expected '{', found 'port'", 'port', ('{',))),
+    (parse, 'system S { componenttype C { role r accepts T fill 1..1; } }',
+     ('ParseError', (29, 33, 1, 30), "expected '}', found 'role'", 'role', ('}',))),
+    (parse, 'system S { componenttype C { port : T; } }',
+     ('ParseError', (34, 35, 1, 35), "expected ident, found ':'", ':', ('ident',))),
+    (parse, 'system S { componenttype C { port x T; } }',
+     ('ParseError', (36, 37, 1, 37), "expected ':', found 'T'", 'T', (':',))),
+    (parse, 'system S { componenttype C { port x : ; } }',
+     ('ParseError', (38, 39, 1, 39), "expected ident, found ';'", ';', ('ident',))),
+    (parse, 'system S { componenttype C { port x : T many many; } }',
+     ('ParseError', (45, 49, 1, 46), "expected ';', found 'many'", 'many', (';',))),
+    (parse, 'system S { connectortype { } }',
+     ('ParseError', (25, 26, 1, 26), "expected ident, found '{'", '{', ('ident',))),
+    (parse, 'system S { connectortype K role r accepts T fill 1..1; } }',
+     ('ParseError', (27, 31, 1, 28), "expected '{', found 'role'", 'role', ('{',))),
+    (parse, 'system S { connectortype K { port x : T; } }',
+     ('ParseError', (29, 33, 1, 30), "expected '}', found 'port'", 'port', ('}',))),
+    (parse, 'system S { connectortype K { role accepts T fill 1..1; } }',
+     ('ParseError', (34, 41, 1, 35), "expected ident, found 'accepts'", 'accepts', ('ident',))),
+    (parse, 'system S { connectortype K { role r T fill 1..1; } }',
+     ('ParseError', (36, 37, 1, 37), "expected 'accepts', found 'T'", 'T', ('accepts',))),
+    (parse, 'system S { connectortype K { role r accepts fill 1..1; } }',
+     ('ParseError', (44, 48, 1, 45), "expected ident, found 'fill'", 'fill', ('ident',))),
+    (parse, 'system S { connectortype K { role r accepts T, fill 1..1; } }',
+     ('ParseError', (47, 51, 1, 48), "expected ident, found 'fill'", 'fill', ('ident',))),
+    (parse, 'system S { connectortype K { role r accepts T 1..1; } }',
+     ('ParseError', (46, 47, 1, 47), "expected 'fill', found '1'", '1', ('fill',))),
+    (parse, 'system S { connectortype K { role r accepts T fill ..1; } }',
+     ('ParseError', (51, 53, 1, 52), "expected int, found '..'", '..', ('int',))),
+    (parse, 'system S { connectortype K { role r accepts T fill 1.1; } }',
+     ('ParseError', (52, 53, 1, 53), "expected '..', found '.'", '.', ('..',))),
+    (parse, 'system S { connectortype K { role r accepts T fill 1..; } }',
+     ('ParseError', (54, 55, 1, 55), "expected '*', int, found ';'", ';', ('*', 'int'))),
+    (parse, 'system S { connectortype K { role r accepts T fill 1.."2"; } }',
+     ('ParseError', (54, 57, 1, 55), 'expected \'*\', int, found \'"2"\'', '"2"', ('*', 'int'))),
+    (parse, 'system S { connectortype K { role r accepts T fill 1..* } }',
+     ('ParseError', (56, 57, 1, 57), "expected ';', found '}'", '}', (';',))),
+    (parse, 'system S { component : Filter; }',
+     ('ParseError', (21, 22, 1, 22), "expected ident, found ':'", ':', ('ident',))),
+    (parse, 'system S { component A Filter; }',
+     ('ParseError', (23, 29, 1, 24), "expected ':', found 'Filter'", 'Filter', (':',))),
+    (parse, 'system S { component A : ; }',
+     ('ParseError', (25, 26, 1, 26), "expected ident, found ';'", ';', ('ident',))),
+    (parse, 'system S { component A : Filter impl 3; }',
+     ('ParseError', (37, 38, 1, 38), "expected string, found '3'", '3', ('string',))),
+    (parse, 'system S { component A : Filter replicas "3"; }',
+     ('ParseError', (41, 44, 1, 42), 'expected int, found \'"3"\'', '"3"', ('int',))),
+    (parse, 'system S { component A : Filter layer; }',
+     ('ParseError', (37, 38, 1, 38), "expected int, found ';'", ';', ('int',))),
+    (parse, 'system S { component A : Filter seed x; }',
+     ('ParseError', (37, 38, 1, 38), "expected string, found 'x'", 'x', ('string',))),
+    (parse, 'system S { component A : Filter site; }',
+     ('ParseError', (36, 37, 1, 37), "expected string, found ';'", ';', ('string',))),
+    (parse, 'system S { component A : Filter stateless } }',
+     ('ParseError', (42, 43, 1, 43), "expected ';', found '}'", '}', (';',))),
+    (parse, 'system S { component attach : Filter; }',
+     ('ParseError', (21, 27, 1, 22), "expected ident, found 'attach'", 'attach', ('ident',))),
+    (parse, 'system S { component A : input; }',
+     ('ParseError', (25, 30, 1, 26), "expected ident, found 'input'", 'input', ('ident',))),
+    (parse, 'system S { connector : Pipe; }',
+     ('ParseError', (21, 22, 1, 22), "expected ident, found ':'", ':', ('ident',))),
+    (parse, 'system S { connector p Pipe; }',
+     ('ParseError', (23, 27, 1, 24), "expected ':', found 'Pipe'", 'Pipe', (':',))),
+    (parse, 'system S { connector p : ; }',
+     ('ParseError', (25, 26, 1, 26), "expected ident, found ';'", ';', ('ident',))),
+    (parse, 'system S { connector p : Pipe } }',
+     ('ParseError', (30, 31, 1, 31), "expected ';', found '}'", '}', (';',))),
+    (parse, 'system S { attach .stdout to p.source; }',
+     ('ParseError', (18, 19, 1, 19), "expected ident, found '.'", '.', ('ident',))),
+    (parse, 'system S { attach A stdout to p.source; }',
+     ('ParseError', (20, 26, 1, 21), "expected '.', found 'stdout'", 'stdout', ('.',))),
+    (parse, 'system S { attach A. to p.source; }',
+     ('ParseError', (21, 23, 1, 22), "expected ident, found 'to'", 'to', ('ident',))),
+    (parse, 'system S { attach A.stdout p.source; }',
+     ('ParseError', (27, 28, 1, 28), "expected 'to', found 'p'", 'p', ('to',))),
+    (parse, 'system S { attach A.stdout to } }',
+     ('ParseError', (30, 31, 1, 31), "expected ident, found '}'", '}', ('ident',))),
+    (parse, 'system S { attach A.stdout to p source; }',
+     ('ParseError', (32, 38, 1, 33), "expected '.', found 'source'", 'source', ('.',))),
+    (parse, 'system S { attach A.stdout to p.; }',
+     ('ParseError', (32, 33, 1, 33), "expected ident, found ';'", ';', ('ident',))),
+    (parse, 'system S { attach A.stdout to p.source } }',
+     ('ParseError', (39, 40, 1, 40), "expected ';', found '}'", '}', (';',))),
+    (parse, 'system S { pipeline : input | A() | output; }',
+     ('ParseError', (20, 21, 1, 21), "expected ident, found ':'", ':', ('ident',))),
+    (parse, 'system S { pipeline P input | A() | output; }',
+     ('ParseError', (22, 27, 1, 23), "expected ':', found 'input'", 'input', (':',))),
+    (parse, 'system S { pipeline P: | A() | output; }',
+     ('ParseError', (23, 24, 1, 24), "expected 'input', found '|'", '|', ('input',))),
+    (parse, 'system S { pipeline P: input A() | output; }',
+     ('ParseError', (29, 30, 1, 30), "expected '|', found 'A'", 'A', ('|',))),
+    (parse, 'system S { pipeline P: input | output; }',
+     ('ParseError', (31, 37, 1, 32), "expected ident, found 'output'", 'output', ('ident',))),
+    (parse, 'system S { pipeline P: input | () | output; }',
+     ('ParseError', (31, 32, 1, 32), "expected ident, found '('", '(', ('ident',))),
+    (parse, 'system S { pipeline P: input | A | output; }',
+     ('ParseError', (33, 34, 1, 34), "expected '(', found '|'", '|', ('(',))),
+    (parse, 'system S { pipeline P: input | A(1) | output; }',
+     ('ParseError', (33, 34, 1, 34), "expected ')', found '1'", '1', (')',))),
+    (parse, 'system S { pipeline P: input | A() output; }',
+     ('ParseError', (35, 41, 1, 36), "expected '|', found 'output'", 'output', ('|',))),
+    (parse, 'system S { pipeline P: input | A() | output } }',
+     ('ParseError', (44, 45, 1, 45), "expected ';', found '}'", '}', (';',))),
+    (parse, 'system S { input ; }',
+     ('ParseError', (17, 18, 1, 18), "expected string, found ';'", ';', ('string',))),
+    (parse, 'system S { output out.txt; }',
+     ('ParseError', (18, 21, 1, 19), "expected string, found 'out'", 'out', ('string',))),
+    (parse, 'system S { input "in.txt" } }',
+     ('ParseError', (26, 27, 1, 27), "expected ';', found '}'", '}', (';',))),
+    (parse, 'system S {\n  component A : Filter;\n  connector p : Pipe\n}\n',
+     ('ParseError', (56, 57, 4, 1), "expected ';', found '}'", '}', (';',))),
+    (parse, '# header\nsystem S {\r\n\tattach A.x to\n\n',
+     ('ParseError', (37, 37, 5, 1), 'expected ident, found end of input', '', ('ident',))),
+    (parse, 'system S {\n  component A : Filter; # one\n  component B : Filter impl "x" replicas 2 replicas;\n}',
+     ('ParseError', (92, 93, 3, 52), "expected int, found ';'", ';', ('int',))),
+    (parse_library, 'system S { }',
+     ('ParseError', (0, 6, 1, 1), "expected 'componenttype', 'connectortype', 'porttype', found 'system'", 'system', ('componenttype', 'connectortype', 'porttype'))),
+    (parse_library, 'porttype T; component A : Filter;',
+     ('ParseError', (12, 21, 1, 13), "expected 'componenttype', 'connectortype', 'porttype', found 'component'", 'component', ('componenttype', 'connectortype', 'porttype'))),
+    (parse_library, 'porttype T; }',
+     ('ParseError', (12, 13, 1, 13), "expected 'componenttype', 'connectortype', 'porttype', found '}'", '}', ('componenttype', 'connectortype', 'porttype'))),
+    (parse_library, 'componenttype C {',
+     ('ParseError', (17, 17, 1, 18), "expected '}', found end of input", '', ('}',))),
+    (parse_library, 'porttype T;\nconnectortype K {\n  role r accepts T fill 1..1\n}',
+     ('ParseError', (59, 60, 4, 1), "expected ';', found '}'", '}', (';',))),
+    (parse_library, 'porttype',
+     ('ParseError', (8, 8, 1, 9), 'expected ident, found end of input', '', ('ident',))),
+]
+
+
+@pytest.mark.parametrize("entry, src, want", _PARSE_ERRORS)
+def test_parse_errors(entry, src, want):
+    with pytest.raises(ParseError) as exc:
+        entry(src)
+    err = exc.value
+    span = (err.span.start, err.span.end, err.span.line, err.span.col)
+    assert (err.code, span, err.message, err.found, tuple(sorted(err.expected))) == want
+
+
 _BETWEEN_TOKENS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
 _FRAGMENTS = [
     " ", "\t", "\n", "\r\n", "# note\n", "#",
@@ -213,13 +391,16 @@ _FRAGMENTS = [
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
 def test_tokens_tile_the_source(src):
-    tokens = tokenize(src)
-    assert tokens[-1].kind == "eof" and tokens[-1].start == len(src)
+    texts, starts, values = tokenize(src)
+    assert len(texts) == len(starts)
+    assert texts[-1] == "" and starts[-1] == len(src)
+    lines = _line_starts(src)
     end = 0
-    for tok in tokens:
-        assert tok.text == src[tok.start : tok.end]
-        assert tok.line == src.count("\n", 0, tok.start) + 1
-        assert tok.col == tok.start - src.rfind("\n", 0, tok.start)
-        assert tok.span == Span(tok.start, tok.end, tok.line, tok.col)
-        assert _BETWEEN_TOKENS.fullmatch(src, end, tok.start)
-        end = tok.end
+    for i, (text, start) in enumerate(zip(texts, starts)):
+        assert text == src[start : start + len(text)]
+        line = src.count("\n", 0, start) + 1
+        col = start - src.rfind("\n", 0, start)
+        assert _span(lines, start, start + len(text)) == Span(start, start + len(text), line, col)
+        assert _BETWEEN_TOKENS.fullmatch(src, end, start)
+        assert (i in values) == (text[:1] == '"' or text[:1].isdecimal())
+        end = start + len(text)
