@@ -6,8 +6,14 @@ wired Architecture.  The check_* passes then report findings without ever
 aborting early: every check runs and the diagnostics aggregate.
 
 Resolution is tolerant of declaration order: type definitions are applied
-first, then instances/connectors/stream declarations, then attachments, so
-a file may mention a name before its declaration line.
+first, then instances/connectors/stream declarations, then pipelines and
+attachments in source order, so a file may mention a name before its
+declaration line.
+
+The dataflow checks read the pipe graph the Architecture derives once:
+``classify_topology`` its edges, the unused-seed warning its cycle data,
+and the ``pipes-and-filters`` seeded-cycle rule asks
+``topology.find_cycles`` for the cycles left without seeded instances.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from typing import Mapping, Optional
 
 from . import model
 from .desugar import desugar_pipeline, filter_shaped
-from .diagnostics import ArchonError, Diagnostic, error, has_errors
+from .diagnostics import ArchonError, Diagnostic, error, has_errors, warning
 from .model import (
+    PIPE_TYPE,
     Architecture,
     Connector,
     Instance,
@@ -38,9 +45,8 @@ from .syntax import (
     PortTypeDef,
     SystemAst,
 )
-from .topology import TopologyReport, classify_digraph
+from .topology import TopologyReport, classify_digraph, find_cycles
 
-PIPE_TYPE = "Pipe"
 RPC_TYPE = "RPC"
 
 
@@ -103,11 +109,8 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
     inputs: dict[str, Optional[str]] = {}
     outputs: dict[str, Optional[str]] = {}
 
-    # Pass 2: instances, connectors, stream declarations, pipeline
-    # expansions, and the attachments and external bindings in source order.
-    attach_decls: list[AttachDecl] = []
-    externals: list[model.ExternalBinding] = []
-    declared: dict[str, str] = {}  # instance name -> type name, for pipelines
+    # Pass 2: instances, connectors and stream declarations, so that a
+    # pipeline may name a stage declared on a later line.
     for decl in ast.declarations:
         if isinstance(decl, InstanceDecl):
             if decl.name in instances or decl.name in connectors:
@@ -119,7 +122,6 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 )
                 continue
             instances[decl.name] = Instance(decl.name, decl.type_name, dict(decl.attrs), decl.span)
-            declared[decl.name] = decl.type_name
         elif isinstance(decl, ConnectorDecl):
             if decl.name in connectors or decl.name in instances:
                 diags.append(error("DuplicateName", f"name '{decl.name}' is already declared", decl.span))
@@ -131,8 +133,6 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 continue
             connectors[decl.name] = Connector(decl.name, decl.type_name, decl.span)
         elif isinstance(decl, IoDecl):
-            # Pipelines pre-register the stream with no path; only a second
-            # explicit path is a clash.
             target = inputs if decl.direction == "input" else outputs
             if target.get(decl.direction) is not None:
                 diags.append(
@@ -140,10 +140,16 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 )
                 continue
             target[decl.direction] = decl.path
-        elif isinstance(decl, AttachDecl):
+
+    # Pass 3: pipeline expansions, and the attachments and external
+    # bindings in source order.
+    attach_decls: list[AttachDecl] = []
+    externals: list[model.ExternalBinding] = []
+    for decl in ast.declarations:
+        if isinstance(decl, AttachDecl):
             attach_decls.append(decl)
         elif isinstance(decl, PipelineDecl):
-            expansion, pipe_diags = desugar_pipeline(decl, table, declared)
+            expansion, pipe_diags = desugar_pipeline(decl, table, instances)
             diags.extend(pipe_diags)
             if expansion is None:
                 continue
@@ -160,7 +166,6 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 instances[inst_decl.name] = Instance(
                     inst_decl.name, inst_decl.type_name, {}, decl.span
                 )
-                declared[inst_decl.name] = inst_decl.type_name
             for conn_decl in expansion.connectors:
                 if conn_decl.name in connectors or conn_decl.name in instances:
                     diags.append(
@@ -179,7 +184,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
         outputs=outputs,
     )
 
-    # Pass 3: every attachment, validated in one batch, now that every name
+    # Pass 4: every attachment, validated in one batch, now that every name
     # is declared.
     arch, attach_diags = model.attach_many(
         arch,
@@ -259,21 +264,6 @@ def check_completeness(
     return diags
 
 
-def dataflow_edges(arch: Architecture) -> list[tuple[str, str, str]]:
-    """Directed (producer, consumer, pipe) instance-to-instance edges, one
-    per pipe with both sides attached to instances."""
-    edges: list[tuple[str, str, str]] = []
-    for conn in arch.connectors.values():
-        if conn.type_name != PIPE_TYPE:
-            continue
-        sources = arch.attachments_of_connector(conn.name, "source")
-        sinks = arch.attachments_of_connector(conn.name, "sink")
-        for s in sources:
-            for t in sinks:
-                edges.append((s.instance, t.instance, conn.name))
-    return edges
-
-
 def dataflow_nodes(arch: Architecture, table: TypeTable) -> set[str]:
     """Instances that carry stream traffic: pipe-attached ones plus every
     filter node, so a stray unattached filter breaks linearity."""
@@ -296,7 +286,7 @@ def dataflow_nodes(arch: Architecture, table: TypeTable) -> set[str]:
 
 
 def classify_topology(arch: Architecture, table: TypeTable) -> TopologyReport:
-    edges = [(a, b) for a, b, _ in dataflow_edges(arch)]
+    edges = [(a, b) for a, b, _ in arch.pipe_edges]
     return classify_digraph(dataflow_nodes(arch, table), edges)
 
 
@@ -393,7 +383,7 @@ def check_style(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
     if rule.rpc_layer_discipline:
         diags.extend(_check_layer_discipline(arch))
     if rule.forbid_unseeded_cycles:
-        diags.extend(_check_seeded_cycles(arch, table))
+        diags.extend(_check_seeded_cycles(arch))
     return diags
 
 
@@ -423,20 +413,30 @@ def _check_layer_discipline(arch: Architecture) -> list[Diagnostic]:
     return diags
 
 
-def _check_seeded_cycles(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
+def _check_seeded_cycles(arch: Architecture) -> list[Diagnostic]:
     seeded = {name for name, inst in arch.instances.items() if "seed" in inst.attrs}
-    nodes = dataflow_nodes(arch, table) - seeded
-    edges = [(a, b) for a, b, _ in dataflow_edges(arch) if a not in seeded and b not in seeded]
-    report = classify_digraph(nodes, edges)
-    diags: list[Diagnostic] = []
-    for cycle in report.cycles:
-        diags.append(
-            error(
-                "StyleViolation",
-                "cycle without a seeded instance: " + " -> ".join(cycle),
-            )
+    adj: dict[str, list[str]] = {}
+    for a, b, _ in arch.pipe_edges:
+        if a not in seeded and b not in seeded:
+            adj.setdefault(a, []).append(b)
+    return [
+        error("StyleViolation", "cycle without a seeded instance: " + " -> ".join(cycle))
+        for cycle in find_cycles(adj)
+    ]
+
+
+def _check_unused_seeds(arch: Architecture) -> list[Diagnostic]:
+    """One UnusedSeed warning per seeded instance on no cycle, where the
+    planner has no pipe to prime; cycle data is read only if one is seeded."""
+    return [
+        warning(
+            "UnusedSeed",
+            f"instance '{inst.name}' has a seed but is on no cycle; the seed is never sent",
+            inst.span,
         )
-    return diags
+        for inst in arch.instances.values()
+        if "seed" in inst.attrs and inst.name not in arch.cycle_entries
+    ]
 
 
 def check_all(
@@ -449,4 +449,5 @@ def check_all(
         check_types(arch, table)
         + check_completeness(arch, table, io)
         + check_style(arch, table)
+        + _check_unused_seeds(arch)
     )

@@ -22,6 +22,7 @@ from .model import (
     STREAM_OUT,
     ComponentType,
     ExternalBinding,
+    Instance,
     TypeTable,
 )
 from .syntax import AttachDecl, ConnectorDecl, InstanceDecl, PipelineDecl
@@ -60,13 +61,12 @@ def filter_shaped(ctype: ComponentType) -> bool:
 def desugar_pipeline(
     stmt: PipelineDecl,
     table: TypeTable,
-    declared: Mapping[str, str] | None = None,
+    declared: Mapping[str, Instance] | None = None,
 ) -> tuple[PipelineExpansion | None, list[Diagnostic]]:
     """Expand one pipeline statement against the instances already declared.
 
-    ``declared`` maps instance name to component type name; stages found
-    there are reused, all others become fresh Filter instances.  On any
-    diagnostic the expansion is withheld.
+    Stages named in ``declared`` are reused, all others become fresh Filter
+    instances.  On any diagnostic the expansion is withheld.
     """
     declared = declared or {}
     diags: list[Diagnostic] = []
@@ -75,17 +75,17 @@ def desugar_pipeline(
 
     new_instances: dict[str, InstanceDecl] = {}  # by name, in first-occurrence order
     for stage in stmt.stages:
-        type_name = declared.get(stage)
-        if type_name is None:
+        inst = declared.get(stage)
+        if inst is None:
             if stage not in new_instances:
                 new_instances[stage] = InstanceDecl(stage, "Filter", (), span=stmt.span)
             continue
-        ctype = table.component(type_name)
+        ctype = table.component(inst.type_name)
         if ctype is None or not filter_shaped(ctype):
             diags.append(
                 error(
                     "StageNotAFilter",
-                    f"stage '{stage}' has type '{type_name}' without stdin/stdout stream ports",
+                    f"stage '{stage}' has type '{inst.type_name}' without stdin/stdout stream ports",
                     stmt.span,
                 )
             )

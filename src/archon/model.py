@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import topology
 from .diagnostics import ArchonError, Diagnostic, Span, error, fail
 
 # Builtin port types.  Developer-defined port types are bare names added
@@ -48,7 +49,8 @@ STREAM_PORT_TYPES = frozenset({STREAM_IN, STREAM_OUT})
 OUTBOUND_PORT_TYPES = frozenset({STREAM_OUT, EVENT_EMIT, RPC_CALL, STORE_ACCESS})
 
 BUILTIN_COMPONENT_TYPES = ("Filter", "Process", "DataStore")
-BUILTIN_CONNECTOR_TYPES = ("Pipe", "RPC", "Event", "DataAccess")
+PIPE_TYPE = "Pipe"
+BUILTIN_CONNECTOR_TYPES = (PIPE_TYPE, "RPC", "Event", "DataAccess")
 
 ONE = "one"
 MANY = "many"
@@ -152,7 +154,7 @@ def builtin_type_table() -> TypeTable:
     datastore_t = ComponentType("DataStore", (PortSpec("store", STORE_PROVIDE, ONE),))
 
     pipe_t = ConnectorType(
-        "Pipe",
+        PIPE_TYPE,
         (
             RoleSpec("source", frozenset({STREAM_OUT}), 1, 1),
             RoleSpec("sink", frozenset({STREAM_IN}), 1, 1),
@@ -318,9 +320,10 @@ class Architecture:
     outputs: Mapping[str, Optional[str]] = field(default_factory=dict)
     allow_layer_skip: bool = False
 
-    # connector -> its attachments / external bindings in tuple order.
-    # Cached on the value, not fields: they are rebuilt from the tuples for
-    # every new value, and play no part in ``==`` or ``replace``.
+    # connector -> its attachments / external bindings in tuple order, and
+    # the dataflow graph of the pipes.  Cached on the value, not fields: they
+    # are rebuilt from the tuples for every new value, and play no part in
+    # ``==`` or ``replace``.
     @cached_property
     def _by_connector(self) -> Mapping[str, list[Attachment]]:
         return _index_by_connector(self.attachments)
@@ -328,6 +331,33 @@ class Architecture:
     @cached_property
     def _externals_by_connector(self) -> Mapping[str, list[ExternalBinding]]:
         return _index_by_connector(self.externals)
+
+    @cached_property
+    def pipe_edges(self) -> tuple[tuple[str, str, str], ...]:
+        """Directed (producer, consumer, pipe) instance-to-instance edges, one
+        per pipe with both sides attached to instances."""
+        return tuple(
+            (source.instance, sink.instance, conn.name)
+            for conn in self.connectors.values()
+            if conn.type_name == PIPE_TYPE
+            for source in self.attachments_of_connector(conn.name, "source")
+            for sink in self.attachments_of_connector(conn.name, "sink")
+        )
+
+    @cached_property
+    def cycle_entries(self) -> Mapping[str, list[str]]:
+        """Instance on a cycle -> the pipes into it from its own strongly
+        connected component (a self-loop included); found on first read."""
+        adj: dict[str, list[str]] = {}
+        for producer, consumer, _ in self.pipe_edges:
+            adj.setdefault(producer, []).append(consumer)
+        sccs = topology.strongly_connected_components(sorted(self.instances), adj)
+        scc_of = {member: idx for idx, scc in enumerate(sccs) for member in scc}
+        entries: dict[str, list[str]] = {}
+        for producer, consumer, pipe in self.pipe_edges:
+            if scc_of[producer] == scc_of[consumer]:
+                entries.setdefault(consumer, []).append(pipe)
+        return entries
 
     def attachments_of_connector(self, connector: str, role: Optional[str] = None) -> list[Attachment]:
         found = self._by_connector.get(connector, ())

@@ -28,10 +28,10 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .checker import PIPE_TYPE, RPC_TYPE, ExternalIO, dataflow_edges
+from . import topology
+from .checker import RPC_TYPE, ExternalIO
 from .diagnostics import fail
-from .model import Architecture, TypeTable
-from .topology import _strongly_connected_components
+from .model import PIPE_TYPE, Architecture, TypeTable
 
 EVENT_TYPE = "Event"
 ACCESS_TYPE = "DataAccess"
@@ -266,28 +266,10 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
 def _prime_cycles(arch: Architecture, channels: dict[str, Channel]) -> None:
     """Put each seeded instance's primer on the first (by name) pipe into it
     from its own cycle, so the loop starts against a pipe that holds it."""
-    primers = {
-        name: inst.attrs["seed"]
-        for name, inst in arch.instances.items()
-        if isinstance(inst.attrs.get("seed"), str)
-    }
-    if not primers:
-        return
-    adj: dict[str, list[str]] = defaultdict(list)
-    into: dict[str, list[tuple[str, str]]] = defaultdict(list)  # consumer -> (producer, pipe)
-    for producer, consumer, ch in dataflow_edges(arch):
-        adj[producer].append(consumer)
-        into[consumer].append((producer, ch))
-    sccs = _strongly_connected_components(sorted(arch.instances), adj)
-    scc_of = {member: idx for idx, scc in enumerate(sccs) for member in scc}
-    for inst_name, primer in primers.items():
-        # An edge into the instance from its own component (a self-loop
-        # included) exists exactly when the instance is on a cycle.
-        in_cycle = [
-            ch for producer, ch in into[inst_name] if scc_of[producer] == scc_of[inst_name]
-        ]
-        if in_cycle:
-            broken = min(in_cycle)
+    for name, inst in arch.instances.items():
+        primer = inst.attrs.get("seed")
+        if isinstance(primer, str) and name in arch.cycle_entries:
+            broken = min(arch.cycle_entries[name])
             channels[broken] = replace(channels[broken], primer=primer)
 
 
@@ -344,7 +326,7 @@ def _start_order(
                 adj[stage.name].append(writer.name)
 
     names = sorted(adj)
-    sccs = _strongly_connected_components(names, adj)
+    sccs = topology.strongly_connected_components(names, adj)
     comp_of = {name: idx for idx, comp in enumerate(sccs) for name in comp}
     comp_adj: dict[int, set[int]] = defaultdict(set)
     indeg = {idx: 0 for idx in range(len(sccs))}

@@ -3,6 +3,11 @@
 The graph is a multigraph: parallel edges between the same pair of nodes
 are distinct streams and both count toward degree.  ``linear`` means the
 whole node set lies on one directed path, and excludes every other label.
+
+This module is the one home of the strongly-connected-components routine
+and of representative cycles: the architecture's cycle data, the
+``pipes-and-filters`` seeded-cycle rule and the planner's stage order all
+call it.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 LINEAR = "linear"
 FORK = "fork"
@@ -27,27 +32,22 @@ class TopologyReport:
 
     @cached_property
     def cycles(self) -> tuple[tuple[str, ...], ...]:
-        """One closed walk per cyclic strongly connected set, sorted; found on first read."""
-        if CYCLIC not in self.classification:
-            return ()
-        adj = {n: sorted(succ) for n, succ in self._adj.items()}
-        cycles = [
-            _representative_cycle(set(scc), adj)
-            for scc in _strongly_connected_components(list(adj), adj)
-            if len(scc) > 1 or scc[0] in adj[scc[0]]
-        ]
-        return tuple(sorted(cycles))
-
-    @property
-    def is_linear(self) -> bool:
-        return LINEAR in self.classification
-
-    @property
-    def is_cyclic(self) -> bool:
-        return CYCLIC in self.classification
+        """``find_cycles`` of the graph, found on first read."""
+        return find_cycles(self._adj) if CYCLIC in self.classification else ()
 
 
-def _strongly_connected_components(
+def find_cycles(adj: Mapping[str, Iterable[str]]) -> tuple[tuple[str, ...], ...]:
+    """One closed walk per cyclic strongly connected set of ``adj``, sorted."""
+    adj = {n: sorted(succ) for n, succ in adj.items()}
+    cycles = [
+        _representative_cycle(set(scc), adj)
+        for scc in strongly_connected_components(list(adj), adj)
+        if len(scc) > 1 or scc[0] in adj.get(scc[0], ())
+    ]
+    return tuple(sorted(cycles))
+
+
+def strongly_connected_components(
     nodes: Sequence[str], adj: dict[str, list[str]]
 ) -> list[list[str]]:
     """Tarjan's algorithm, iterative to keep deep chains off the C stack."""
@@ -132,11 +132,10 @@ def classify_digraph(
 ) -> TopologyReport:
     """Classify a directed multigraph by its dataflow shape."""
     node_list = sorted(set(nodes))
-    edge_list = list(edges)
     out_deg = {n: 0 for n in node_list}
     in_deg = {n: 0 for n in node_list}
     adj: dict[str, list[str]] = {n: [] for n in node_list}
-    for src, dst in edge_list:
+    for src, dst in edges:
         out_deg[src] += 1
         in_deg[dst] += 1
         adj[src].append(dst)
@@ -151,7 +150,9 @@ def classify_digraph(
         labels.add(JOIN)
     if _has_cycle(node_list, adj, in_deg):
         labels.add(CYCLIC)
-    if not labels and _is_single_path(node_list, edge_list, in_deg, out_deg):
+    # With no fork, join or cycle every degree is at most one, so the graph
+    # is disjoint paths: one path covers every node iff there are n - 1 edges.
+    if not labels and sum(out_deg.values()) == max(len(node_list) - 1, 0):
         labels.add(LINEAR)
     return TopologyReport(frozenset(labels), forks, joins, adj)
 
@@ -169,28 +170,3 @@ def _has_cycle(nodes: list[str], adj: dict[str, list[str]], in_deg: dict[str, in
             if not left[child]:
                 ready.append(child)
     return peeled < len(nodes)
-
-
-def _is_single_path(
-    nodes: list[str],
-    edges: list[tuple[str, str]],
-    in_deg: dict[str, int],
-    out_deg: dict[str, int],
-) -> bool:
-    """True iff the acyclic graph is one directed path covering every node."""
-    if not nodes:
-        return True
-    if len(edges) != len(nodes) - 1:
-        return False
-    # All degrees <= 1 (guaranteed by the caller's fork/join screen), one
-    # start, one end, and the chain reaches everything.
-    starts = [n for n in nodes if in_deg[n] == 0]
-    if len(starts) != 1:
-        return False
-    succ = dict(edges)
-    seen = 1
-    node = starts[0]
-    while node in succ:
-        node = succ[node]
-        seen += 1
-    return seen == len(nodes)

@@ -8,6 +8,7 @@ import itertools
 import pstats
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +22,16 @@ from archon.checker import (
     check_style,
     check_types,
     classify_topology,
-    dataflow_edges,
     resolve,
 )
+from archon.cli import main
 from archon.model import builtin_type_table
 from archon.parser import parse, tokenize
-from archon.plan import plan
+from archon.plan import plan, serialize_plan
 from archon.topology import classify_digraph
+
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def _resolve(src: str):
@@ -94,6 +98,21 @@ def test_forward_references_allowed():
         """
     )
     assert len(arch.attachments) == 2
+
+
+@pytest.mark.parametrize("name", ["03_trio.arch", "12_twopipelines.arch"])
+def test_pipeline_may_precede_its_stages(name):
+    text = (CORPUS / name).read_text()
+    lines = text.splitlines(keepends=True)
+    pipelines = [line for line in lines if line.lstrip().startswith("pipeline ")]
+    rest = [line for line in lines[1:] if line not in pipelines]
+    moved = "".join([lines[0], *pipelines, *rest])
+    assert moved != text
+    original, table = _resolved_arch(text)
+    reordered, _ = _resolved_arch(moved)
+    assert reordered == original
+    io = ExternalIO("in.txt", "out.txt")
+    assert serialize_plan(plan(reordered, table, io)) == serialize_plan(plan(original, table, io))
 
 
 def test_pipelines_share_declared_stages():
@@ -385,6 +404,14 @@ def _diamond_arch():
     )
 
 
+def test_pipe_edges_pair_every_source_with_every_sink():
+    arch, _ = _diamond_arch()
+    assert sorted(arch.pipe_edges) == [
+        ("A", "B", "p1"), ("A", "C", "p2"), ("B", "D", "p3"), ("C", "D", "p4"),
+    ]
+    assert arch.cycle_entries == {}
+
+
 def test_chain_is_linear():
     arch, table = _resolved_arch(
         'system S { pipeline P: input | A() | B() | C() | output; input "i"; output "o"; }'
@@ -576,6 +603,23 @@ def test_seeded_cycle_conforms_unseeded_does_not():
     assert check_style(arch, table) == []
     arch, table = _resolved_arch(src % "")
     assert any("cycle without a seeded instance" in d.message for d in check_style(arch, table))
+
+
+def test_seed_off_every_cycle_warns_once(tmp_path, capsys):
+    src = 'system S { component A : Filter impl "cat" seed "hello\\n"; pipeline P: input | A() | output; }'
+    arch, table = _resolved_arch(src)
+    diags = check_all(arch, table, ExternalIO("i", "o"))
+    assert [(d.severity.value, d.code) for d in diags] == [("warning", "UnusedSeed")]
+    assert diags[0].span == arch.instances["A"].span
+    path = tmp_path / "s.arch"
+    path.write_text(src)
+    assert main(["check", str(path), "--input", "i", "--output", "o"]) == 0
+    assert "UnusedSeed" in capsys.readouterr().err
+
+
+def test_seed_on_a_cycle_does_not_warn():
+    arch, table = _resolved_arch((CORPUS / "05_cycle.arch").read_text())
+    assert check_all(arch, table) == []
 
 
 @settings(max_examples=60, deadline=None)

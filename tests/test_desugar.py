@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from archon.desugar import desugar_pipeline, pipe_name
-from archon.model import builtin_type_table
+from archon.model import Instance, builtin_type_table
 from archon.syntax import PipelineDecl
 
 
@@ -43,20 +43,20 @@ def test_stage_order_preserved_on_chain():
 
 
 def test_declared_stage_not_redeclared():
-    expansion, diags = _expand(["A", "B"], declared={"A": "Filter"})
+    expansion, diags = _expand(["A", "B"], declared={"A": Instance("A", "Filter")})
     assert diags == []
     assert [i.name for i in expansion.instances] == ["B"]
 
 
 def test_datastore_stage_rejected():
-    expansion, diags = _expand(["S"], declared={"S": "DataStore"})
+    expansion, diags = _expand(["S"], declared={"S": Instance("S", "DataStore")})
     assert expansion is None
     assert [d.code for d in diags] == ["StageNotAFilter"]
 
 
 def test_process_stage_accepted():
     # Anything with the stdin/stdout convention can sit in a pipeline.
-    expansion, diags = _expand(["X"], declared={"X": "Process"})
+    expansion, diags = _expand(["X"], declared={"X": Instance("X", "Process")})
     assert diags == []
     assert expansion.instances == ()
 

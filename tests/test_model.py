@@ -191,24 +191,37 @@ def test_connector_index_follows_the_value():
     table = builtin_type_table()
     source_only = attach(_two_filter_arch(), table, "A", "stdout", "p1", "source")
     assert source_only.attachments_of_connector("p1", "sink") == []
+    assert (source_only.pipe_edges, source_only.cycle_entries) == ((), {})
     wired = attach(source_only, table, "B", "stdin", "p1", "sink")
     assert [a.instance for a in wired.attachments_of_connector("p1")] == ["A", "B"]
     assert validate_arity(wired, table) == []
+    assert (wired.pipe_edges, wired.cycle_entries) == ((("A", "B", "p1"),), {})
     assert source_only.attachments_of_connector("p1", "sink") == []
+    looped = attach(source_only, table, "A", "stdin", "p1", "sink")
+    assert (looped.pipe_edges, looped.cycle_entries) == ((("A", "A", "p1"),), {"A": ["p1"]})
+    assert (source_only.pipe_edges, wired.cycle_entries) == ((), {})
 
     unwired = detach(wired, "B", "stdin", "p1", "sink")
     assert unwired.attachments_of_connector("p1", "sink") == []
     assert [d.code for d in validate_arity(unwired, table)] == ["RoleUnderfilled"]
+    assert (unwired.pipe_edges, unwired.cycle_entries) == ((), {})
     assert unwired == source_only
+    assert detach(looped, "A", "stdin", "p1", "sink").cycle_entries == {}
 
     emptied = dataclasses.replace(wired, attachments=())
     assert emptied.attachments_of_connector("p1") == []
     assert [d.code for d in validate_arity(emptied, table)] == ["RoleUnderfilled"] * 2
+    assert emptied.pipe_edges == ()
     refilled = dataclasses.replace(emptied, attachments=wired.attachments[1:])
     assert [a.instance for a in refilled.attachments_of_connector("p1")] == ["B"]
+    assert refilled.pipe_edges == ()
+    assert dataclasses.replace(source_only, attachments=looped.attachments).cycle_entries == {
+        "A": ["p1"]
+    }
     assert wired.attachments_of_connector("p1", "sink")[0].instance == "B"
+    assert wired.pipe_edges == (("A", "B", "p1"),)
 
-    # The index is derived from the value, never a field of it.
+    # The index and the graph are derived from the value, never fields of it.
     assert [f.name for f in dataclasses.fields(wired)] == [
         "name", "style", "instances", "connectors", "attachments",
         "externals", "inputs", "outputs", "allow_layer_skip",

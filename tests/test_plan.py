@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from archon.checker import ExternalIO, resolve
+from archon import topology
+from archon.checker import ExternalIO, check_all, resolve
 from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
@@ -221,13 +222,13 @@ def test_replicas_lower_in_name_order():
 )
 def test_plan_orders_stages_once(monkeypatch, replicated, seeded):
     calls = []
-    scc = plan_module._strongly_connected_components
+    scc = topology.strongly_connected_components
 
     def spy(nodes, adj):
         calls.append(len(nodes))
         return scc(nodes, adj)
 
-    monkeypatch.setattr(plan_module, "_strongly_connected_components", spy)
+    monkeypatch.setattr(topology, "strongly_connected_components", spy)
     names = [f"S{i}" for i in range(6)]
     seed = ' seed "1\\n"'
     decls = "".join(
@@ -239,6 +240,27 @@ def test_plan_orders_stages_once(monkeypatch, replicated, seeded):
     built = _plan(f'system S {{ {decls} {pipeline} input "i"; output "o"; }}')
     # the seed pass looks for cycles among the instances only if one is seeded
     assert calls == ([6] if seeded else []) + [len(built.stages)]
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_check_and_plan_share_one_instance_graph(monkeypatch, seeded):
+    calls = []
+    scc = topology.strongly_connected_components
+
+    def spy(nodes, adj):
+        calls.append(list(nodes))
+        return scc(nodes, adj)
+
+    monkeypatch.setattr(topology, "strongly_connected_components", spy)
+    source = (CORPUS / "05_cycle.arch").read_text()
+    arch, table = _arch(source if seeded else source.replace(' seed "8\\n"', ""))
+    assert ("seed" in arch.instances["Tick"].attrs) == seeded
+    check_all(arch, table)
+    # the instance graph's components are found once, and only for a seed
+    assert calls == ([["Tick", "Tock"]] if seeded else [])
+    built = plan(arch, table)
+    assert calls[-1] == sorted(s.name for s in built.stages)
+    assert len(calls) == 1 + seeded
 
 
 def test_missing_impl_reported_before_fanout_errors():
