@@ -5,13 +5,13 @@ connectors; archon checks the wiring (type matching, arity, style
 conformance), renders the graph, and realizes the description as running
 OS processes connected by pipes, an event broker, RPC channels, and a
 cross-site relay.
+
+The package exports the functions and classes a caller drives a system
+with; every other name is imported from its own module (``archon.model``,
+``archon.checker`` and so on).
 """
 
 from .checker import (
-    BUILTIN_STYLES,
-    ExternalIO,
-    ResolveResult,
-    StyleRule,
     check_all,
     check_completeness,
     check_style,
@@ -20,74 +20,28 @@ from .checker import (
     resolve,
 )
 from .broker import BrokerClient, EventBroker
-from .diagnostics import ArchonError, Diagnostic, Severity, Span
-from .export import GraphDoc, GraphEdge, GraphNode, graphdoc, load_graphdoc, to_dot, to_json
-from .frames import Frame, decode, encode, read_frame, write_frame
-from .model import (
-    Architecture,
-    PortSpec,
-    RoleSpec,
-    TypeTable,
-    attach,
-    builtin_type_table,
-    compatible,
-    define_component_type,
-    define_connector_type,
-    define_port_type,
-    detach,
-    validate_arity,
-)
-from .parser import ParseError, parse, parse_library
+from .diagnostics import ArchonError
+from .export import to_dot
+from .frames import decode, encode
+from .model import attach, builtin_type_table
+from .parser import parse
 from .formatter import format_system
-from .plan import BuildPlan, Channel, Stage, plan, serialize_plan
-from .relay import (
-    Relay,
-    RelayConnection,
-    RelayLink,
-    RelayStream,
-    Route,
-    Site,
-    make_site,
-    register_service,
-)
+from .plan import plan, serialize_plan
+from .relay import Relay, RelayConnection, RelayLink, make_site, register_service
 from .relay import resolve as resolve_route
 from .rpc import RpcClient, RpcServer
-from .runner import RunReport, run
-from .topology import TopologyReport, classify_digraph
+from .runner import run
+from .topology import classify_digraph
 
 __all__ = [
     "ArchonError",
-    "Architecture",
-    "BUILTIN_STYLES",
     "BrokerClient",
-    "BuildPlan",
-    "Channel",
-    "Diagnostic",
     "EventBroker",
-    "ExternalIO",
-    "Frame",
-    "GraphDoc",
-    "GraphEdge",
-    "GraphNode",
-    "ParseError",
-    "PortSpec",
     "Relay",
     "RelayConnection",
     "RelayLink",
-    "RelayStream",
-    "ResolveResult",
-    "RoleSpec",
-    "Route",
     "RpcClient",
     "RpcServer",
-    "RunReport",
-    "Severity",
-    "Site",
-    "Span",
-    "Stage",
-    "StyleRule",
-    "TopologyReport",
-    "TypeTable",
     "attach",
     "builtin_type_table",
     "check_all",
@@ -96,29 +50,18 @@ __all__ = [
     "check_types",
     "classify_digraph",
     "classify_topology",
-    "compatible",
     "decode",
-    "define_component_type",
-    "define_connector_type",
-    "define_port_type",
-    "detach",
     "encode",
     "format_system",
-    "graphdoc",
-    "load_graphdoc",
     "make_site",
     "parse",
-    "parse_library",
     "plan",
-    "read_frame",
     "register_service",
     "resolve",
     "resolve_route",
     "run",
     "serialize_plan",
     "to_dot",
-    "to_json",
-    "write_frame",
 ]
 
 __version__ = "0.1.0"

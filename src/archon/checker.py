@@ -27,6 +27,7 @@ from .diagnostics import ArchonError, Diagnostic, error, has_errors, warning
 from .model import (
     PIPE_TYPE,
     Architecture,
+    Attachment,
     Connector,
     Instance,
     RoleSpec,
@@ -35,9 +36,7 @@ from .model import (
     STREAM_OUT,
 )
 from .syntax import (
-    AttachDecl,
     ComponentTypeDef,
-    ConnectorDecl,
     ConnectorTypeDef,
     InstanceDecl,
     IoDecl,
@@ -65,31 +64,25 @@ class ResolveResult:
     diagnostics: list[Diagnostic]
 
 
-def fold_typedefs(
-    table: TypeTable, declarations, origin: str = "inline"
-) -> tuple[TypeTable, list[Diagnostic]]:
+def fold_typedefs(table: TypeTable, declarations) -> tuple[TypeTable, list[Diagnostic]]:
     """Apply type definitions to a table copy; shadowing is a hard error."""
     diags: list[Diagnostic] = []
     for decl in declarations:
         try:
             if isinstance(decl, PortTypeDef):
-                table = model.define_port_type(table, decl.name, origin=origin)
+                table = model.define_port_type(table, decl.name)
             elif isinstance(decl, ComponentTypeDef):
                 ports = [
                     model.PortSpec(p.name, p.port_type, model.MANY if p.many else model.ONE)
                     for p in decl.ports
                 ]
-                table = model.define_component_type(
-                    table, decl.name, ports, origin=origin, span=decl.span
-                )
+                table = model.define_component_type(table, decl.name, ports, span=decl.span)
             elif isinstance(decl, ConnectorTypeDef):
                 roles = [
                     RoleSpec(r.name, frozenset(r.accepts), r.min_fill, r.max_fill)
                     for r in decl.roles
                 ]
-                table = model.define_connector_type(
-                    table, decl.name, roles, origin=origin, span=decl.span
-                )
+                table = model.define_connector_type(table, decl.name, roles, span=decl.span)
         except ArchonError as exc:
             diags.append(
                 exc.diagnostic
@@ -101,7 +94,7 @@ def fold_typedefs(
 
 def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
     # Pass 1: fold inline type definitions into a working table copy.
-    table, diags = fold_typedefs(table, ast.declarations, origin="inline")
+    table, diags = fold_typedefs(table, ast.declarations)
 
     arch = Architecture(name=ast.name, style=ast.style, allow_layer_skip=ast.allow_skip)
     instances: dict[str, Instance] = {}
@@ -122,7 +115,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 )
                 continue
             instances[decl.name] = Instance(decl.name, decl.type_name, dict(decl.attrs), decl.span)
-        elif isinstance(decl, ConnectorDecl):
+        elif isinstance(decl, Connector):
             if decl.name in connectors or decl.name in instances:
                 diags.append(error("DuplicateName", f"name '{decl.name}' is already declared", decl.span))
                 continue
@@ -131,7 +124,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                     error("UnknownType", f"unknown connector type '{decl.type_name}'", decl.span)
                 )
                 continue
-            connectors[decl.name] = Connector(decl.name, decl.type_name, decl.span)
+            connectors[decl.name] = decl
         elif isinstance(decl, IoDecl):
             target = inputs if decl.direction == "input" else outputs
             if target.get(decl.direction) is not None:
@@ -143,36 +136,34 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
 
     # Pass 3: pipeline expansions, and the attachments and external
     # bindings in source order.
-    attach_decls: list[AttachDecl] = []
+    attachments: list[Attachment] = []
     externals: list[model.ExternalBinding] = []
     for decl in ast.declarations:
-        if isinstance(decl, AttachDecl):
-            attach_decls.append(decl)
+        if isinstance(decl, Attachment):
+            attachments.append(decl)
         elif isinstance(decl, PipelineDecl):
             expansion, pipe_diags = desugar_pipeline(decl, table, instances)
             diags.extend(pipe_diags)
             if expansion is None:
                 continue
-            attach_decls += expansion.attachments
+            attachments += expansion.attachments
             externals += (expansion.external_in, expansion.external_out)
-            for inst_decl in expansion.instances:
-                if inst_decl.name in instances:
+            for inst in expansion.instances:
+                if inst.name in instances:
                     continue  # sharing stages between pipelines is the point
-                if inst_decl.name in connectors:
+                if inst.name in connectors:
                     diags.append(
-                        error("DuplicateName", f"name '{inst_decl.name}' is already declared", decl.span)
+                        error("DuplicateName", f"name '{inst.name}' is already declared", decl.span)
                     )
                     continue
-                instances[inst_decl.name] = Instance(
-                    inst_decl.name, inst_decl.type_name, {}, decl.span
-                )
-            for conn_decl in expansion.connectors:
-                if conn_decl.name in connectors or conn_decl.name in instances:
+                instances[inst.name] = inst
+            for conn in expansion.connectors:
+                if conn.name in connectors or conn.name in instances:
                     diags.append(
-                        error("DuplicateName", f"name '{conn_decl.name}' is already declared", decl.span)
+                        error("DuplicateName", f"name '{conn.name}' is already declared", decl.span)
                     )
                     continue
-                connectors[conn_decl.name] = Connector(conn_decl.name, conn_decl.type_name, decl.span)
+                connectors[conn.name] = conn
             inputs.setdefault("input", None)
             outputs.setdefault("output", None)
 
@@ -186,11 +177,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
 
     # Pass 4: every attachment, validated in one batch, now that every name
     # is declared.
-    arch, attach_diags = model.attach_many(
-        arch,
-        table,
-        [model.Attachment(d.instance, d.port, d.connector, d.role, d.span) for d in attach_decls],
-    )
+    arch, attach_diags = model.attach_many(arch, table, attachments)
     diags.extend(attach_diags)
     arch = replace(arch, externals=tuple(externals))
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 fmt parse failure; 2 failed checks (and any
 error that prevents checking); 64 usage; run returns the executed
 system's overall status, 124 on timeout.  ``run`` re-checks the source
-every time and spawns nothing when checking fails.
+every time and spawns nothing when checking fails.  ``plan`` and ``run``
+print the check's findings, warnings included, before lowering.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _dispatch(args) -> int:
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             print(f"archon: cannot load library '{path}': {exc}", file=sys.stderr)
             return 2
-        table, lib_diags = fold_typedefs(table, decls, origin="library")
+        table, lib_diags = fold_typedefs(table, decls)
         if lib_diags:
             print(render_lines(lib_diags, path), file=sys.stderr)
             return 2
@@ -157,9 +158,10 @@ def _dispatch(args) -> int:
             print(render_lines(diags, args.source), file=sys.stderr)
         return 2 if has_errors(diags) or arch is None else 0
 
-    # plan and run demand a clean bill of health first
-    if arch is None or has_errors(diags):
+    # plan and run print every finding, and lower only a clean bill of health
+    if diags:
         print(render_lines(diags, args.source), file=sys.stderr)
+    if arch is None or has_errors(diags):
         return 2
 
     try:

@@ -18,14 +18,17 @@ from .diagnostics import Diagnostic, error
 from .model import (
     EXT_INPUT,
     EXT_OUTPUT,
+    PIPE_TYPE,
     STREAM_IN,
     STREAM_OUT,
+    Attachment,
     ComponentType,
+    Connector,
     ExternalBinding,
     Instance,
     TypeTable,
 )
-from .syntax import AttachDecl, ConnectorDecl, InstanceDecl, PipelineDecl
+from .syntax import PipelineDecl
 
 STDIN = "stdin"
 STDOUT = "stdout"
@@ -33,11 +36,11 @@ STDOUT = "stdout"
 
 @dataclass(frozen=True)
 class PipelineExpansion:
-    """Declarations produced from one pipeline statement."""
+    """Model records produced from one pipeline statement."""
 
-    instances: tuple[InstanceDecl, ...]
-    connectors: tuple[ConnectorDecl, ...]
-    attachments: tuple[AttachDecl, ...]
+    instances: tuple[Instance, ...]
+    connectors: tuple[Connector, ...]
+    attachments: tuple[Attachment, ...]
     external_in: ExternalBinding
     external_out: ExternalBinding
 
@@ -73,12 +76,12 @@ def desugar_pipeline(
     if not stmt.stages:
         return None, [error("EmptyPipeline", f"pipeline '{stmt.name}' has no stages", stmt.span)]
 
-    new_instances: dict[str, InstanceDecl] = {}  # by name, in first-occurrence order
+    new_instances: dict[str, Instance] = {}  # by name, in first-occurrence order
     for stage in stmt.stages:
         inst = declared.get(stage)
         if inst is None:
             if stage not in new_instances:
-                new_instances[stage] = InstanceDecl(stage, "Filter", (), span=stmt.span)
+                new_instances[stage] = Instance(stage, "Filter", span=stmt.span)
             continue
         ctype = table.component(inst.type_name)
         if ctype is None or not filter_shaped(ctype):
@@ -94,15 +97,15 @@ def desugar_pipeline(
 
     n = len(stmt.stages)
     connectors = tuple(
-        ConnectorDecl(pipe_name(stmt.name, i), "Pipe", span=stmt.span) for i in range(n + 1)
+        Connector(pipe_name(stmt.name, i), PIPE_TYPE, span=stmt.span) for i in range(n + 1)
     )
-    attachments: list[AttachDecl] = []
+    attachments: list[Attachment] = []
     for i, stage in enumerate(stmt.stages):
         attachments.append(
-            AttachDecl(stage, STDIN, pipe_name(stmt.name, i), "sink", span=stmt.span)
+            Attachment(stage, STDIN, pipe_name(stmt.name, i), "sink", span=stmt.span)
         )
         attachments.append(
-            AttachDecl(stage, STDOUT, pipe_name(stmt.name, i + 1), "source", span=stmt.span)
+            Attachment(stage, STDOUT, pipe_name(stmt.name, i + 1), "source", span=stmt.span)
         )
     external_in = ExternalBinding("input", EXT_INPUT, pipe_name(stmt.name, 0), "source")
     external_out = ExternalBinding("output", EXT_OUTPUT, pipe_name(stmt.name, n), "sink")

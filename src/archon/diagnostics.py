@@ -22,9 +22,6 @@ class Severity(enum.Enum):
     ERROR = "error"
     WARNING = "warning"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Span:

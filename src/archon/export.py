@@ -95,23 +95,6 @@ def to_json(arch: Architecture, table: TypeTable) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_graphdoc(text: str) -> GraphDoc:
-    obj = json.loads(text)
-    nodes = tuple(
-        GraphNode(n["name"], n["type"], tuple(sorted(n["attrs"].items())))
-        for n in obj["nodes"]
-    )
-    edges = tuple(
-        GraphEdge(
-            e["connector"],
-            e["type"],
-            tuple((p["end"], p["port"], p["role"]) for p in e["endpoints"]),
-        )
-        for e in obj["edges"]
-    )
-    return GraphDoc(obj["system"], obj["style"], nodes, edges)
-
-
 # --- DOT --------------------------------------------------------------------
 
 

@@ -7,11 +7,10 @@ reformatting formatted text is the identity.
 
 from __future__ import annotations
 
+from .model import Attachment, Connector
 from .parser import escape_string
 from .syntax import (
-    AttachDecl,
     ComponentTypeDef,
-    ConnectorDecl,
     ConnectorTypeDef,
     Declaration,
     InstanceDecl,
@@ -74,9 +73,9 @@ def _declaration_lines(d: Declaration, depth: int) -> list[str]:
         return lines
     if isinstance(d, InstanceDecl):
         return [pad + _instance_decl(d)]
-    if isinstance(d, ConnectorDecl):
+    if isinstance(d, Connector):
         return [f"{pad}connector {d.name} : {d.type_name};"]
-    if isinstance(d, AttachDecl):
+    if isinstance(d, Attachment):
         return [f"{pad}attach {d.instance}.{d.port} to {d.connector}.{d.role};"]
     if isinstance(d, PipelineDecl):
         return [pad + _pipeline_decl(d)]

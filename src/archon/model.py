@@ -5,10 +5,14 @@ is a set of component instances whose ports are attached to connector
 roles.  Which port may fill which role is decided by exact membership of
 the port's type in the role's accepted set; there is no subtyping.
 
-All values here are immutable.  Extending a type table or editing an
-architecture returns a new value and leaves the input untouched, so
-libraries of types compose without mutation-order surprises and every
-value is safe to share across threads.
+``Connector`` and ``Attachment`` are also what the parser emits for a
+``connector`` or ``attach`` declaration and what pipeline expansion
+produces; resolution stores those records as they are.
+
+All values here are immutable.  Extending a type table (``define_*``) or
+attaching a port (``attach``, ``attach_many``) returns a new value and
+leaves the input untouched, so libraries of types compose without
+mutation-order surprises and every value is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -48,9 +52,7 @@ STREAM_PORT_TYPES = frozenset({STREAM_IN, STREAM_OUT})
 # edges in exports and hub renderings.
 OUTBOUND_PORT_TYPES = frozenset({STREAM_OUT, EVENT_EMIT, RPC_CALL, STORE_ACCESS})
 
-BUILTIN_COMPONENT_TYPES = ("Filter", "Process", "DataStore")
 PIPE_TYPE = "Pipe"
-BUILTIN_CONNECTOR_TYPES = (PIPE_TYPE, "RPC", "Event", "DataAccess")
 
 ONE = "one"
 MANY = "many"
@@ -84,7 +86,6 @@ class RoleSpec:
 class ComponentType:
     name: str
     ports: tuple[PortSpec, ...]
-    origin: str = "builtin"
 
     def port(self, name: str) -> Optional[PortSpec]:
         for p in self.ports:
@@ -97,7 +98,6 @@ class ComponentType:
 class ConnectorType:
     name: str
     roles: tuple[RoleSpec, ...]
-    origin: str = "builtin"
 
     def role(self, name: str) -> Optional[RoleSpec]:
         for r in self.roles:
@@ -113,7 +113,7 @@ class TypeTable:
     The builtin entries are always present and can never be shadowed.
     """
 
-    port_types: Mapping[str, str]  # name -> origin
+    port_types: frozenset[str]
     component_types: Mapping[str, ComponentType]
     connector_types: Mapping[str, ConnectorType]
 
@@ -183,23 +183,22 @@ def builtin_type_table() -> TypeTable:
     )
 
     return TypeTable(
-        port_types={name: "builtin" for name in BUILTIN_PORT_TYPES},
+        port_types=frozenset(BUILTIN_PORT_TYPES),
         component_types={t.name: t for t in (filter_t, process_t, datastore_t)},
         connector_types={t.name: t for t in (pipe_t, rpc_t, event_t, dataaccess_t)},
     )
 
 
-def define_port_type(table: TypeTable, name: str, origin: str = "library") -> TypeTable:
+def define_port_type(table: TypeTable, name: str) -> TypeTable:
     if table.has_port_type(name):
         raise fail("DuplicateType", f"port type '{name}' is already defined")
-    return replace(table, port_types={**table.port_types, name: origin})
+    return replace(table, port_types=table.port_types | {name})
 
 
 def define_component_type(
     table: TypeTable,
     name: str,
     ports: Sequence[PortSpec],
-    origin: str = "library",
     span: Optional[Span] = None,
 ) -> TypeTable:
     if name in table.component_types or name in table.connector_types:
@@ -215,7 +214,7 @@ def define_component_type(
                 f"port '{p.name}' of '{name}' uses unknown port type '{p.port_type}'",
                 span,
             )
-    ct = ComponentType(name, tuple(ports), origin)
+    ct = ComponentType(name, tuple(ports))
     return replace(table, component_types={**table.component_types, name: ct})
 
 
@@ -223,7 +222,6 @@ def define_connector_type(
     table: TypeTable,
     name: str,
     roles: Sequence[RoleSpec],
-    origin: str = "library",
     span: Optional[Span] = None,
 ) -> TypeTable:
     if name in table.connector_types or name in table.component_types:
@@ -250,15 +248,8 @@ def define_connector_type(
                     f"role '{r.name}' of '{name}' accepts unknown port type '{pt}'",
                     span,
                 )
-    ct = ConnectorType(name, tuple(roles), origin)
+    ct = ConnectorType(name, tuple(roles))
     return replace(table, connector_types={**table.connector_types, name: ct})
-
-
-def compatible(table: TypeTable, port_type: str, role: RoleSpec) -> bool:
-    """True iff a port of this type may fill the role."""
-    if not table.has_port_type(port_type):
-        raise fail("UnknownPortType", f"unknown port type '{port_type}'")
-    return port_type in role.accepts
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +449,6 @@ def attach(
     if diags:
         raise ArchonError(diags[0])
     return arch
-
-
-def detach(
-    arch: Architecture,
-    instance: str,
-    port: str,
-    connector: str,
-    role: str,
-) -> Architecture:
-    """Inverse edit of attach: remove exactly one matching attachment."""
-    target = Attachment(instance, port, connector, role)
-    kept = tuple(a for a in arch.attachments if a != target)
-    if len(kept) == len(arch.attachments):
-        raise fail(
-            "UnknownAttachment",
-            f"{instance}.{port} is not attached to {connector}.{role}",
-        )
-    return replace(arch, attachments=kept)
 
 
 def validate_arity(arch: Architecture, table: TypeTable) -> list[Diagnostic]:

@@ -37,10 +37,9 @@ from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .diagnostics import Span
+from .model import Attachment, Connector
 from .syntax import (
-    AttachDecl,
     ComponentTypeDef,
-    ConnectorDecl,
     ConnectorTypeDef,
     Declaration,
     InstanceDecl,
@@ -364,15 +363,15 @@ class _Parser:
         self.expect(";")
         return InstanceDecl(name, type_name, tuple(attrs), span=self.span_from(first))
 
-    def _parse_connector(self) -> ConnectorDecl:
+    def _parse_connector(self) -> Connector:
         first = self.advance()
         name = self.name()
         self.expect(":")
         type_name = self.name()
         self.expect(";")
-        return ConnectorDecl(name, type_name, span=self.span_from(first))
+        return Connector(name, type_name, span=self.span_from(first))
 
-    def _parse_attach(self) -> AttachDecl:
+    def _parse_attach(self) -> Attachment:
         first = self.advance()
         inst = self.name()
         self.expect(".")
@@ -382,7 +381,7 @@ class _Parser:
         self.expect(".")
         role = self.name()
         self.expect(";")
-        return AttachDecl(inst, port, conn, role, span=self.span_from(first))
+        return Attachment(inst, port, conn, role, span=self.span_from(first))
 
     def _parse_pipeline(self) -> PipelineDecl:
         first = self.advance()

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagnostics import Span
+from .model import Attachment, Connector
 
 
 @dataclass(frozen=True)
@@ -61,22 +62,6 @@ class InstanceDecl:
 
 
 @dataclass(frozen=True)
-class ConnectorDecl:
-    name: str
-    type_name: str
-    span: Optional[Span] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class AttachDecl:
-    instance: str
-    port: str
-    connector: str
-    role: str
-    span: Optional[Span] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
 class PipelineDecl:
     name: str
     stages: tuple[str, ...]
@@ -95,8 +80,8 @@ Declaration = Union[
     ComponentTypeDef,
     ConnectorTypeDef,
     InstanceDecl,
-    ConnectorDecl,
-    AttachDecl,
+    Connector,
+    Attachment,
     PipelineDecl,
     IoDecl,
 ]

@@ -637,7 +637,7 @@ def test_a9_corpus_round_trip_and_stable_artifacts(capfd):
             for _ in range(5):
                 table = builtin_type_table()
                 if path.name == "14_libuser.arch":
-                    table, lib_diags = fold_typedefs(table, lib_decls, origin="library")
+                    table, lib_diags = fold_typedefs(table, lib_decls)
                     assert not lib_diags
                 result = resolve(parse(text), table)
                 assert result.architecture is not None, path.name

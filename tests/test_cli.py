@@ -133,6 +133,26 @@ def test_plan_emits_json(src, capsys):
     assert [s["name"] for s in obj["stages"]] == ["A"]
 
 
+def test_plan_and_run_print_warnings_as_check_does(src, capsys, tmp_path):
+    path = src(
+        'system S { component A : Filter impl "cat" seed "hello\\n";'
+        " pipeline P: input | A() | output; }"
+    )
+    inp, out = tmp_path / "i.txt", tmp_path / "o.txt"
+    inp.write_bytes(b"x\n")
+    io = ["--input", str(inp), "--output", str(out)]
+    assert main(["check", path, *io]) == 0
+    warned = capsys.readouterr().err
+    assert "UnusedSeed" in warned
+    assert main(["plan", path, *io]) == 0
+    printed = capsys.readouterr()
+    assert json.loads(printed.out)["system"] == "S"
+    assert printed.err == warned
+    assert main(["run", path, *io]) == 0
+    assert capsys.readouterr() == ("", warned)
+    assert out.read_bytes() == b"x\n"
+
+
 def test_plan_io_flags_bind_externals(src, capsys, tmp_path):
     path = src(
         'system S { component A : Filter impl "./a"; pipeline P: input | A() | output; }'
@@ -195,7 +215,7 @@ def test_lib_file_of_bare_typedefs_types_the_corpus_user(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "")
 
     folded = parse((CORPUS / "15_lib_gauges.arch").read_text()).declarations
-    table, diags = fold_typedefs(builtin_type_table(), folded, origin="library")
+    table, diags = fold_typedefs(builtin_type_table(), folded)
     assert diags == []
     result = resolve(parse((REPO / user).read_text()), table)
     assert main(["graph", user, "--lib", lib, "--json"]) == 0

@@ -5,11 +5,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from archon.formatter import format_system
+from archon.model import Attachment, Connector
 from archon.parser import parse
 from archon.syntax import (
-    AttachDecl,
     ComponentTypeDef,
-    ConnectorDecl,
     ConnectorTypeDef,
     InstanceDecl,
     IoDecl,
@@ -122,8 +121,8 @@ _declaration = st.one_of(
         type_name=_type_name,
         attrs=st.lists(_attr, max_size=3).map(tuple),
     ),
-    st.builds(ConnectorDecl, name=_name, type_name=_type_name),
-    st.builds(AttachDecl, instance=_name, port=_name, connector=_name, role=_name),
+    st.builds(Connector, name=_name, type_name=_type_name),
+    st.builds(Attachment, instance=_name, port=_name, connector=_name, role=_name),
     st.builds(PipelineDecl, name=_name, stages=st.lists(_name, min_size=1, max_size=4).map(tuple)),
     st.builds(IoDecl, direction=st.sampled_from(["input", "output"]), path=_string),
 )

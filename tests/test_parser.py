@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from archon.diagnostics import Span
+from archon.model import Attachment, Connector
 from archon.parser import (
     MAX_SOURCE_BYTES,
     ParseError,
@@ -18,9 +19,7 @@ from archon.parser import (
     tokenize,
 )
 from archon.syntax import (
-    AttachDecl,
     ComponentTypeDef,
-    ConnectorDecl,
     ConnectorTypeDef,
     InstanceDecl,
     IoDecl,
@@ -83,8 +82,8 @@ def test_all_declaration_kinds():
         ConnectorTypeDef,
         InstanceDecl,
         InstanceDecl,
-        ConnectorDecl,
-        AttachDecl,
+        Connector,
+        Attachment,
         PipelineDecl,
         IoDecl,
         IoDecl,
