@@ -38,7 +38,6 @@ from .model import (
 from .syntax import (
     ComponentTypeDef,
     ConnectorTypeDef,
-    InstanceDecl,
     IoDecl,
     PipelineDecl,
     PortTypeDef,
@@ -105,7 +104,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
     # Pass 2: instances, connectors and stream declarations, so that a
     # pipeline may name a stage declared on a later line.
     for decl in ast.declarations:
-        if isinstance(decl, InstanceDecl):
+        if isinstance(decl, Instance):
             if decl.name in instances or decl.name in connectors:
                 diags.append(error("DuplicateName", f"name '{decl.name}' is already declared", decl.span))
                 continue
@@ -114,7 +113,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                     error("UnknownType", f"unknown component type '{decl.type_name}'", decl.span)
                 )
                 continue
-            instances[decl.name] = Instance(decl.name, decl.type_name, dict(decl.attrs), decl.span)
+            instances[decl.name] = decl
         elif isinstance(decl, Connector):
             if decl.name in connectors or decl.name in instances:
                 diags.append(error("DuplicateName", f"name '{decl.name}' is already declared", decl.span))

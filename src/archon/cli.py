@@ -109,7 +109,7 @@ def _dispatch(args) -> int:
         ast = parse(source)
     except ParseError as exc:
         diag = error(exc.code, exc.message, exc.span)
-        print(render_lines([diag], args.source), file=sys.stderr)
+        sys.stderr.write(render_lines([diag], args.source))
         return _fail_code(args)
 
     if args.command == "fmt":
@@ -130,7 +130,7 @@ def _dispatch(args) -> int:
             return 2
         table, lib_diags = fold_typedefs(table, decls)
         if lib_diags:
-            print(render_lines(lib_diags, path), file=sys.stderr)
+            sys.stderr.write(render_lines(lib_diags, path))
             return 2
 
     result = resolve(ast, table)
@@ -142,7 +142,7 @@ def _dispatch(args) -> int:
 
     if args.command == "graph":
         if arch is None:
-            print(render_lines(diags, args.source), file=sys.stderr)
+            sys.stderr.write(render_lines(diags, args.source))
             return 2
         text = to_json(arch, result.table) if args.json else to_dot(arch, result.table)
         _emit(text, args.out)
@@ -153,21 +153,20 @@ def _dispatch(args) -> int:
 
     if args.command == "check":
         if args.json:
-            sys.stdout.write(render_json(diags) + "\n")
-        elif diags:
-            print(render_lines(diags, args.source), file=sys.stderr)
+            sys.stdout.write(render_json(diags))
+        else:
+            sys.stderr.write(render_lines(diags, args.source))
         return 2 if has_errors(diags) or arch is None else 0
 
     # plan and run print every finding, and lower only a clean bill of health
-    if diags:
-        print(render_lines(diags, args.source), file=sys.stderr)
+    sys.stderr.write(render_lines(diags, args.source))
     if arch is None or has_errors(diags):
         return 2
 
     try:
         built = lower_plan(arch, result.table, io)
     except ArchonError as exc:
-        print(render_lines([exc.diagnostic], args.source), file=sys.stderr)
+        sys.stderr.write(render_lines([exc.diagnostic], args.source))
         return 2
 
     if args.emit_plan:
@@ -181,7 +180,7 @@ def _dispatch(args) -> int:
     try:
         report = execute(built, timeout=args.timeout)
     except ArchonError as exc:  # nothing was started: an unopenable file, say
-        print(render_lines([exc.diagnostic], args.source), file=sys.stderr)
+        sys.stderr.write(render_lines([exc.diagnostic], args.source))
         return 2
     for stage, why in sorted(report.stage_errors.items()):
         print(f"archon: stage '{stage}' failed: {why}", file=sys.stderr)

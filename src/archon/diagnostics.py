@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class Severity(enum.Enum):
@@ -23,8 +23,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open byte range [start, end) in a source text.
 
     line/col locate ``start`` (1-based).  Spans never cross file
@@ -35,10 +34,6 @@ class Span:
     end: int
     line: int
     col: int
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} > end {self.end}")
 
 
 @dataclass(frozen=True)
@@ -54,19 +49,11 @@ class Diagnostic:
         return f"{self.severity.value.upper()} {self.code} {file}:{line}:{col} {self.message}"
 
     def to_json_obj(self) -> dict:
-        span = None
-        if self.span is not None:
-            span = {
-                "start": self.span.start,
-                "end": self.span.end,
-                "line": self.span.line,
-                "col": self.span.col,
-            }
         # Key order is part of the external contract.
         return {
             "severity": self.severity.value,
             "code": self.code,
-            "span": span,
+            "span": self.span._asdict() if self.span else None,
             "message": self.message,
         }
 

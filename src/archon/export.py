@@ -13,83 +13,55 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import Optional
 
 from .model import (
     EXT_INPUT,
     OUTBOUND_PORT_TYPES,
     UNBOUNDED,
     Architecture,
+    Connector,
+    ConnectorType,
     TypeTable,
 )
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    name: str
-    type_name: str
-    attrs: tuple[tuple[str, object], ...]
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    connector: str
-    type_name: str
-    endpoints: tuple[tuple[str, str, str], ...]  # (end, port, role); port "" = external
-
-
-@dataclass(frozen=True)
-class GraphDoc:
-    system: str
-    style: str
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
-
-
-def graphdoc(arch: Architecture, table: TypeTable) -> GraphDoc:
-    nodes = tuple(
-        GraphNode(
-            inst.name,
-            inst.type_name,
-            tuple(sorted(inst.attrs.items())),
-        )
-        for inst in sorted(arch.instances.values(), key=lambda i: i.name)
-    )
+def _edges(
+    arch: Architecture, table: TypeTable
+) -> list[tuple[Connector, Optional[ConnectorType], list[tuple[str, str, str]]]]:
+    """Each connector by name, with its type and its (end, port, role)
+    endpoints by role index, then end, then port; port "" = external."""
     edges = []
-    for conn in sorted(arch.connectors.values(), key=lambda c: c.name):
+    for name, conn in sorted(arch.connectors.items()):
         ctype = table.connector(conn.type_name)
-        role_index = {
-            role.name: i for i, role in enumerate(ctype.roles)
-        } if ctype else {}
-        points = [(a.instance, a.port, a.role) for a in arch.attachments_of_connector(conn.name)]
-        points += [(ext.stream, "", ext.role) for ext in arch.externals_of_connector(conn.name)]
+        role_index = {role.name: i for i, role in enumerate(ctype.roles)} if ctype else {}
+        points = [(a.instance, a.port, a.role) for a in arch.attachments_of_connector(name)]
+        points += [(ext.stream, "", ext.role) for ext in arch.externals_of_connector(name)]
         points.sort(key=lambda p: (role_index.get(p[2], 99), p[0], p[1]))
-        edges.append(GraphEdge(conn.name, conn.type_name, tuple(points)))
-    return GraphDoc(arch.name, arch.style or "", nodes, tuple(edges))
+        edges.append((conn, ctype, points))
+    return edges
 
 
 # --- JSON -------------------------------------------------------------------
 
 
 def to_json(arch: Architecture, table: TypeTable) -> str:
-    doc = graphdoc(arch, table)
     obj = {
-        "system": doc.system,
-        "style": doc.style,
+        "system": arch.name,
+        "style": arch.style or "",
         "nodes": [
-            {"name": n.name, "type": n.type_name, "attrs": dict(n.attrs)}
-            for n in doc.nodes
+            {"name": name, "type": inst.type_name, "attrs": dict(sorted(inst.attrs.items()))}
+            for name, inst in sorted(arch.instances.items())
         ],
         "edges": [
             {
-                "connector": e.connector,
-                "type": e.type_name,
+                "connector": conn.name,
+                "type": conn.type_name,
                 "endpoints": [
-                    {"end": end, "port": port, "role": role}
-                    for end, port, role in e.endpoints
+                    {"end": end, "port": port, "role": role} for end, port, role in points
                 ],
             }
-            for e in doc.edges
+            for conn, _, points in _edges(arch, table)
         ],
     }
     return json.dumps(obj, indent=2) + "\n"
@@ -114,17 +86,19 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _node_id(end: str, port: str) -> str:
+    return _dot_quote("ext:" + end if port == "" else end)
+
+
 def to_dot(arch: Architecture, table: TypeTable) -> str:
-    doc = graphdoc(arch, table)
-    lines = [f"digraph {doc.system} {{"]
+    lines = [f"digraph {arch.name} {{"]
 
-    for node in doc.nodes:
-        label = f"{node.name} : {node.type_name}"
-        lines.append(f"  {_dot_quote(node.name)} [shape=box, label={_dot_quote(label)}];")
+    for name, inst in sorted(arch.instances.items()):
+        label = f"{name} : {inst.type_name}"
+        lines.append(f"  {_dot_quote(name)} [shape=box, label={_dot_quote(label)}];")
 
-    terminals = sorted(
-        {end for edge in doc.edges for end, port, _ in edge.endpoints if port == ""}
-    )
+    edges = _edges(arch, table)
+    terminals = sorted({end for _, _, points in edges for end, port, _ in points if port == ""})
     for term in terminals:
         lines.append(
             f"  {_dot_quote('ext:' + term)} [shape=plaintext, label={_dot_quote(term)}];"
@@ -132,26 +106,18 @@ def to_dot(arch: Architecture, table: TypeTable) -> str:
 
     hubs = []
     edge_lines = []
-    for edge in doc.edges:
-        ctype = table.connector(edge.type_name)
-
-        def node_id(end: str, port: str) -> str:
-            return _dot_quote("ext:" + end if port == "" else end)
-
-        if _binary(ctype) and len(edge.endpoints) == 2:
-            (tail, tport, _), (head, hport, _) = edge.endpoints
-            label = f"{edge.connector} : {edge.type_name}"
+    for conn, ctype, points in edges:
+        label = f"{conn.name} : {conn.type_name}"
+        if _binary(ctype) and len(points) == 2:
+            (tail, tport, _), (head, hport, _) = points
             edge_lines.append(
-                f"  {node_id(tail, tport)} -> {node_id(head, hport)} "
+                f"  {_node_id(tail, tport)} -> {_node_id(head, hport)} "
                 f"[label={_dot_quote(label)}];"
             )
             continue
-        hub = _dot_quote(edge.connector)
-        hubs.append(
-            f"  {hub} [shape=diamond, label="
-            f"{_dot_quote(edge.connector + ' : ' + edge.type_name)}];"
-        )
-        for end, port, role in edge.endpoints:
+        hub = _dot_quote(conn.name)
+        hubs.append(f"  {hub} [shape=diamond, label={_dot_quote(label)}];")
+        for end, port, role in points:
             port_type = None
             if port:
                 inst = arch.instances.get(end)
@@ -163,11 +129,11 @@ def to_dot(arch: Architecture, table: TypeTable) -> str:
             )
             if outward:
                 edge_lines.append(
-                    f"  {node_id(end, port)} -> {hub} [label={_dot_quote(role)}];"
+                    f"  {_node_id(end, port)} -> {hub} [label={_dot_quote(role)}];"
                 )
             else:
                 edge_lines.append(
-                    f"  {hub} -> {node_id(end, port)} [label={_dot_quote(role)}];"
+                    f"  {hub} -> {_node_id(end, port)} [label={_dot_quote(role)}];"
                 )
 
     lines.extend(hubs)

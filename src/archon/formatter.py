@@ -7,13 +7,12 @@ reformatting formatted text is the identity.
 
 from __future__ import annotations
 
-from .model import Attachment, Connector
+from .model import Attachment, Connector, Instance
 from .parser import escape_string
 from .syntax import (
     ComponentTypeDef,
     ConnectorTypeDef,
     Declaration,
-    InstanceDecl,
     IoDecl,
     PipelineDecl,
     PortDecl,
@@ -40,9 +39,9 @@ def _role_decl(r: RoleDecl) -> str:
     return f"role {r.name} accepts {accepts} fill {r.min_fill}..{top};"
 
 
-def _instance_decl(d: InstanceDecl) -> str:
+def _instance_decl(d: Instance) -> str:
     parts = [f"component {d.name} : {d.type_name}"]
-    for key, value in d.attrs:
+    for key, value in d.attrs.items():
         if value is True:
             parts.append(key)
         elif isinstance(value, int):
@@ -71,7 +70,7 @@ def _declaration_lines(d: Declaration, depth: int) -> list[str]:
         lines += [f"{pad}{_INDENT}{_role_decl(r)}" for r in d.roles]
         lines.append(f"{pad}}}")
         return lines
-    if isinstance(d, InstanceDecl):
+    if isinstance(d, Instance):
         return [pad + _instance_decl(d)]
     if isinstance(d, Connector):
         return [f"{pad}connector {d.name} : {d.type_name};"]

@@ -5,9 +5,9 @@ is a set of component instances whose ports are attached to connector
 roles.  Which port may fill which role is decided by exact membership of
 the port's type in the role's accepted set; there is no subtyping.
 
-``Connector`` and ``Attachment`` are also what the parser emits for a
-``connector`` or ``attach`` declaration and what pipeline expansion
-produces; resolution stores those records as they are.
+``Instance``, ``Connector`` and ``Attachment`` are also what the parser
+emits for a ``component``, ``connector`` or ``attach`` declaration and what
+pipeline expansion produces; resolution stores those records as they are.
 
 All values here are immutable.  Extending a type table (``define_*``) or
 attaching a port (``attach``, ``attach_many``) returns a new value and
@@ -264,6 +264,7 @@ EXT_OUTPUT = "output"
 class Instance:
     name: str
     type_name: str
+    # in source order; a flag attribute (stateless) has the value True
     attrs: Mapping[str, object] = field(default_factory=dict)
     span: Optional[Span] = field(default=None, compare=False)
 

@@ -17,9 +17,11 @@ The accepted surface:
     pipeline  ::= "pipeline" IDENT ":" "input" ("|" IDENT "(" ")")+ "|" "output" ";"
     iodecl    ::= ("input" | "output") STRING ";"
 
-Comments run from ``#`` to end of line.  Identifiers may contain interior
-hyphens (style names like ``pipes-and-filters``).  Stage calls take no
-arguments; anything between the parentheses is rejected.
+Each attribute appears at most once in an ``inst``; a repeat is a
+``DuplicateAttribute`` error.  Comments run from ``#`` to end of line.
+Identifiers may contain interior hyphens (style names like
+``pipes-and-filters``).  Stage calls take no arguments; anything between
+the parentheses is rejected.
 
 The scanner cuts the source into pieces with one ``findall`` and keeps
 the non-trivia ones as two parallel lists, texts and start offsets; there
@@ -37,12 +39,11 @@ from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .diagnostics import Span
-from .model import Attachment, Connector
+from .model import Attachment, Connector, Instance
 from .syntax import (
     ComponentTypeDef,
     ConnectorTypeDef,
     Declaration,
-    InstanceDecl,
     IoDecl,
     PipelineDecl,
     PortDecl,
@@ -134,6 +135,8 @@ def _line_starts(text: str) -> list[int]:
 
 def _span(lines: list[int], start: int, end: int) -> Span:
     """[start, end) with the line and column of ``start``, given the line start offsets."""
+    if start > end:
+        raise ValueError(f"span start {start} > end {end}")
     line = bisect_right(lines, start)
     return Span(start, end, line, start - lines[line - 1] + 1)
 
@@ -350,18 +353,22 @@ class _Parser:
             span=self.span_from(first),
         )
 
-    def _parse_component(self) -> InstanceDecl:
+    def _parse_component(self) -> Instance:
         first = self.advance()
         name = self.name()
         self.expect(":")
         type_name = self.name()
-        attrs: list[tuple[str, Union[str, int, bool]]] = []
+        attrs: dict[str, Union[str, int, bool]] = {}  # in source order
         while (word := self.texts[self.pos]) in _ATTRS:
+            if word in attrs:
+                start = self.starts[self.pos]
+                raise ParseError(_span(self.lines, start, start + len(word)), frozenset(), word,
+                                 f"attribute '{word}' is already given", "DuplicateAttribute")
             self.pos += 1
             kind = _ATTRS[word]
-            attrs.append((word, self.literal(kind) if kind else True))  # type: ignore[arg-type]
+            attrs[word] = self.literal(kind) if kind else True  # type: ignore[assignment]
         self.expect(";")
-        return InstanceDecl(name, type_name, tuple(attrs), span=self.span_from(first))
+        return Instance(name, type_name, attrs, span=self.span_from(first))
 
     def _parse_connector(self) -> Connector:
         first = self.advance()

@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import topology
 from .checker import RPC_TYPE, ExternalIO
-from .diagnostics import fail
+from .diagnostics import Span, fail
 from .model import PIPE_TYPE, Architecture, TypeTable
 
 EVENT_TYPE = "Event"
@@ -129,6 +129,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
             raise fail(
                 "UnrealizableConnector",
                 f"no runtime realization for connector type '{conn.type_name}'",
+                conn.span,
             )
 
     channels: dict[str, Channel] = {}
@@ -139,6 +140,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
         c.name for c in arch.connectors.values() if c.type_name == PIPE_TYPE
     )
     for conn_name in pipe_names:
+        span = arch.connectors[conn_name].span
         kind, path = "pipe", ""
         for ext in arch.externals_of_connector(conn_name):
             if ext.direction == "input":
@@ -147,6 +149,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
                     raise fail(
                         "UnboundExternalInput",
                         f"external input '{ext.stream}' has no bound path",
+                        span,
                     )
                 kind, path = "file-in", bound
             else:
@@ -155,6 +158,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
                     raise fail(
                         "UnboundExternalOutput",
                         f"external output '{ext.stream}' has no bound path",
+                        span,
                     )
                 kind, path = "file-out", bound
         channels[conn_name] = Channel(conn_name, kind, path)
@@ -201,6 +205,7 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
             raise fail(
                 "MissingImplementation",
                 f"instance '{inst_name}' has no impl attribute",
+                inst.span,
             )
         processes.append(
             Stage(
@@ -220,9 +225,10 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
     # is reported ahead of a fan-out error.
     stages: list[Stage] = list(synthetic)
     for process in processes:
-        n = arch.instances[process.name].attrs.get("replicas")
+        inst = arch.instances[process.name]
+        n = inst.attrs.get("replicas")
         if isinstance(n, int) and n >= 2:
-            stages += _fan_out(process, n, channels)
+            stages += _fan_out(process, n, channels, inst.span)
         else:
             stages.append(process)
 
@@ -273,17 +279,22 @@ def _prime_cycles(arch: Architecture, channels: dict[str, Channel]) -> None:
             channels[broken] = replace(channels[broken], primer=primer)
 
 
-def _fan_out(target: Stage, n: int, channels: dict[str, Channel]) -> list[Stage]:
-    """split -> n replicas -> merge standing in for target; adds their pipes to channels."""
+def _fan_out(
+    target: Stage, n: int, channels: dict[str, Channel], span: Optional[Span]
+) -> list[Stage]:
+    """split -> n replicas -> merge standing in for target; adds their pipes to
+    channels.  A refusal points at ``span``, the target instance's."""
     if not target.stateless:
         raise fail(
             "NotStateless",
             f"instance '{target.name}' requests replicas without the stateless attribute",
+            span,
         )
     if len(target.reads) != 1 or len(target.writes) != 1:
         raise fail(
             "FanoutUnsupported",
             f"stage '{target.name}' must have exactly one input and one output to fan out",
+            span,
         )
     in_chs = [f"{target.name}.in#{i}" for i in range(n)]
     out_chs = [f"{target.name}.out#{i}" for i in range(n)]

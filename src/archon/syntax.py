@@ -3,7 +3,9 @@
 Nodes store their source span for diagnostics, but spans are excluded from
 equality: two trees are equal iff they describe the same system, which is
 what the format round-trip contract needs.  Declaration order is preserved
-exactly as written.
+exactly as written.  A ``component``, ``connector`` or ``attach``
+declaration is the model's own Instance, Connector or Attachment; an
+instance's attrs keep their source order, which equality ignores.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagnostics import Span
-from .model import Attachment, Connector
+from .model import Attachment, Connector, Instance
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,6 @@ class ConnectorTypeDef:
 
 
 @dataclass(frozen=True)
-class InstanceDecl:
-    name: str
-    type_name: str
-    # (key, value) pairs in source order; flag attrs carry value True
-    attrs: tuple[tuple[str, Union[str, int, bool]], ...] = ()
-    span: Optional[Span] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
 class PipelineDecl:
     name: str
     stages: tuple[str, ...]
@@ -79,7 +72,7 @@ Declaration = Union[
     PortTypeDef,
     ComponentTypeDef,
     ConnectorTypeDef,
-    InstanceDecl,
+    Instance,
     Connector,
     Attachment,
     PipelineDecl,

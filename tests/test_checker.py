@@ -86,18 +86,26 @@ def test_inline_typedefs_fold_into_working_table():
 
 
 def test_forward_references_allowed():
-    arch, _ = _resolved_arch(
+    ast = parse(
         """
         system S {
           attach A.stdout to p.source;
-          component A : Filter;
+          component A : Filter impl "cat";
           connector p : Pipe;
           component B : Filter;
           attach B.stdin to p.sink;
         }
         """
     )
+    result = resolve(ast, builtin_type_table())
+    assert result.diagnostics == []
+    arch = result.architecture
     assert len(arch.attachments) == 2
+    # resolution keeps the parser's records: no copy comes back
+    first_attach, inst_a, conn_p = ast.declarations[:3]
+    assert arch.instances["A"] is inst_a
+    assert arch.connectors["p"] is conn_p
+    assert arch.attachments[0] is first_attach
 
 
 @pytest.mark.parametrize("name", ["03_trio.arch", "12_twopipelines.arch"])

@@ -71,6 +71,13 @@ def test_check_json_output(src, capsys):
     assert len(parsed) == 2
 
 
+def test_repeated_attribute_fails_fmt_and_check(src, capsys):
+    path = src('system S { component A : Filter impl "a" impl "b"; }')
+    assert main(["fmt", path]) == 1
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == 2 * f"ERROR DuplicateAttribute {path}:1:42 attribute 'impl' is already given\n"
+
+
 def test_check_non_decimal_digit_is_2(src, capsys):
     assert main(["check", src('system S { component A : Filter impl "cat" replicas ²; }')]) == 2
     assert "ParseError" in capsys.readouterr().err
@@ -223,7 +230,7 @@ def test_lib_file_of_bare_typedefs_types_the_corpus_user(capsys, monkeypatch):
     with pytest.raises(ArchonError) as exc:  # no runtime realizes a Telemetry connector
         plan(result.architecture, result.table)
     assert main(["plan", user, "--lib", lib]) == 2
-    assert capsys.readouterr() == ("", render_lines([exc.value.diagnostic], user) + "\n")
+    assert capsys.readouterr() == ("", render_lines([exc.value.diagnostic], user))
 
 
 # SHA-256 of [exit status, stdout, stderr] of each command on each corpus file.

@@ -1,7 +1,7 @@
 import json
 
 from archon.checker import resolve
-from archon.export import graphdoc, to_dot, to_json
+from archon.export import to_dot, to_json
 from archon.model import builtin_type_table
 from archon.parser import parse
 

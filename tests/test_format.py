@@ -5,12 +5,11 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from archon.formatter import format_system
-from archon.model import Attachment, Connector
+from archon.model import Attachment, Connector, Instance
 from archon.parser import parse
 from archon.syntax import (
     ComponentTypeDef,
     ConnectorTypeDef,
-    InstanceDecl,
     IoDecl,
     PipelineDecl,
     PortDecl,
@@ -116,10 +115,10 @@ _declaration = st.one_of(
     st.builds(ComponentTypeDef, name=_name, ports=st.lists(_port_decl, max_size=3).map(tuple)),
     st.builds(ConnectorTypeDef, name=_name, roles=st.lists(_role_decl, max_size=3).map(tuple)),
     st.builds(
-        InstanceDecl,
+        Instance,
         name=_name,
         type_name=_type_name,
-        attrs=st.lists(_attr, max_size=3).map(tuple),
+        attrs=st.lists(_attr, max_size=3, unique_by=lambda kv: kv[0]).map(dict),
     ),
     st.builds(Connector, name=_name, type_name=_type_name),
     st.builds(Attachment, instance=_name, port=_name, connector=_name, role=_name),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from archon.diagnostics import Span
-from archon.model import Attachment, Connector
+from archon.model import Attachment, Connector, Instance
 from archon.parser import (
     MAX_SOURCE_BYTES,
     ParseError,
@@ -21,7 +21,6 @@ from archon.parser import (
 from archon.syntax import (
     ComponentTypeDef,
     ConnectorTypeDef,
-    InstanceDecl,
     IoDecl,
     PipelineDecl,
     PortTypeDef,
@@ -39,9 +38,9 @@ def test_style_and_instance():
     ast = parse('system S style pipes-and-filters { component A : Filter impl "./upper"; }')
     assert ast.style == "pipes-and-filters"
     (decl,) = ast.declarations
-    assert isinstance(decl, InstanceDecl)
+    assert isinstance(decl, Instance)
     assert decl.type_name == "Filter"
-    assert decl.attrs == (("impl", "./upper"),)
+    assert decl.attrs == {"impl": "./upper"}
 
 
 def test_truncated_attach_reports_identifier():
@@ -80,8 +79,8 @@ def test_all_declaration_kinds():
         PortTypeDef,
         ComponentTypeDef,
         ConnectorTypeDef,
-        InstanceDecl,
-        InstanceDecl,
+        Instance,
+        Instance,
         Connector,
         Attachment,
         PipelineDecl,
@@ -120,7 +119,7 @@ def test_string_escapes():
 
 def test_integers_are_decimal_digits_only():
     ast = parse('system S { component A : Filter impl "cat" replicas ٣; }')  # Arabic-Indic 3
-    assert ast.declarations[0].attrs == (("impl", "cat"), ("replicas", 3))
+    assert list(ast.declarations[0].attrs.items()) == [("impl", "cat"), ("replicas", 3)]
     with pytest.raises(ParseError) as exc:
         parse('system S { component A : Filter impl "cat" replicas ²; }')  # superscript 2
     assert "unexpected character" in str(exc.value)
@@ -354,7 +353,7 @@ _PARSE_ERRORS = [
     (parse, '# header\nsystem S {\r\n\tattach A.x to\n\n',
      ('ParseError', (37, 37, 5, 1), 'expected ident, found end of input', '', ('ident',))),
     (parse, 'system S {\n  component A : Filter; # one\n  component B : Filter impl "x" replicas 2 replicas;\n}',
-     ('ParseError', (92, 93, 3, 52), "expected int, found ';'", ';', ('int',))),
+     ('DuplicateAttribute', (84, 92, 3, 44), "attribute 'replicas' is already given", 'replicas', ())),
     (parse_library, 'system S { }',
      ('ParseError', (0, 6, 1, 1), "expected 'componenttype', 'connectortype', 'porttype', found 'system'", 'system', ('componenttype', 'connectortype', 'porttype'))),
     (parse_library, 'porttype T; component A : Filter;',
@@ -367,6 +366,8 @@ _PARSE_ERRORS = [
      ('ParseError', (59, 60, 4, 1), "expected ';', found '}'", '}', (';',))),
     (parse_library, 'porttype',
      ('ParseError', (8, 8, 1, 9), 'expected ident, found end of input', '', ('ident',))),
+    (parse, 'system S { component A : Filter impl "a" impl "b"; }',
+     ('DuplicateAttribute', (41, 45, 1, 42), "attribute 'impl' is already given", 'impl', ())),
 ]
 
 
@@ -385,6 +386,11 @@ _FRAGMENTS = [
     "system", "a-b", "_x", "été", "一", "x²", "٣", "42", '"s"', r'"\n\t\"\\"', '"一"',
     "{", "}", ";", ":", ".", "..", ",", "|", "(", ")", "*",
 ]
+
+
+def test_a_span_never_ends_before_it_starts():
+    with pytest.raises(ValueError):
+        _span([0], 5, 4)
 
 
 @settings(max_examples=300, deadline=None)

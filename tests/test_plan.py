@@ -88,6 +88,7 @@ def test_missing_impl_rejected():
     with pytest.raises(ArchonError) as exc:
         _plan('system S { pipeline P: input | A() | output; input "i"; output "o"; }')
     assert exc.value.code == "MissingImplementation"
+    assert exc.value.diagnostic.span[2:] == (1, 12)  # the pipeline that made A
 
 
 def test_unbound_input_rejected_unless_io_given():
@@ -95,6 +96,7 @@ def test_unbound_input_rejected_unless_io_given():
     with pytest.raises(ArchonError) as exc:
         _plan(src)
     assert exc.value.code == "UnboundExternalInput"
+    assert exc.value.diagnostic.span[2:] == (1, 45)
     built = _plan(src, ExternalIO(input="i", output="o"))
     assert built.input == "i" and built.output == "o"
 
@@ -166,6 +168,7 @@ def test_fanout_requires_stateless():
     with pytest.raises(ArchonError) as exc:
         _plan(src)
     assert exc.value.code == "NotStateless"
+    assert exc.value.diagnostic.span[2:] == (4, 3)  # B's declaration
 
 
 def test_replicas_attr_autoexpands():
@@ -362,3 +365,4 @@ def test_custom_connector_type_not_lowerable():
             """
         )
     assert exc.value.code == "UnrealizableConnector"
+    assert exc.value.diagnostic.span[2:] == (5, 15)
