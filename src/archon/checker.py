@@ -1,9 +1,12 @@
 """Name resolution and conformance checking.
 
 ``resolve`` binds a syntax tree against a type table, folds inline type
-definitions into a working copy, expands pipeline shorthands, and yields a
-wired Architecture.  The check_* passes then report findings without ever
-aborting early: every check runs and the diagnostics aggregate.
+definitions (the parsed records themselves) into a working copy, expands
+pipeline shorthands, and yields a wired Architecture.  The check_* passes
+then report findings without ever aborting early: every check runs and the
+diagnostics aggregate.  External streams are checked against the paths the
+Architecture holds; a caller with paths from elsewhere (the CLI's
+``--input``/``--output``) puts them into the Architecture first.
 
 Resolution is tolerant of declaration order: type definitions are applied
 first, then instances/connectors/stream declarations, then pipelines and
@@ -28,32 +31,18 @@ from .model import (
     PIPE_TYPE,
     Architecture,
     Attachment,
+    ComponentType,
     Connector,
+    ConnectorType,
     Instance,
-    RoleSpec,
     TypeTable,
     STREAM_IN,
     STREAM_OUT,
 )
-from .syntax import (
-    ComponentTypeDef,
-    ConnectorTypeDef,
-    IoDecl,
-    PipelineDecl,
-    PortTypeDef,
-    SystemAst,
-)
+from .syntax import IoDecl, PipelineDecl, PortTypeDef, SystemAst
 from .topology import TopologyReport, classify_digraph, find_cycles
 
 RPC_TYPE = "RPC"
-
-
-@dataclass(frozen=True)
-class ExternalIO:
-    """Stream bindings supplied outside the source text (CLI flags)."""
-
-    input: Optional[str] = None
-    output: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -64,24 +53,19 @@ class ResolveResult:
 
 
 def fold_typedefs(table: TypeTable, declarations) -> tuple[TypeTable, list[Diagnostic]]:
-    """Apply type definitions to a table copy; shadowing is a hard error."""
+    """Apply type definitions to a table copy; shadowing is a hard error.
+
+    The parsed ComponentType and ConnectorType records enter the table as
+    they are."""
     diags: list[Diagnostic] = []
     for decl in declarations:
         try:
             if isinstance(decl, PortTypeDef):
                 table = model.define_port_type(table, decl.name)
-            elif isinstance(decl, ComponentTypeDef):
-                ports = [
-                    model.PortSpec(p.name, p.port_type, model.MANY if p.many else model.ONE)
-                    for p in decl.ports
-                ]
-                table = model.define_component_type(table, decl.name, ports, span=decl.span)
-            elif isinstance(decl, ConnectorTypeDef):
-                roles = [
-                    RoleSpec(r.name, frozenset(r.accepts), r.min_fill, r.max_fill)
-                    for r in decl.roles
-                ]
-                table = model.define_connector_type(table, decl.name, roles, span=decl.span)
+            elif isinstance(decl, ComponentType):
+                table = model.define_component_type(table, decl)
+            elif isinstance(decl, ConnectorType):
+                table = model.define_connector_type(table, decl)
         except ArchonError as exc:
             diags.append(
                 exc.diagnostic
@@ -98,8 +82,7 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
     arch = Architecture(name=ast.name, style=ast.style, allow_layer_skip=ast.allow_skip)
     instances: dict[str, Instance] = {}
     connectors: dict[str, Connector] = {}
-    inputs: dict[str, Optional[str]] = {}
-    outputs: dict[str, Optional[str]] = {}
+    paths: dict[str, str] = {}  # external stream -> file
 
     # Pass 2: instances, connectors and stream declarations, so that a
     # pipeline may name a stage declared on a later line.
@@ -125,13 +108,12 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                 continue
             connectors[decl.name] = decl
         elif isinstance(decl, IoDecl):
-            target = inputs if decl.direction == "input" else outputs
-            if target.get(decl.direction) is not None:
+            if decl.direction in paths:
                 diags.append(
                     error("DuplicateName", f"{decl.direction} stream is already bound", decl.span)
                 )
                 continue
-            target[decl.direction] = decl.path
+            paths[decl.direction] = decl.path
 
     # Pass 3: pipeline expansions, and the attachments and external
     # bindings in source order.
@@ -163,15 +145,13 @@ def resolve(ast: SystemAst, table: TypeTable) -> ResolveResult:
                     )
                     continue
                 connectors[conn.name] = conn
-            inputs.setdefault("input", None)
-            outputs.setdefault("output", None)
 
     arch = replace(
         arch,
         instances=instances,
         connectors=connectors,
-        inputs=inputs,
-        outputs=outputs,
+        input=paths.get(model.EXT_INPUT),
+        output=paths.get(model.EXT_OUTPUT),
     )
 
     # Pass 4: every attachment, validated in one batch, now that every name
@@ -217,36 +197,26 @@ def check_types(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
                 error(
                     "TypeMismatch",
                     f"external {ext.direction} stream cannot fill role {ext.connector}.{ext.role}",
-                    None,
+                    conn.span,
                 )
             )
     return diags
 
 
-def check_completeness(
-    arch: Architecture, table: TypeTable, io: ExternalIO = ExternalIO()
-) -> list[Diagnostic]:
-    """Arity validation plus reachability of external streams."""
+def check_completeness(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
+    """Arity validation plus reachability of external streams; an unbound
+    stream's finding points at its pipeline."""
     diags = model.validate_arity(arch, table)
     for ext in arch.externals:
-        if ext.direction == "input":
-            bound = arch.inputs.get(ext.stream) or io.input
-            if bound is None:
-                diags.append(
-                    error(
-                        "UnboundExternalInput",
-                        f"pipeline input at {ext.connector}.{ext.role} has no input binding",
-                    )
+        if arch.bound_path(ext.direction) is None:
+            diags.append(
+                error(
+                    "UnboundExternal" + ext.direction.capitalize(),
+                    f"pipeline {ext.direction} at {ext.connector}.{ext.role} "
+                    f"has no {ext.direction} binding",
+                    arch.connectors[ext.connector].span,
                 )
-        else:
-            bound = arch.outputs.get(ext.stream) or io.output
-            if bound is None:
-                diags.append(
-                    error(
-                        "UnboundExternalOutput",
-                        f"pipeline output at {ext.connector}.{ext.role} has no output binding",
-                    )
-                )
+            )
     return diags
 
 
@@ -425,15 +395,11 @@ def _check_unused_seeds(arch: Architecture) -> list[Diagnostic]:
     ]
 
 
-def check_all(
-    arch: Architecture,
-    table: TypeTable,
-    io: ExternalIO = ExternalIO(),
-) -> list[Diagnostic]:
+def check_all(arch: Architecture, table: TypeTable) -> list[Diagnostic]:
     """Every check, aggregated; the full compile-side verdict."""
     return (
         check_types(arch, table)
-        + check_completeness(arch, table, io)
+        + check_completeness(arch, table)
         + check_style(arch, table)
         + _check_unused_seeds(arch)
     )

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .checker import ExternalIO, check_all, fold_typedefs, resolve
+from .checker import check_all, fold_typedefs, resolve
 from .diagnostics import ArchonError, error, has_errors, render_json, render_lines
 from .export import to_dot, to_json
 from .formatter import format_system
@@ -136,9 +136,15 @@ def _dispatch(args) -> int:
     result = resolve(ast, table)
     diags = list(result.diagnostics)
     arch = result.architecture
-    if arch is not None and args.style:
-        arch = replace(arch, style=args.style)
-    io = ExternalIO(input=args.input, output=args.output)
+    # --style overrides the source's style; a path bound in the source wins
+    # over --input/--output
+    if arch is not None:
+        arch = replace(
+            arch,
+            style=args.style or arch.style,
+            input=arch.input or args.input,
+            output=arch.output or args.output,
+        )
 
     if args.command == "graph":
         if arch is None:
@@ -149,7 +155,7 @@ def _dispatch(args) -> int:
         return 0
 
     if arch is not None:
-        diags.extend(check_all(arch, result.table, io))
+        diags.extend(check_all(arch, result.table))
 
     if args.command == "check":
         if args.json:
@@ -164,7 +170,7 @@ def _dispatch(args) -> int:
         return 2
 
     try:
-        built = lower_plan(arch, result.table, io)
+        built = lower_plan(arch, result.table)
     except ArchonError as exc:
         sys.stderr.write(render_lines([exc.diagnostic], args.source))
         return 2

@@ -107,8 +107,8 @@ def desugar_pipeline(
         attachments.append(
             Attachment(stage, STDOUT, pipe_name(stmt.name, i + 1), "source", span=stmt.span)
         )
-    external_in = ExternalBinding("input", EXT_INPUT, pipe_name(stmt.name, 0), "source")
-    external_out = ExternalBinding("output", EXT_OUTPUT, pipe_name(stmt.name, n), "sink")
+    external_in = ExternalBinding(EXT_INPUT, pipe_name(stmt.name, 0), "source")
+    external_out = ExternalBinding(EXT_OUTPUT, pipe_name(stmt.name, n), "sink")
     return (
         PipelineExpansion(
             tuple(new_instances.values()), connectors, tuple(attachments), external_in, external_out

@@ -36,7 +36,7 @@ def _edges(
         ctype = table.connector(conn.type_name)
         role_index = {role.name: i for i, role in enumerate(ctype.roles)} if ctype else {}
         points = [(a.instance, a.port, a.role) for a in arch.attachments_of_connector(name)]
-        points += [(ext.stream, "", ext.role) for ext in arch.externals_of_connector(name)]
+        points += [(ext.direction, "", ext.role) for ext in arch.externals_of_connector(name)]
         points.sort(key=lambda p: (role_index.get(p[2], 99), p[0], p[1]))
         edges.append((conn, ctype, points))
     return edges

@@ -7,19 +7,17 @@ reformatting formatted text is the identity.
 
 from __future__ import annotations
 
-from .model import Attachment, Connector, Instance
-from .parser import escape_string
-from .syntax import (
-    ComponentTypeDef,
-    ConnectorTypeDef,
-    Declaration,
-    IoDecl,
-    PipelineDecl,
-    PortDecl,
-    PortTypeDef,
-    RoleDecl,
-    SystemAst,
+from .model import (
+    Attachment,
+    ComponentType,
+    Connector,
+    ConnectorType,
+    Instance,
+    PortSpec,
+    RoleSpec,
 )
+from .parser import escape_string
+from .syntax import Declaration, IoDecl, PipelineDecl, PortTypeDef, SystemAst
 
 _INDENT = "  "
 
@@ -28,12 +26,12 @@ def _quote(value: str) -> str:
     return '"' + escape_string(value) + '"'
 
 
-def _port_decl(p: PortDecl) -> str:
+def _port_decl(p: PortSpec) -> str:
     many = " many" if p.many else ""
     return f"port {p.name} : {p.port_type}{many};"
 
 
-def _role_decl(r: RoleDecl) -> str:
+def _role_decl(r: RoleSpec) -> str:
     accepts = ", ".join(r.accepts)
     top = "*" if r.max_fill is None else str(r.max_fill)
     return f"role {r.name} accepts {accepts} fill {r.min_fill}..{top};"
@@ -60,12 +58,12 @@ def _declaration_lines(d: Declaration, depth: int) -> list[str]:
     pad = _INDENT * depth
     if isinstance(d, PortTypeDef):
         return [f"{pad}porttype {d.name};"]
-    if isinstance(d, ComponentTypeDef):
+    if isinstance(d, ComponentType):
         lines = [f"{pad}componenttype {d.name} {{"]
         lines += [f"{pad}{_INDENT}{_port_decl(p)}" for p in d.ports]
         lines.append(f"{pad}}}")
         return lines
-    if isinstance(d, ConnectorTypeDef):
+    if isinstance(d, ConnectorType):
         lines = [f"{pad}connectortype {d.name} {{"]
         lines += [f"{pad}{_INDENT}{_role_decl(r)}" for r in d.roles]
         lines.append(f"{pad}}}")

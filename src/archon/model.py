@@ -3,11 +3,15 @@
 Components expose named ports, connectors expose named roles, and a system
 is a set of component instances whose ports are attached to connector
 roles.  Which port may fill which role is decided by exact membership of
-the port's type in the role's accepted set; there is no subtyping.
+the port's type among the role's accepted types; there is no subtyping.
 
-``Instance``, ``Connector`` and ``Attachment`` are also what the parser
-emits for a ``component``, ``connector`` or ``attach`` declaration and what
+``ComponentType`` and ``ConnectorType`` (with their ``PortSpec`` and
+``RoleSpec`` records) are what the parser emits for a ``componenttype`` or
+``connectortype`` declaration, and ``define_*`` stores them in the table as
+they are.  ``Instance``, ``Connector`` and ``Attachment`` are what it emits
+for a ``component``, ``connector`` or ``attach`` declaration and what
 pipeline expansion produces; resolution stores those records as they are.
+An ``Architecture`` holds the file paths its external streams are bound to.
 
 All values here are immutable.  Extending a type table (``define_*``) or
 attaching a port (``attach``, ``attach_many``) returns a new value and
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from . import topology
 from .diagnostics import ArchonError, Diagnostic, Span, error, fail
@@ -54,9 +58,6 @@ OUTBOUND_PORT_TYPES = frozenset({STREAM_OUT, EVENT_EMIT, RPC_CALL, STORE_ACCESS}
 
 PIPE_TYPE = "Pipe"
 
-ONE = "one"
-MANY = "many"
-
 UNBOUNDED: Optional[int] = None
 
 
@@ -64,28 +65,24 @@ UNBOUNDED: Optional[int] = None
 class PortSpec:
     name: str
     port_type: str
-    multiplicity: str = ONE
-
-    def __post_init__(self) -> None:
-        if self.multiplicity not in (ONE, MANY):
-            raise ValueError(f"bad multiplicity {self.multiplicity!r}")
+    many: bool = False  # may be attached more than once
+    span: Optional[Span] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class RoleSpec:
     name: str
-    accepts: frozenset[str]
+    accepts: tuple[str, ...]  # in source order
     min_fill: int = 1
     max_fill: Optional[int] = 1  # None = unbounded
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "accepts", frozenset(self.accepts))
+    span: Optional[Span] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class ComponentType:
     name: str
     ports: tuple[PortSpec, ...]
+    span: Optional[Span] = field(default=None, compare=False)
 
     def port(self, name: str) -> Optional[PortSpec]:
         for p in self.ports:
@@ -98,6 +95,7 @@ class ComponentType:
 class ConnectorType:
     name: str
     roles: tuple[RoleSpec, ...]
+    span: Optional[Span] = field(default=None, compare=False)
 
     def role(self, name: str) -> Optional[RoleSpec]:
         for r in self.roles:
@@ -137,48 +135,48 @@ def builtin_type_table() -> TypeTable:
     """
     filter_t = ComponentType(
         "Filter",
-        (PortSpec("stdin", STREAM_IN, ONE), PortSpec("stdout", STREAM_OUT, ONE)),
+        (PortSpec("stdin", STREAM_IN), PortSpec("stdout", STREAM_OUT)),
     )
     process_t = ComponentType(
         "Process",
         (
-            PortSpec("stdin", STREAM_IN, ONE),
-            PortSpec("stdout", STREAM_OUT, ONE),
-            PortSpec("call", RPC_CALL, MANY),
-            PortSpec("serve", RPC_DEF, MANY),
-            PortSpec("emit", EVENT_EMIT, MANY),
-            PortSpec("listen", EVENT_RECV, MANY),
-            PortSpec("access", STORE_ACCESS, MANY),
+            PortSpec("stdin", STREAM_IN),
+            PortSpec("stdout", STREAM_OUT),
+            PortSpec("call", RPC_CALL, True),
+            PortSpec("serve", RPC_DEF, True),
+            PortSpec("emit", EVENT_EMIT, True),
+            PortSpec("listen", EVENT_RECV, True),
+            PortSpec("access", STORE_ACCESS, True),
         ),
     )
-    datastore_t = ComponentType("DataStore", (PortSpec("store", STORE_PROVIDE, ONE),))
+    datastore_t = ComponentType("DataStore", (PortSpec("store", STORE_PROVIDE),))
 
     pipe_t = ConnectorType(
         PIPE_TYPE,
         (
-            RoleSpec("source", frozenset({STREAM_OUT}), 1, 1),
-            RoleSpec("sink", frozenset({STREAM_IN}), 1, 1),
+            RoleSpec("source", (STREAM_OUT,), 1, 1),
+            RoleSpec("sink", (STREAM_IN,), 1, 1),
         ),
     )
     rpc_t = ConnectorType(
         "RPC",
         (
-            RoleSpec("caller", frozenset({RPC_CALL}), 1, 1),
-            RoleSpec("definer", frozenset({RPC_DEF}), 1, 1),
+            RoleSpec("caller", (RPC_CALL,), 1, 1),
+            RoleSpec("definer", (RPC_DEF,), 1, 1),
         ),
     )
     event_t = ConnectorType(
         "Event",
         (
-            RoleSpec("announcer", frozenset({EVENT_EMIT}), 1, UNBOUNDED),
-            RoleSpec("listener", frozenset({EVENT_RECV}), 0, UNBOUNDED),
+            RoleSpec("announcer", (EVENT_EMIT,), 1, UNBOUNDED),
+            RoleSpec("listener", (EVENT_RECV,), 0, UNBOUNDED),
         ),
     )
     dataaccess_t = ConnectorType(
         "DataAccess",
         (
-            RoleSpec("client", frozenset({STORE_ACCESS}), 1, UNBOUNDED),
-            RoleSpec("store", frozenset({STORE_PROVIDE}), 1, 1),
+            RoleSpec("client", (STORE_ACCESS,), 1, UNBOUNDED),
+            RoleSpec("store", (STORE_PROVIDE,), 1, 1),
         ),
     )
 
@@ -195,16 +193,12 @@ def define_port_type(table: TypeTable, name: str) -> TypeTable:
     return replace(table, port_types=table.port_types | {name})
 
 
-def define_component_type(
-    table: TypeTable,
-    name: str,
-    ports: Sequence[PortSpec],
-    span: Optional[Span] = None,
-) -> TypeTable:
+def define_component_type(table: TypeTable, ctype: ComponentType) -> TypeTable:
+    name, span = ctype.name, ctype.span
     if name in table.component_types or name in table.connector_types:
         raise fail("DuplicateType", f"component type '{name}' is already defined", span)
     seen: set[str] = set()
-    for p in ports:
+    for p in ctype.ports:
         if p.name in seen:
             raise fail("BadPortSpec", f"port '{p.name}' declared twice in '{name}'", span)
         seen.add(p.name)
@@ -214,20 +208,15 @@ def define_component_type(
                 f"port '{p.name}' of '{name}' uses unknown port type '{p.port_type}'",
                 span,
             )
-    ct = ComponentType(name, tuple(ports))
-    return replace(table, component_types={**table.component_types, name: ct})
+    return replace(table, component_types={**table.component_types, name: ctype})
 
 
-def define_connector_type(
-    table: TypeTable,
-    name: str,
-    roles: Sequence[RoleSpec],
-    span: Optional[Span] = None,
-) -> TypeTable:
+def define_connector_type(table: TypeTable, ctype: ConnectorType) -> TypeTable:
+    name, span = ctype.name, ctype.span
     if name in table.connector_types or name in table.component_types:
         raise fail("DuplicateType", f"connector type '{name}' is already defined", span)
     seen: set[str] = set()
-    for r in roles:
+    for r in ctype.roles:
         if r.name in seen:
             raise fail("BadRoleSpec", f"role '{r.name}' declared twice in '{name}'", span)
         seen.add(r.name)
@@ -241,15 +230,16 @@ def define_connector_type(
                 f"role '{r.name}' of '{name}' has fill range {r.min_fill}..{r.max_fill}",
                 span,
             )
-        for pt in r.accepts:
+        for i, pt in enumerate(r.accepts):
             if not table.has_port_type(pt):
                 raise fail(
                     "BadRoleSpec",
                     f"role '{r.name}' of '{name}' accepts unknown port type '{pt}'",
                     span,
                 )
-    ct = ConnectorType(name, tuple(roles))
-    return replace(table, connector_types={**table.connector_types, name: ct})
+            if pt in r.accepts[:i]:
+                raise fail("BadRoleSpec", f"role '{r.name}' of '{name}' accepts '{pt}' twice", span)
+    return replace(table, connector_types={**table.connector_types, name: ctype})
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +279,11 @@ class Attachment:
 class ExternalBinding:
     """A connector role fed by, or draining to, a stream outside the system.
 
-    ``direction`` is 'input' (stream fills the role as a producer) or
-    'output' (stream consumes from the role).
+    ``direction`` names the stream: 'input' (it fills the role as a
+    producer) or 'output' (it consumes from the role).
     """
 
     direction: str
-    stream: str  # external stream name ('input' / 'output')
     connector: str
     role: str
 
@@ -307,9 +296,9 @@ class Architecture:
     connectors: Mapping[str, Connector] = field(default_factory=dict)
     attachments: tuple[Attachment, ...] = ()
     externals: tuple[ExternalBinding, ...] = ()
-    # external stream name -> file path; None means "bind at run time"
-    inputs: Mapping[str, Optional[str]] = field(default_factory=dict)
-    outputs: Mapping[str, Optional[str]] = field(default_factory=dict)
+    # the external streams' file paths; None means "not bound"
+    input: Optional[str] = None
+    output: Optional[str] = None
     allow_layer_skip: bool = False
 
     # connector -> its attachments / external bindings in tuple order, and
@@ -357,6 +346,11 @@ class Architecture:
 
     def externals_of_connector(self, connector: str) -> list[ExternalBinding]:
         return self._externals_by_connector.get(connector, [])
+
+    def bound_path(self, direction: str) -> Optional[str]:
+        """The file the external stream ``direction`` is bound to; None if
+        it is unbound or bound to ""."""
+        return (self.input if direction == EXT_INPUT else self.output) or None
 
 
 def _index_by_connector(items: Iterable) -> dict[str, list]:
@@ -424,7 +418,7 @@ def _attach_error(
             f"{instance}.{port} is already attached to {connector}.{role}",
             span,
         )
-    if pspec.multiplicity == ONE and (instance, port) in used:
+    if not pspec.many and (instance, port) in used:
         return error(
             "PortMultiplicityExceeded",
             f"port {instance}.{port} has multiplicity one and is already attached",

@@ -39,18 +39,16 @@ from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .diagnostics import Span
-from .model import Attachment, Connector, Instance
-from .syntax import (
-    ComponentTypeDef,
-    ConnectorTypeDef,
-    Declaration,
-    IoDecl,
-    PipelineDecl,
-    PortDecl,
-    PortTypeDef,
-    RoleDecl,
-    SystemAst,
+from .model import (
+    Attachment,
+    ComponentType,
+    Connector,
+    ConnectorType,
+    Instance,
+    PortSpec,
+    RoleSpec,
 )
+from .syntax import Declaration, IoDecl, PipelineDecl, PortTypeDef, SystemAst
 
 MAX_SOURCE_BYTES = 1 << 20
 
@@ -304,36 +302,36 @@ class _Parser:
         self.accept(";")  # terminator is optional here
         return PortTypeDef(name, span=self.span_from(first))
 
-    def _parse_component_type(self) -> ComponentTypeDef:
+    def _parse_component_type(self) -> ComponentType:
         first = self.advance()
         name = self.name()
         self.expect("{")
-        ports: list[PortDecl] = []
+        ports: list[PortSpec] = []
         while self.texts[self.pos] == "port":
             ports.append(self._parse_port_decl())
         self.expect("}")
-        return ComponentTypeDef(name, tuple(ports), span=self.span_from(first))
+        return ComponentType(name, tuple(ports), span=self.span_from(first))
 
-    def _parse_port_decl(self) -> PortDecl:
+    def _parse_port_decl(self) -> PortSpec:
         first = self.advance()
         name = self.name()
         self.expect(":")
         ptype = self.name()
         many = self.accept("many")
         self.expect(";")
-        return PortDecl(name, ptype, many, span=self.span_from(first))
+        return PortSpec(name, ptype, many, span=self.span_from(first))
 
-    def _parse_connector_type(self) -> ConnectorTypeDef:
+    def _parse_connector_type(self) -> ConnectorType:
         first = self.advance()
         name = self.name()
         self.expect("{")
-        roles: list[RoleDecl] = []
+        roles: list[RoleSpec] = []
         while self.texts[self.pos] == "role":
             roles.append(self._parse_role_decl())
         self.expect("}")
-        return ConnectorTypeDef(name, tuple(roles), span=self.span_from(first))
+        return ConnectorType(name, tuple(roles), span=self.span_from(first))
 
-    def _parse_role_decl(self) -> RoleDecl:
+    def _parse_role_decl(self) -> RoleSpec:
         first = self.advance()
         name = self.name()
         self.expect("accepts")
@@ -345,7 +343,7 @@ class _Parser:
         self.expect("..")
         max_fill = self.literal("int", "*")  # None for '*', no bound
         self.expect(";")
-        return RoleDecl(
+        return RoleSpec(
             name,
             tuple(accepts),
             min_fill,  # type: ignore[arg-type]

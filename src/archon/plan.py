@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import topology
-from .checker import RPC_TYPE, ExternalIO
+from .checker import RPC_TYPE
 from .diagnostics import Span, fail
-from .model import PIPE_TYPE, Architecture, TypeTable
+from .model import EXT_INPUT, PIPE_TYPE, Architecture, TypeTable
 
 EVENT_TYPE = "Event"
 ACCESS_TYPE = "DataAccess"
@@ -120,10 +120,8 @@ def serialize_plan(built: BuildPlan) -> str:
     return json.dumps(built.to_json_obj(), indent=2) + "\n"
 
 
-def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> BuildPlan:
+def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
     """Lower a checked architecture. Raises ArchonError on unmet bindings."""
-    io = io or ExternalIO()
-
     for conn in sorted(arch.connectors.values(), key=lambda c: c.name):
         if conn.type_name not in (PIPE_TYPE, RPC_TYPE, EVENT_TYPE, ACCESS_TYPE):
             raise fail(
@@ -143,24 +141,14 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
         span = arch.connectors[conn_name].span
         kind, path = "pipe", ""
         for ext in arch.externals_of_connector(conn_name):
-            if ext.direction == "input":
-                bound = arch.inputs.get(ext.stream) or io.input
-                if not bound:
-                    raise fail(
-                        "UnboundExternalInput",
-                        f"external input '{ext.stream}' has no bound path",
-                        span,
-                    )
-                kind, path = "file-in", bound
-            else:
-                bound = arch.outputs.get(ext.stream) or io.output
-                if not bound:
-                    raise fail(
-                        "UnboundExternalOutput",
-                        f"external output '{ext.stream}' has no bound path",
-                        span,
-                    )
-                kind, path = "file-out", bound
+            path = arch.bound_path(ext.direction)
+            if path is None:
+                raise fail(
+                    "UnboundExternal" + ext.direction.capitalize(),
+                    f"external {ext.direction} stream has no bound path",
+                    span,
+                )
+            kind = "file-in" if ext.direction == EXT_INPUT else "file-out"
         channels[conn_name] = Channel(conn_name, kind, path)
         for att in arch.attachments_of_connector(conn_name, "source"):
             writes[att.instance].append(conn_name)
@@ -263,8 +251,8 @@ def plan(arch: Architecture, table: TypeTable, io: ExternalIO | None = None) -> 
         broker=broker,
         rpc=rpc,
         relays=tuple(relays),
-        input=arch.inputs.get("input") or io.input or "",
-        output=arch.outputs.get("output") or io.output or "",
+        input=arch.input or "",
+        output=arch.output or "",
     )
     return _finalize(draft, stages, channels)
 

@@ -3,9 +3,15 @@
 Nodes store their source span for diagnostics, but spans are excluded from
 equality: two trees are equal iff they describe the same system, which is
 what the format round-trip contract needs.  Declaration order is preserved
-exactly as written.  A ``component``, ``connector`` or ``attach``
-declaration is the model's own Instance, Connector or Attachment; an
-instance's attrs keep their source order, which equality ignores.
+exactly as written.
+
+Only the ``porttype``, ``pipeline`` and ``input``/``output`` declarations
+and the system itself have records here.  A ``componenttype`` or
+``connectortype`` declaration is the model's own ComponentType or
+ConnectorType, its ports and roles PortSpec and RoleSpec records; a
+``component``, ``connector`` or ``attach`` declaration is the model's
+Instance, Connector or Attachment.  An instance's attrs keep their source
+order, which equality ignores.
 """
 
 from __future__ import annotations
@@ -14,43 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagnostics import Span
-from .model import Attachment, Connector, Instance
-
-
-@dataclass(frozen=True)
-class PortDecl:
-    name: str
-    port_type: str
-    many: bool = False
-    span: Optional[Span] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class RoleDecl:
-    name: str
-    accepts: tuple[str, ...]
-    min_fill: int = 1
-    max_fill: Optional[int] = 1  # None = '*'
-    span: Optional[Span] = field(default=None, compare=False)
+from .model import Attachment, ComponentType, Connector, ConnectorType, Instance
 
 
 @dataclass(frozen=True)
 class PortTypeDef:
     name: str
-    span: Optional[Span] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class ComponentTypeDef:
-    name: str
-    ports: tuple[PortDecl, ...]
-    span: Optional[Span] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class ConnectorTypeDef:
-    name: str
-    roles: tuple[RoleDecl, ...]
     span: Optional[Span] = field(default=None, compare=False)
 
 
@@ -70,8 +45,8 @@ class IoDecl:
 
 Declaration = Union[
     PortTypeDef,
-    ComponentTypeDef,
-    ConnectorTypeDef,
+    ComponentType,
+    ConnectorType,
     Instance,
     Connector,
     Attachment,

@@ -8,6 +8,7 @@ import itertools
 import pstats
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,17 +17,17 @@ from hypothesis import given, settings, strategies as st
 from archon import model
 from archon.checker import (
     BUILTIN_STYLES,
-    ExternalIO,
     check_all,
     check_completeness,
     check_style,
     check_types,
     classify_topology,
+    fold_typedefs,
     resolve,
 )
 from archon.cli import main
-from archon.model import builtin_type_table
-from archon.parser import parse, tokenize
+from archon.model import ExternalBinding, builtin_type_table
+from archon.parser import parse, parse_library, tokenize
 from archon.plan import plan, serialize_plan
 from archon.topology import classify_digraph
 
@@ -108,6 +109,29 @@ def test_forward_references_allowed():
     assert arch.attachments[0] is first_attach
 
 
+def test_fold_keeps_the_parsed_type_records():
+    decls = parse_library(
+        "porttype Salt;\n"
+        "componenttype Tank { port out : Salt many; }\n"
+        "connectortype Brine { role spout accepts Salt, StreamOut fill 1..*; }"
+    )
+    table, diags = fold_typedefs(builtin_type_table(), decls)
+    assert diags == []
+    assert table.component("Tank") is decls[1]
+    assert table.connector("Brine") is decls[2]
+
+
+def test_a_role_accepting_one_port_type_twice_is_rejected():
+    result = _resolve(
+        "system S { porttype Z; connectortype K { role r accepts Z, StreamIn, Z fill 0..*; } }"
+    )
+    assert result.architecture is None
+    (diag,) = result.diagnostics
+    assert diag.code == "BadRoleSpec"
+    assert diag.message == "role 'r' of 'K' accepts 'Z' twice"
+    assert diag.span[2:] == (1, 24)
+
+
 @pytest.mark.parametrize("name", ["03_trio.arch", "12_twopipelines.arch"])
 def test_pipeline_may_precede_its_stages(name):
     text = (CORPUS / name).read_text()
@@ -119,8 +143,10 @@ def test_pipeline_may_precede_its_stages(name):
     original, table = _resolved_arch(text)
     reordered, _ = _resolved_arch(moved)
     assert reordered == original
-    io = ExternalIO("in.txt", "out.txt")
-    assert serialize_plan(plan(reordered, table, io)) == serialize_plan(plan(original, table, io))
+    bound = {"input": "in.txt", "output": "out.txt"}
+    assert serialize_plan(plan(replace(reordered, **bound), table)) == serialize_plan(
+        plan(replace(original, **bound), table)
+    )
 
 
 def test_pipelines_share_declared_stages():
@@ -368,8 +394,21 @@ def test_unbound_external_input_reported():
 
 def test_cli_bindings_satisfy_externals():
     arch, table = _resolved_arch("system S { pipeline P: input | A() | output; }")
-    io = ExternalIO(input="in.txt", output="out.txt")
-    assert check_completeness(arch, table, io) == []
+    assert check_completeness(replace(arch, input="in.txt", output="out.txt"), table) == []
+
+
+def test_unbound_external_findings_point_at_their_pipeline():
+    arch, table = _resolved_arch("system S {\n  pipeline P: input | A() | output;\n}")
+    diags = check_completeness(arch, table)
+    assert [(d.code, d.span[2:]) for d in diags] == [
+        ("UnboundExternalInput", (2, 3)),
+        ("UnboundExternalOutput", (2, 3)),
+    ]
+    # an external stream on a role that rejects it: the input fills a sink
+    wrong = replace(arch, externals=(ExternalBinding("input", "P_p0", "sink"),))
+    (mismatch,) = check_types(wrong, table)
+    assert mismatch.code == "TypeMismatch"
+    assert mismatch.span[2:] == (2, 3)
 
 
 def test_fully_bound_pipeline_clean():
@@ -549,8 +588,8 @@ def test_pipes_and_filters_accepts_stream_only_types():
         connectors=arch.connectors,
         attachments=arch.attachments,
         externals=arch.externals,
-        inputs=arch.inputs,
-        outputs=arch.outputs,
+        input=arch.input,
+        output=arch.output,
     )
     assert check_style(styled, table) == []
 
@@ -616,7 +655,7 @@ def test_seeded_cycle_conforms_unseeded_does_not():
 def test_seed_off_every_cycle_warns_once(tmp_path, capsys):
     src = 'system S { component A : Filter impl "cat" seed "hello\\n"; pipeline P: input | A() | output; }'
     arch, table = _resolved_arch(src)
-    diags = check_all(arch, table, ExternalIO("i", "o"))
+    diags = check_all(replace(arch, input="i", output="o"), table)
     assert [(d.severity.value, d.code) for d in diags] == [("warning", "UnusedSeed")]
     assert diags[0].span == arch.instances["A"].span
     path = tmp_path / "s.arch"

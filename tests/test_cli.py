@@ -171,6 +171,18 @@ def test_plan_io_flags_bind_externals(src, capsys, tmp_path):
     assert obj["input"] == "i.txt"
 
 
+def test_source_binding_wins_over_io_flags(src, capsys):
+    path = src(
+        'system S { component A : Filter impl "./a"; pipeline P: input | A() | output;'
+        ' input "src_in.txt"; }'
+    )
+    assert main(["plan", path, "--input", "cli_in.txt", "--output", "cli_out.txt"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["input"], obj["output"]) == ("src_in.txt", "cli_out.txt")
+    paths = {c["name"]: c["path"] for c in obj["channels"]}
+    assert (paths["P_p0"], paths["P_p1"]) == ("src_in.txt", "cli_out.txt")
+
+
 def test_style_flag_overrides(src, capsys):
     path = src(
         """

@@ -5,18 +5,17 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from archon.formatter import format_system
-from archon.model import Attachment, Connector, Instance
-from archon.parser import parse
-from archon.syntax import (
-    ComponentTypeDef,
-    ConnectorTypeDef,
-    IoDecl,
-    PipelineDecl,
-    PortDecl,
-    PortTypeDef,
-    RoleDecl,
-    SystemAst,
+from archon.model import (
+    Attachment,
+    ComponentType,
+    Connector,
+    ConnectorType,
+    Instance,
+    PortSpec,
+    RoleSpec,
 )
+from archon.parser import parse
+from archon.syntax import IoDecl, PipelineDecl, PortTypeDef, SystemAst
 
 
 def test_minimal_canonical_form():
@@ -89,13 +88,13 @@ _string = st.text(
 )
 
 _port_decl = st.builds(
-    PortDecl,
+    PortSpec,
     name=_name,
     port_type=_type_name,
     many=st.booleans(),
 )
 _role_decl = st.builds(
-    RoleDecl,
+    RoleSpec,
     name=_name,
     accepts=st.lists(_type_name, min_size=1, max_size=3, unique=True).map(tuple),
     min_fill=st.integers(0, 3),
@@ -112,8 +111,8 @@ _attr = st.one_of(
 
 _declaration = st.one_of(
     st.builds(PortTypeDef, name=_name),
-    st.builds(ComponentTypeDef, name=_name, ports=st.lists(_port_decl, max_size=3).map(tuple)),
-    st.builds(ConnectorTypeDef, name=_name, roles=st.lists(_role_decl, max_size=3).map(tuple)),
+    st.builds(ComponentType, name=_name, ports=st.lists(_port_decl, max_size=3).map(tuple)),
+    st.builds(ConnectorType, name=_name, roles=st.lists(_role_decl, max_size=3).map(tuple)),
     st.builds(
         Instance,
         name=_name,

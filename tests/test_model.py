@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from archon.diagnostics import ArchonError
 from archon.model import (
     Architecture,
+    ComponentType,
     Connector,
+    ConnectorType,
     Instance,
     PortSpec,
     RoleSpec,
@@ -54,8 +56,9 @@ def test_define_component_type_extends():
     table = builtin_type_table()
     extended = define_component_type(
         table,
-        "Splitter",
-        [PortSpec("in", "StreamIn", "one"), PortSpec("out", "StreamOut", "many")],
+        ComponentType(
+            "Splitter", (PortSpec("in", "StreamIn", False), PortSpec("out", "StreamOut", True))
+        ),
     )
     assert extended.component("Splitter") is not None
     assert table.component("Splitter") is None  # input untouched
@@ -63,7 +66,7 @@ def test_define_component_type_extends():
 
 def test_define_component_type_rejects_builtin_shadow():
     with pytest.raises(ArchonError) as exc:
-        define_component_type(builtin_type_table(), "Filter", [])
+        define_component_type(builtin_type_table(), ComponentType("Filter", ()))
     assert exc.value.code == "DuplicateType"
 
 
@@ -71,8 +74,7 @@ def test_define_component_type_rejects_repeated_port():
     with pytest.raises(ArchonError) as exc:
         define_component_type(
             builtin_type_table(),
-            "X",
-            [PortSpec("a", "StreamIn"), PortSpec("a", "StreamOut")],
+            ComponentType("X", (PortSpec("a", "StreamIn"), PortSpec("a", "StreamOut"))),
         )
     assert exc.value.code == "BadPortSpec"
 
@@ -80,11 +82,13 @@ def test_define_component_type_rejects_repeated_port():
 def test_define_connector_type_extends():
     table = define_connector_type(
         builtin_type_table(),
-        "Tee",
-        [
-            RoleSpec("in", frozenset({"StreamOut"}), 1, 1),
-            RoleSpec("out", frozenset({"StreamIn"}), 2, None),
-        ],
+        ConnectorType(
+            "Tee",
+            (
+                RoleSpec("in", ("StreamOut",), 1, 1),
+                RoleSpec("out", ("StreamIn",), 2, None),
+            ),
+        ),
     )
     tee = table.connector("Tee")
     assert tee.role("out").max_fill is None
@@ -93,13 +97,16 @@ def test_define_connector_type_extends():
 def test_define_connector_type_rejections():
     table = builtin_type_table()
     with pytest.raises(ArchonError) as exc:
-        define_connector_type(table, "Pipe", [])
+        define_connector_type(table, ConnectorType("Pipe", ()))
     assert exc.value.code == "DuplicateType"
     with pytest.raises(ArchonError) as exc:
-        define_connector_type(table, "Z", [RoleSpec("r", frozenset(), 0, 1)])
+        define_connector_type(table, ConnectorType("Z", (RoleSpec("r", (), 0, 1),)))
     assert exc.value.code == "BadRoleSpec"
     with pytest.raises(ArchonError) as exc:
-        define_connector_type(table, "Z", [RoleSpec("r", frozenset({"StreamIn"}), 3, 2)])
+        define_connector_type(table, ConnectorType("Z", (RoleSpec("r", ("StreamIn",), 3, 2),)))
+    assert exc.value.code == "BadRoleSpec"
+    with pytest.raises(ArchonError) as exc:
+        define_connector_type(table, ConnectorType("Z", (RoleSpec("r", ("StreamIn",) * 2, 0, 1),)))
     assert exc.value.code == "BadRoleSpec"
 
 
@@ -112,9 +119,9 @@ def test_compatible_with_developer_port_type():
         define_port_type(table, "Telemetry")
     assert exc.value.code == "DuplicateType"
     table = define_connector_type(
-        table, "Probe", [RoleSpec("tap", frozenset({"Telemetry"}), 0, None)]
+        table, ConnectorType("Probe", (RoleSpec("tap", ("Telemetry",), 0, None),))
     )
-    assert table.connector("Probe").role("tap").accepts == {"Telemetry"}
+    assert table.connector("Probe").role("tap").accepts == ("Telemetry",)
 
 
 def _two_filter_arch() -> Architecture:
@@ -208,7 +215,7 @@ def test_connector_index_follows_the_value():
     # The index and the graph are derived from the value, never fields of it.
     assert [f.name for f in dataclasses.fields(wired)] == [
         "name", "style", "instances", "connectors", "attachments",
-        "externals", "inputs", "outputs", "allow_layer_skip",
+        "externals", "input", "output", "allow_layer_skip",
     ]
 
 
@@ -262,7 +269,7 @@ def test_extension_is_monotone(name, port_type):
     """Queries on the base table answer identically after an extension."""
     base = builtin_type_table()
     try:
-        extended = define_component_type(base, "Ext_" + name, [PortSpec("p", port_type)])
+        extended = define_component_type(base, ComponentType("Ext_" + name, (PortSpec("p", port_type),)))
     except ArchonError:
         return
     for cname, ctype in base.component_types.items():

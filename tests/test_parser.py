@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from archon.diagnostics import Span
-from archon.model import Attachment, Connector, Instance
+from archon.model import Attachment, ComponentType, Connector, ConnectorType, Instance
 from archon.parser import (
     MAX_SOURCE_BYTES,
     ParseError,
@@ -18,13 +18,7 @@ from archon.parser import (
     parse_library,
     tokenize,
 )
-from archon.syntax import (
-    ComponentTypeDef,
-    ConnectorTypeDef,
-    IoDecl,
-    PipelineDecl,
-    PortTypeDef,
-)
+from archon.syntax import IoDecl, PipelineDecl, PortTypeDef
 
 
 def test_minimal_system():
@@ -77,8 +71,8 @@ def test_all_declaration_kinds():
     kinds = [type(d) for d in ast.declarations]
     assert kinds == [
         PortTypeDef,
-        ComponentTypeDef,
-        ConnectorTypeDef,
+        ComponentType,
+        ConnectorType,
         Instance,
         Instance,
         Connector,
@@ -173,7 +167,7 @@ def test_parse_library_accepts_typedefs_only():
     decls = parse_library(
         "porttype T;\ncomponenttype C { port x : T; }\nconnectortype K { role r accepts T fill 0..1; }"
     )
-    assert [type(d) for d in decls] == [PortTypeDef, ComponentTypeDef, ConnectorTypeDef]
+    assert [type(d) for d in decls] == [PortTypeDef, ComponentType, ConnectorType]
     with pytest.raises(ParseError):
         parse_library("component A : Filter;")
 

@@ -1,11 +1,12 @@
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from archon import topology
-from archon.checker import ExternalIO, check_all, resolve
+from archon.checker import check_all, resolve
 from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
@@ -21,9 +22,9 @@ def _arch(src: str):
     return result.architecture, result.table
 
 
-def _plan(src: str, io: ExternalIO | None = None):
+def _plan(src: str):
     arch, table = _arch(src)
-    return plan(arch, table, io)
+    return plan(arch, table)
 
 
 PIPELINE = """
@@ -97,7 +98,8 @@ def test_unbound_input_rejected_unless_io_given():
         _plan(src)
     assert exc.value.code == "UnboundExternalInput"
     assert exc.value.diagnostic.span[2:] == (1, 45)
-    built = _plan(src, ExternalIO(input="i", output="o"))
+    arch, table = _arch(src)
+    built = plan(replace(arch, input="i", output="o"), table)
     assert built.input == "i" and built.output == "o"
 
 

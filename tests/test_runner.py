@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from archon.checker import ExternalIO, resolve
+from archon.checker import resolve
 from archon.cli import main
 from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
@@ -192,10 +192,10 @@ def spawned(monkeypatch) -> list[subprocess.Popen]:
     return procs
 
 
-def _built(src: str, io: ExternalIO | None = None):
+def _built(src: str):
     result = resolve(parse(src), builtin_type_table())
     assert result.architecture is not None, result.diagnostics
-    return plan(result.architecture, result.table, io)
+    return plan(result.architecture, result.table)
 
 
 def _pipeline(stages: list[str], inp: str, out: str) -> str:
