@@ -13,15 +13,12 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .checker import check_all, fold_typedefs, resolve
 from .diagnostics import ArchonError, error, has_errors, render_json, render_lines
-from .export import to_dot, to_json
-from .formatter import format_system
 from .model import builtin_type_table
 from .parser import ParseError, parse, parse_library
-from .plan import plan as lower_plan, serialize_plan
-from .runner import run as execute
 
 USAGE_EXIT = 64
 
@@ -35,6 +32,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+@cache  # built once per process; each parse_args starts from a fresh namespace
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="archon", description=__doc__.splitlines()[0])
     common = _ArgumentParser(add_help=False)
@@ -113,6 +111,7 @@ def _dispatch(args) -> int:
         return _fail_code(args)
 
     if args.command == "fmt":
+        from .formatter import format_system
         _emit(format_system(ast), args.out)
         return 0
 
@@ -150,6 +149,7 @@ def _dispatch(args) -> int:
         if arch is None:
             sys.stderr.write(render_lines(diags, args.source))
             return 2
+        from .export import to_dot, to_json
         text = to_json(arch, result.table) if args.json else to_dot(arch, result.table)
         _emit(text, args.out)
         return 0
@@ -169,6 +169,7 @@ def _dispatch(args) -> int:
     if arch is None or has_errors(diags):
         return 2
 
+    from .plan import plan as lower_plan, serialize_plan
     try:
         built = lower_plan(arch, result.table)
     except ArchonError as exc:
@@ -183,6 +184,7 @@ def _dispatch(args) -> int:
             _emit(serialize_plan(built), args.out)
         return 0
 
+    from .runner import run as execute
     try:
         report = execute(built, timeout=args.timeout)
     except ArchonError as exc:  # nothing was started: an unopenable file, say

@@ -306,11 +306,11 @@ class Architecture:
     # are rebuilt from the tuples for every new value, and play no part in
     # ``==`` or ``replace``.
     @cached_property
-    def _by_connector(self) -> Mapping[str, list[Attachment]]:
+    def _by_connector(self) -> Mapping[str, tuple[Attachment, ...]]:
         return _index_by_connector(self.attachments)
 
     @cached_property
-    def _externals_by_connector(self) -> Mapping[str, list[ExternalBinding]]:
+    def _externals_by_connector(self) -> Mapping[str, tuple[ExternalBinding, ...]]:
         return _index_by_connector(self.externals)
 
     @cached_property
@@ -340,12 +340,12 @@ class Architecture:
                 entries.setdefault(consumer, []).append(pipe)
         return entries
 
-    def attachments_of_connector(self, connector: str, role: Optional[str] = None) -> list[Attachment]:
+    def attachments_of_connector(self, connector: str, role: Optional[str] = None) -> tuple[Attachment, ...]:
         found = self._by_connector.get(connector, ())
-        return [a for a in found if role is None or a.role == role]
+        return found if role is None else tuple(a for a in found if a.role == role)
 
-    def externals_of_connector(self, connector: str) -> list[ExternalBinding]:
-        return self._externals_by_connector.get(connector, [])
+    def externals_of_connector(self, connector: str) -> tuple[ExternalBinding, ...]:
+        return self._externals_by_connector.get(connector, ())
 
     def bound_path(self, direction: str) -> Optional[str]:
         """The file the external stream ``direction`` is bound to; None if
@@ -353,11 +353,12 @@ class Architecture:
         return (self.input if direction == EXT_INPUT else self.output) or None
 
 
-def _index_by_connector(items: Iterable) -> dict[str, list]:
+def _index_by_connector(items: Iterable) -> dict[str, tuple]:
+    # tuples: no caller can change what later readers of the index see
     index: dict[str, list] = {}
     for item in items:
         index.setdefault(item.connector, []).append(item)
-    return index
+    return {name: tuple(found) for name, found in index.items()}
 
 
 def _port_spec(table: TypeTable, inst: Instance, port: str) -> Optional[PortSpec]:

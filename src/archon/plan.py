@@ -186,6 +186,7 @@ def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
             reads[inst_name] = [in_ch]
 
     processes: list[Stage] = []
+    argvs: dict[str, tuple[str, ...]] = {}  # each distinct impl is split once
     for inst_name in node_names:
         inst = arch.instances[inst_name]
         impl = inst.attrs.get("impl")
@@ -195,13 +196,15 @@ def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
                 f"instance '{inst_name}' has no impl attribute",
                 inst.span,
             )
+        if impl not in argvs:
+            argvs[impl] = tuple(shlex.split(impl))
         processes.append(
             Stage(
                 name=inst_name,
                 kind=PROCESS,
                 instance=inst_name,
                 replica=0,
-                argv=tuple(shlex.split(impl)),
+                argv=argvs[impl],
                 reads=tuple(reads[inst_name]),
                 writes=tuple(writes[inst_name]),
                 stateless="stateless" in inst.attrs,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from archon.checker import fold_typedefs, resolve
+from archon import cli
 from archon.cli import main
 from archon.diagnostics import ArchonError, render_lines
 from archon.export import to_json
@@ -209,6 +210,24 @@ def test_lib_loading_and_shadowing(src, tmp_path, capsys):
     shadow.write_text("componenttype Gate { port stdin : StreamIn; }\n")
     assert main(["check", path, "--lib", str(lib), "--lib", str(shadow)]) == 2
     assert "DuplicateType" in capsys.readouterr().err
+
+
+def test_successive_calls_share_no_parser_state(src, tmp_path, capsys):
+    """The argument parser is built once per process; no option outlives its call."""
+    assert cli._build_parser() is cli._build_parser()
+    lib = tmp_path / "extra.arch"
+    lib.write_text("componenttype Gate { port stdin : StreamIn; port stdout : StreamOut; }\n")
+    path = src('system S { component G : Gate impl "./g"; }')
+    assert main(["check", path, "--lib", str(lib)]) == 0
+    assert main(["check", path, "--lib", str(lib)]) == 0  # a kept --lib would shadow itself
+    assert main(["check", path]) == 2  # and would type G here
+    capsys.readouterr()
+    bad = src(BAD_TYPES, "bad.arch")
+    assert main(["check", bad, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)
+    assert main(["check", bad]) == 2
+    out, err = capsys.readouterr()
+    assert (out, "TypeMismatch" in err) == ("", True)
 
 
 def test_lib_search_path_env(src, tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from archon.model import (
     ComponentType,
     Connector,
     ConnectorType,
+    ExternalBinding,
     Instance,
     PortSpec,
     RoleSpec,
@@ -181,26 +182,26 @@ def test_connector_index_follows_the_value():
     """Each value answers from its own tuple, even after its source's index was built."""
     table = builtin_type_table()
     source_only = attach(_two_filter_arch(), table, "A", "stdout", "p1", "source")
-    assert source_only.attachments_of_connector("p1", "sink") == []
+    assert source_only.attachments_of_connector("p1", "sink") == ()
     assert (source_only.pipe_edges, source_only.cycle_entries) == ((), {})
     wired = attach(source_only, table, "B", "stdin", "p1", "sink")
     assert [a.instance for a in wired.attachments_of_connector("p1")] == ["A", "B"]
     assert validate_arity(wired, table) == []
     assert (wired.pipe_edges, wired.cycle_entries) == ((("A", "B", "p1"),), {})
-    assert source_only.attachments_of_connector("p1", "sink") == []
+    assert source_only.attachments_of_connector("p1", "sink") == ()
     looped = attach(source_only, table, "A", "stdin", "p1", "sink")
     assert (looped.pipe_edges, looped.cycle_entries) == ((("A", "A", "p1"),), {"A": ["p1"]})
     assert (source_only.pipe_edges, wired.cycle_entries) == ((), {})
 
     unwired = dataclasses.replace(wired, attachments=wired.attachments[:1])
-    assert unwired.attachments_of_connector("p1", "sink") == []
+    assert unwired.attachments_of_connector("p1", "sink") == ()
     assert [d.code for d in validate_arity(unwired, table)] == ["RoleUnderfilled"]
     assert (unwired.pipe_edges, unwired.cycle_entries) == ((), {})
     assert unwired == source_only
     assert dataclasses.replace(looped, attachments=looped.attachments[:1]).cycle_entries == {}
 
     emptied = dataclasses.replace(wired, attachments=())
-    assert emptied.attachments_of_connector("p1") == []
+    assert emptied.attachments_of_connector("p1") == ()
     assert [d.code for d in validate_arity(emptied, table)] == ["RoleUnderfilled"] * 2
     assert emptied.pipe_edges == ()
     refilled = dataclasses.replace(emptied, attachments=wired.attachments[1:])
@@ -217,6 +218,24 @@ def test_connector_index_follows_the_value():
         "name", "style", "instances", "connectors", "attachments",
         "externals", "input", "output", "allow_layer_skip",
     ]
+
+
+def test_connector_lookups_cannot_change_the_index():
+    """Every lookup hands out a tuple, so no caller can alter what later
+    readers (plan, export, validate_arity) get from the same value."""
+    table = builtin_type_table()
+    wired = attach(_two_filter_arch(), table, "A", "stdout", "p1", "source")
+    arch = dataclasses.replace(wired, externals=(ExternalBinding("output", "p1", "sink"),))
+    lookups = [
+        arch.attachments_of_connector("p1"),
+        arch.attachments_of_connector("p1", "sink"),
+        arch.attachments_of_connector("zz"),
+        arch.externals_of_connector("p1"),
+        arch.externals_of_connector("zz"),
+    ]
+    assert [type(found) for found in lookups] == [tuple] * 5
+    assert arch.externals_of_connector("p1") is arch.externals_of_connector("p1")
+    assert validate_arity(arch, table) == []
 
 
 def test_validate_arity_underfilled_sink():
