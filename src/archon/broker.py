@@ -86,13 +86,19 @@ class EventBroker(SocketServer):
 
 
 class BrokerClient(SocketClient):
-    """Test and component-side client: subscribe, publish, drain events."""
+    """Test and component-side client: subscribe, publish, drain events.
+
+    Events are pushed by the broker whether or not anyone is waiting, so a
+    reader thread of its own reads them into a queue as they arrive.
+    """
 
     def __init__(self, endpoint: str) -> None:
         # events, then the error that stopped the reader: a bad frame, or
         # BrokerUnavailable when the broker went away
-        self._events: queue.Queue[tuple[str, bytes] | ArchonError] = queue.Queue()
+        self._events: queue.SimpleQueue[tuple[str, bytes] | ArchonError] = queue.SimpleQueue()
         super().__init__(endpoint, "BrokerUnavailable", "broker")
+        self._reader = threading.Thread(target=self._read_loop, daemon=True)
+        self._reader.start()
 
     def subscribe(self, topic: str) -> None:
         self._send(Frame(REG, topic=topic))
@@ -110,9 +116,12 @@ class BrokerClient(SocketClient):
             raise ArchonError(item.diagnostic)
         return item
 
-    def _on_frame(self, frame: Frame) -> None:
-        if frame.kind == EVT:
-            self._events.put((frame.topic, frame.payload))
+    def _read_loop(self) -> None:
+        while (burst := self._read()) is not None:
+            for frame in burst:
+                if frame.kind == EVT:
+                    self._events.put((frame.topic, frame.payload))
+        self._events.put(self._failure or fail("BrokerUnavailable", "connection closed"))
 
-    def _on_end(self, failure: ArchonError | None) -> None:
-        self._events.put(failure or fail("BrokerUnavailable", "connection closed"))
+    def _settle(self) -> None:
+        self._reader.join(timeout=2)

@@ -17,22 +17,28 @@ The length field counts the kind byte, the header, and the payload, and is
 capped at 1 MiB in both directions: encoding a larger frame raises, and a
 reader that sees a larger length aborts instead of buffering it.
 
-Reading.  A long-lived connection is read in bursts by ``bursts``: each
-``recv_into`` fills one 16 KiB buffer per connection, and every frame that
-read completed comes out as one list, in arrival order.  A partial frame
-stays in the buffer for the next read; a frame larger than the buffer grows
-it to that frame's size, and it shrinks back once the frame is out.  The
-cap is checked on the 4-byte header, before any of the body is buffered,
-and the whole frames ahead of a bad header or body are delivered before
-the error is raised.  ``read_frame`` reads exactly one frame and nothing
-past it, for a handshake that hands the connection on as a raw stream.
+A ``Frame`` is a tuple of its six fields; a decoded one is built in one
+step straight from the bytes read.
+
+Reading.  A long-lived connection is read in bursts by a ``BurstReader``:
+each ``read`` is one ``recv_into`` into one 16 KiB buffer per connection,
+and returns every frame that read completed as one list, in arrival order.
+A partial frame stays in the buffer for the next read, so a caller may
+wait for the connection to become readable between reads and give up
+mid-frame; a frame larger than the buffer grows it to that frame's size,
+and it shrinks back once the frame is out.  The cap is checked on the
+4-byte header, before any of the body is buffered, and the whole frames
+ahead of a bad header or body are returned before the error is raised.
+``bursts`` is the same reader as a generator that blocks until each list
+is non-empty.  ``read_frame`` reads exactly one frame and nothing past it,
+for a handshake that hands the connection on as a raw stream.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .diagnostics import ArchonError, fail
 
@@ -53,37 +59,39 @@ _SHORT = struct.Struct(">H")
 _CORR = struct.Struct(">Q")
 
 
-@dataclass(frozen=True)
-class Frame:
-    kind: int
-    payload: bytes = b""
-    topic: str = ""          # EVT / REG
-    correlation: int = 0     # REQ / RSP
-    name: str = ""           # FWD
-    stream_id: int = field(default=0)  # FWD
+class Frame(namedtuple("Frame", "kind payload topic correlation name stream_id")):
+    """One frame; only the fields of its kind are set:
+    ``topic`` (EVT, REG), ``correlation`` (REQ, RSP), ``name`` and ``stream_id`` (FWD)."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in KIND_NAMES:
-            raise fail("BadFrame", f"unknown frame kind {self.kind}")
+    __slots__ = ()
+
+    def __new__(cls, kind, payload=b"", topic="", correlation=0, name="", stream_id=0):
+        if kind not in KIND_NAMES:
+            raise fail("BadFrame", f"unknown frame kind {kind}")
+        return tuple.__new__(cls, (kind, payload, topic, correlation, name, stream_id))
+
+
+_new = tuple.__new__  # builds a Frame whose kind is already checked
 
 
 def encode(frame: Frame) -> bytes:
-    if frame.kind in (EVT, REG):
-        topic = frame.topic.encode("utf-8")
+    kind, payload, topic, correlation, name, stream_id = frame
+    if kind == REQ or kind == RSP:
+        header = _CORR.pack(correlation)
+    elif kind == EVT or kind == REG:
+        topic = topic.encode("utf-8")
         if len(topic) > 0xFFFF:
             raise fail("BadFrame", "topic longer than 65535 bytes")
         header = _SHORT.pack(len(topic)) + topic
-    elif frame.kind in (REQ, RSP):
-        header = _CORR.pack(frame.correlation)
     else:  # FWD
-        name = frame.name.encode("utf-8")
+        name = name.encode("utf-8")
         if len(name) > 0xFFFF:
             raise fail("BadFrame", "service name longer than 65535 bytes")
-        header = _SHORT.pack(len(name)) + name + _CORR.pack(frame.stream_id)
-    body = bytes([frame.kind]) + header + frame.payload
-    if len(body) > MAX_FRAME_BYTES:
-        raise fail("FrameTooLarge", f"frame body is {len(body)} bytes, cap is {MAX_FRAME_BYTES}")
-    return _LEN.pack(len(body)) + body
+        header = _SHORT.pack(len(name)) + name + _CORR.pack(stream_id)
+    size = 1 + len(header) + len(payload)
+    if size > MAX_FRAME_BYTES:
+        raise fail("FrameTooLarge", f"frame body is {size} bytes, cap is {MAX_FRAME_BYTES}")
+    return b"".join((_LEN.pack(size), bytes((kind,)), header, payload))  # the payload copied once
 
 
 def decode(body: bytes) -> Frame:
@@ -96,10 +104,13 @@ def _decode(buf, at: int, end: int) -> Frame:
     if at >= end:
         raise fail("BadFrame", "empty frame body")
     kind = buf[at]
-    if kind not in KIND_NAMES:
-        raise fail("BadFrame", f"unknown frame kind {kind}")
     at += 1
-    if kind in (EVT, REG):
+    if kind == REQ or kind == RSP:
+        if end - at < 8:
+            raise fail("BadFrame", "truncated correlation id")
+        (corr,) = _CORR.unpack_from(buf, at)
+        return _new(Frame, (kind, bytes(buf[at + 8 : end]), "", corr, "", 0))
+    if kind == EVT or kind == REG:
         if end - at < 2:
             raise fail("BadFrame", "truncated topic header")
         (tlen,) = _SHORT.unpack_from(buf, at)
@@ -107,12 +118,9 @@ def _decode(buf, at: int, end: int) -> Frame:
         if end - at < tlen:
             raise fail("BadFrame", "truncated topic")
         topic = _text(buf[at : at + tlen], "topic")
-        return Frame(kind, bytes(buf[at + tlen : end]), topic=topic)
-    if kind in (REQ, RSP):
-        if end - at < 8:
-            raise fail("BadFrame", "truncated correlation id")
-        (corr,) = _CORR.unpack_from(buf, at)
-        return Frame(kind, bytes(buf[at + 8 : end]), correlation=corr)
+        return _new(Frame, (kind, bytes(buf[at + tlen : end]), topic, 0, "", 0))
+    if kind != FWD:
+        raise fail("BadFrame", f"unknown frame kind {kind}")
     if end - at < 2:
         raise fail("BadFrame", "truncated name header")
     (nlen,) = _SHORT.unpack_from(buf, at)
@@ -121,7 +129,7 @@ def _decode(buf, at: int, end: int) -> Frame:
         raise fail("BadFrame", "truncated forward header")
     name = _text(buf[at : at + nlen], "service name")
     (stream_id,) = _CORR.unpack_from(buf, at + nlen)
-    return Frame(kind, bytes(buf[at + nlen + 8 : end]), name=name, stream_id=stream_id)
+    return _new(Frame, (kind, bytes(buf[at + nlen + 8 : end]), "", 0, name, stream_id))
 
 
 def _text(raw, what: str) -> str:
@@ -131,28 +139,43 @@ def _text(raw, what: str) -> str:
         raise fail("BadFrame", f"{what} is not UTF-8") from None
 
 
-def bursts(sock) -> Iterator[list[Frame]]:
-    """The frames of a connection, one list per ``recv_into`` that completed any.
+class BurstReader:
+    """Reads one connection a ``recv_into`` at a time, keeping a partial frame."""
 
-    Ends on EOF between frames; EOF inside a frame is a BadFrame.
-    """
-    buf = bytearray(_BURST)
-    view = memoryview(buf)
-    start = end = 0  # buf[start:end] is read but not yet decoded
-    while True:
-        got = sock.recv_into(view[end:])
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self._buf = bytearray(_BURST)
+        self._view = memoryview(self._buf)
+        self._start = self._end = 0  # buf[start:end] is read but not yet decoded
+        self._failure: ArchonError | None = None  # raised by the next read
+
+    def read(self, flags: int = 0) -> list[Frame] | None:
+        """One ``recv_into``: the frames it completed, maybe none; None on EOF
+        between frames.  EOF inside a frame is a BadFrame.  A bad frame is
+        raised by the read after the one that returned the frames ahead of it.
+        ``flags`` go to ``recv_into``; with MSG_DONTWAIT a read that would
+        block returns no frames.
+        """
+        if self._failure is not None:
+            raise self._failure
+        buf, view, start, end = self._buf, self._view, self._start, self._end
+        into = view[end:]
+        try:
+            # no flags, no third argument: not every socket-like takes one
+            got = self._sock.recv_into(into, 0, flags) if flags else self._sock.recv_into(into)
+        except BlockingIOError:
+            return []
         if not got:
             if end > start:
                 raise fail("BadFrame", "connection closed mid-frame")
-            return
+            return None
         end += got
         frames = []
-        failure = None
         need = 0  # the whole size of the frame left partial, once its header is in
         while end - start >= 4:
             (length,) = _LEN.unpack_from(buf, start)
             if length > MAX_FRAME_BYTES:
-                failure = _too_large(length)
+                self._failure = _too_large(length)
                 break
             need = 4 + length
             if start + need > end:
@@ -160,15 +183,12 @@ def bursts(sock) -> Iterator[list[Frame]]:
             try:
                 frames.append(_decode(view, start + 4, start + need))
             except ArchonError as exc:
-                failure = exc
+                self._failure = exc
                 break
             start += need
             need = 0
-        if frames:
-            yield frames
-            del frames  # the next read waits holding no frame
-        if failure is not None:
-            raise failure
+        if self._failure is not None and not frames:
+            raise self._failure
         # the partial frame moves to the front of a buffer that holds all of it
         left = end - start
         size = max(_BURST, need)
@@ -176,10 +196,26 @@ def bursts(sock) -> Iterator[list[Frame]]:
             grown = bytearray(size)
             grown[:left] = view[start:end]
             view.release()
-            buf, view = grown, memoryview(grown)
+            self._buf, self._view = grown, memoryview(grown)
         elif start:
             view[:left] = view[start:end]
-        start, end = 0, left
+        self._start, self._end = 0, left
+        return frames
+
+
+def bursts(sock) -> Iterator[list[Frame]]:
+    """The frames of a connection, one list per ``recv_into`` that completed any.
+
+    Ends on EOF between frames; EOF inside a frame is a BadFrame.
+    """
+    reader = BurstReader(sock)
+    while True:
+        frames = reader.read()
+        if frames is None:
+            return
+        if frames:
+            yield frames
+        del frames  # the next read waits holding no frame
 
 
 def read_frame(sock) -> Frame | None:

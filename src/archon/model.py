@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from . import topology
@@ -326,9 +327,10 @@ class Architecture:
         )
 
     @cached_property
-    def cycle_entries(self) -> Mapping[str, list[str]]:
+    def cycle_entries(self) -> Mapping[str, tuple[str, ...]]:
         """Instance on a cycle -> the pipes into it from its own strongly
-        connected component (a self-loop included); found on first read."""
+        connected component (a self-loop included); found on first read.
+        Read-only, so no caller can change what later readers see."""
         adj: dict[str, list[str]] = {}
         for producer, consumer, _ in self.pipe_edges:
             adj.setdefault(producer, []).append(consumer)
@@ -338,7 +340,7 @@ class Architecture:
         for producer, consumer, pipe in self.pipe_edges:
             if scc_of[producer] == scc_of[consumer]:
                 entries.setdefault(consumer, []).append(pipe)
-        return entries
+        return MappingProxyType({name: tuple(pipes) for name, pipes in entries.items()})
 
     def attachments_of_connector(self, connector: str, role: Optional[str] = None) -> tuple[Attachment, ...]:
         found = self._by_connector.get(connector, ())

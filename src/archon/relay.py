@@ -206,7 +206,8 @@ class RelayConnection:
 
 
 class RelayStream:
-    """Socket-shaped: sendall / recv / recv_into / close, so protocol clients stack on it."""
+    """Socket-shaped: sendall / recv / recv_into / fileno / shutdown / close,
+    so protocol clients stack on it."""
 
     def __init__(self, conn: RelayConnection, sock: socket.socket) -> None:
         self._conn = conn
@@ -225,8 +226,8 @@ class RelayStream:
     def recv(self, n: int) -> bytes:
         return self._read(self._sock.recv, n) or b""
 
-    def recv_into(self, buffer, nbytes: int = 0) -> int:
-        return self._read(self._sock.recv_into, buffer, nbytes) or 0
+    def recv_into(self, buffer, nbytes: int = 0, flags: int = 0) -> int:
+        return self._read(self._sock.recv_into, buffer, nbytes, flags) or 0
 
     def _read(self, read, *args):
         """``read(*args)`` after the relay's answer; falsy at the end of the stream."""
@@ -235,6 +236,8 @@ class RelayStream:
                 self._answered = True
                 self._read_answer()
             got = read(*args)
+        except BlockingIOError:
+            raise  # MSG_DONTWAIT and nothing yet: not the end of the stream
         except OSError:
             got = None  # a reset stream ends like EOF
         except ArchonError:
@@ -254,7 +257,14 @@ class RelayStream:
         self._settle(closed=True)
 
     def shutdown(self, how: int) -> None:
-        self.close()
+        """SHUT_RDWR ends both directions and releases the stream; else close()."""
+        if how == socket.SHUT_RDWR:
+            self._conn._release(self)
+        else:
+            self.close()
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def _read_answer(self) -> None:
         frame = read_frame(self._sock)

@@ -10,21 +10,27 @@ scriptable for tests: a handler maps request payload to response
 payload, and ``batch=n`` holds n requests, across bursts, and answers
 them in reverse arrival order to exercise out-of-order matching.
 
-Each call waits on a slot of its own: a lock taken when the call is made
-and released by the reader when the answer, or the end of the
-connection, arrives.
+The client reads on the caller's thread: a caller waiting in
+``result()`` reads the connection itself, one reader at a time.  The
+reader files every answer of its burst under its correlation id and
+wakes the other waiters; one whose answer is filed returns, and another
+becomes the next reader.  A caller waits for the connection to become
+readable only for the time it has left, so its timeout holds even while
+the peer has sent half a frame, which is kept for the next read.
 """
 
 from __future__ import annotations
 
 import itertools
+import select
 import socket
 import threading
+from time import monotonic
 from typing import Callable, Optional
 
 from .diagnostics import ArchonError, fail
 from .frames import REQ, RSP, Frame, bursts, encode
-from .server import SocketClient, SocketServer
+from .server import SocketClient, SocketServer, shut
 
 
 class RpcServer(SocketServer):
@@ -59,84 +65,103 @@ class RpcServer(SocketServer):
             del burst, frame, answers  # the next read waits holding no frame
 
 
-_CLOSED = object()
-
-
-class _Slot:
-    """One call's answer: ``done`` is held until ``value`` is set."""
-
-    __slots__ = ("done", "value")
-
-    def __init__(self) -> None:
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.value = _CLOSED
-
-
 class RpcClient(SocketClient):
     """Caller side. Accepts an endpoint path or any socket-like transport."""
 
     def __init__(self, endpoint) -> None:
-        self._ids = itertools.count(1)
-        # _pending is consumed by the reader on delivery, so a second RSP
-        # with the same id shows up as unknown; _slots lives until result().
-        self._pending: dict[int, _Slot] = {}
-        self._slots: dict[int, _Slot] = {}
-        self._lock = threading.Lock()
         super().__init__(endpoint, "DefinerUnavailable", "definer")
+        self._ids = itertools.count(1)
+        # an id is pending from its send until its answer is filed, and its
+        # answer is kept until result() takes it; a second RSP with the same
+        # id is then unknown
+        self._pending: set[int] = set()
+        self._answers: dict[int, bytes] = {}
+        self._cond = threading.Condition(threading.Lock())
+        self._reading = False  # a caller is reading, with the lock released
+        self._ended = False  # EOF, a frame error, or close()
+        self._poll = select.poll()
+        self._poll.register(self.sock.fileno(), select.POLLIN)
 
     def call(self, payload: bytes, timeout: float | None = 10.0) -> bytes:
         return self.result(self.call_async(payload), timeout=timeout)
 
     def call_async(self, payload: bytes) -> int:
         corr = next(self._ids)
-        slot = _Slot()
-        with self._lock:
-            # checked under the lock, so a violation found after this
-            # point drains the new slot too
+        with self._cond:
             self._raise_failure()
-            self._pending[corr] = slot
-            self._slots[corr] = slot
+            self._pending.add(corr)
         try:
             self._send(Frame(REQ, payload, correlation=corr))
         except ArchonError:
-            with self._lock:
-                self._pending.pop(corr, None)
-                self._slots.pop(corr, None)
+            with self._cond:
+                self._pending.discard(corr)
             raise
         return corr
 
     def result(self, corr: int, timeout: float | None = 10.0) -> bytes:
-        with self._lock:
-            slot = self._slots.get(corr)
-        if slot is None:
-            self._raise_failure()
-            raise fail("CorrelationViolation", f"no outstanding request with id {corr}")
-        if not slot.done.acquire(timeout=-1 if timeout is None else timeout):
-            raise fail("DefinerUnavailable", f"no response for id {corr} within {timeout}s")
-        with self._lock:
-            self._slots.pop(corr, None)
-        value = slot.value
-        if value is _CLOSED:
-            self._raise_failure()
-            raise fail("DefinerUnavailable", "connection closed before response")
-        return value
+        deadline = None if timeout is None else monotonic() + timeout
+        left = timeout
+        expired = False
+        with self._cond:
+            while corr not in self._answers:
+                if corr not in self._pending:
+                    self._raise_failure()
+                    raise fail("CorrelationViolation", f"no outstanding request with id {corr}")
+                if self._ended:
+                    self._pending.discard(corr)
+                    self._raise_failure()
+                    raise fail("DefinerUnavailable", "connection closed before response")
+                if expired:
+                    raise fail("DefinerUnavailable", f"no response for id {corr} within {timeout}s")
+                if deadline is not None:
+                    left = max(deadline - monotonic(), 0)
+                if self._reading:
+                    progressed = self._cond.wait(left)
+                else:
+                    progressed = self._read_burst(left)
+                # with no time left, one last look at what is already there
+                expired = not progressed or left == 0
+            return self._answers.pop(corr)
 
-    def _on_frame(self, frame: Frame) -> None:
-        if frame.kind != RSP:
-            return
-        with self._lock:
-            slot = self._pending.pop(frame.correlation, None)
-        if slot is None:
-            why = f"response with unknown or already answered id {frame.correlation}"
-            raise fail("CorrelationViolation", why)
-        slot.value = frame.payload
-        slot.done.release()
+    def close(self) -> None:
+        with self._cond:
+            self._ended = True  # waiting calls raise DefinerUnavailable
+        super().close()
 
-    def _on_end(self, failure: ArchonError | None) -> None:
-        # only unanswered slots: a delivered response stays until result()
-        with self._lock:
-            slots = list(self._pending.values())
-            self._pending.clear()
-        for slot in slots:
-            slot.done.release()  # its value is still _CLOSED
+    def _read_burst(self, timeout: float | None) -> bool:
+        """Read one burst if the peer sends within ``timeout`` seconds and file
+        its answers; False if it sent nothing.  Called, and returns, holding
+        the lock, which is released while reading.
+        """
+        self._reading = True
+        self._cond.release()
+        try:
+            ready = self._poll.poll(None if timeout is None else timeout * 1000)
+            # readable may mean only a relay's answer to a stream open, with
+            # no reply behind it yet: the read must not wait for one
+            burst = self._read(socket.MSG_DONTWAIT) if ready else []
+        finally:
+            self._cond.acquire()
+            self._reading = False
+            self._cond.notify_all()
+        if burst is None:
+            self._ended = True
+        for frame in burst or ():
+            if frame.kind != RSP:
+                continue
+            if frame.correlation not in self._pending:
+                why = f"response with unknown or already answered id {frame.correlation}"
+                self._failure = fail("CorrelationViolation", why)
+                self._ended = True
+                shut(self.sock)  # the peer sees this end hang up
+                break
+            self._pending.remove(frame.correlation)
+            self._answers[frame.correlation] = frame.payload
+        return bool(ready)
+
+    def _settle(self) -> None:
+        # what the peer sent before it went, read without blocking
+        with self._cond:
+            self._cond.wait_for(lambda: not self._reading, timeout=2)
+            while not (self._reading or self._ended) and self._read_burst(0):
+                pass

@@ -6,21 +6,21 @@ in live sets that they leave when they exit or close, so a long-running
 server holds only what is in use and stop() shuts down and joins exactly
 that.
 
-A client holds one connection and one reader thread, which runs the only
-client-side frame loop and reads the connection in bursts.  A dead peer
-ends that loop like EOF; the client reports it with its own error code,
-both to the calls waiting on a reply and to the next send.  Every client
-connection is made by ``dial``.
+A client holds one connection, read in bursts by a ``BurstReader``; it
+starts no thread.  Each client decides who reads: ``RpcClient`` reads on
+the caller's thread, ``BrokerClient`` in a reader thread of its own.  A
+dead peer ends the reads like EOF; the client reports it with its own
+error code, both to the calls waiting on a reply and to the next send.
+Every client connection is made by ``dial``.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from itertools import chain
 
 from .diagnostics import ArchonError, fail
-from .frames import Frame, bursts, write_frame
+from .frames import BurstReader, Frame, write_frame
 
 
 def dial(endpoint: str, code: str, what: str) -> socket.socket:
@@ -154,28 +154,26 @@ class SocketClient:
     """Caller side of one frame connection.
 
     ``endpoint`` is a UNIX endpoint path to dial, or a socket-like
-    transport (``sendall``/``recv_into``/``shutdown``/``close``).  ``code``
-    names the peer's failure, raised when it cannot be reached and when a
-    send finds it gone.  Subclasses define ``_on_frame(frame)``, called by
-    the reader for each frame, and ``_on_end(failure)``, called once when
-    the reader stops: with the ArchonError of a malformed or oversized
-    frame, or one ``_on_frame`` raised, else None on EOF.  They set up
-    their own state before calling this constructor, which starts the
-    reader.
+    transport (``sendall``/``recv_into``/``fileno``/``shutdown``/``close``).
+    ``code`` names the peer's failure, raised when it cannot be reached and
+    when a send finds it gone.  Subclasses read with ``_read`` and define
+    ``_settle()``, which lets the reads in progress see the end of the
+    connection; it runs after close() shuts the socket and before a failed
+    send is reported, so a frame error the peer left is raised rather than
+    the broken pipe.
     """
 
     def __init__(self, endpoint, code: str, what: str) -> None:
         self.sock = dial(endpoint, code, what) if isinstance(endpoint, str) else endpoint
         self._code = code
         self._what = what
-        self._failure: ArchonError | None = None  # why the reader stopped early
+        self._bursts = BurstReader(self.sock)
+        self._failure: ArchonError | None = None  # why the reads stopped early
         self._write_lock = threading.Lock()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
 
     def close(self) -> None:
-        shut(self.sock)  # wakes the reader
-        self._reader.join(timeout=2)
+        shut(self.sock)  # wakes a blocked read
+        self._settle()
         try:
             self.sock.close()
         except OSError:
@@ -186,9 +184,7 @@ class SocketClient:
             with self._write_lock:
                 write_frame(self.sock, frame)
         except OSError as err:
-            # the reader meets the same dead peer; let it settle so a frame
-            # error it found is reported rather than the broken pipe
-            self._reader.join(timeout=2)
+            self._settle()
             self._raise_failure()
             raise fail(self._code, f"connection to {self._what} closed: {err}") from None
 
@@ -196,21 +192,20 @@ class SocketClient:
         if self._failure is not None:
             raise ArchonError(self._failure.diagnostic)
 
-    def _read_loop(self) -> None:
-        failure = None
+    def _read(self, flags: int = 0) -> list[Frame] | None:
+        """One burst of frames, maybe none; None once the connection has ended.
+
+        A malformed or oversized frame is kept in ``_failure`` and shuts the
+        socket, so the peer sees this end hang up; a reset ends like EOF.
+        """
         try:
-            for frame in chain.from_iterable(bursts(self.sock)):
-                self._on_frame(frame)
+            return self._bursts.read(flags)
         except ArchonError as exc:
-            failure = exc
-            shut(self.sock)  # the peer sees this end hang up
+            self._failure = exc
+            shut(self.sock)
         except OSError:
-            pass  # a reset connection ends like EOF
-        self._failure = failure
-        self._on_end(failure)
+            pass
+        return None
 
-    def _on_frame(self, frame: Frame) -> None:
-        raise NotImplementedError
-
-    def _on_end(self, failure: ArchonError | None) -> None:
+    def _settle(self) -> None:
         raise NotImplementedError

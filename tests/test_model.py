@@ -190,7 +190,7 @@ def test_connector_index_follows_the_value():
     assert (wired.pipe_edges, wired.cycle_entries) == ((("A", "B", "p1"),), {})
     assert source_only.attachments_of_connector("p1", "sink") == ()
     looped = attach(source_only, table, "A", "stdin", "p1", "sink")
-    assert (looped.pipe_edges, looped.cycle_entries) == ((("A", "A", "p1"),), {"A": ["p1"]})
+    assert (looped.pipe_edges, looped.cycle_entries) == ((("A", "A", "p1"),), {"A": ("p1",)})
     assert (source_only.pipe_edges, wired.cycle_entries) == ((), {})
 
     unwired = dataclasses.replace(wired, attachments=wired.attachments[:1])
@@ -208,7 +208,7 @@ def test_connector_index_follows_the_value():
     assert [a.instance for a in refilled.attachments_of_connector("p1")] == ["B"]
     assert refilled.pipe_edges == ()
     assert dataclasses.replace(source_only, attachments=looped.attachments).cycle_entries == {
-        "A": ["p1"]
+        "A": ("p1",)
     }
     assert wired.attachments_of_connector("p1", "sink")[0].instance == "B"
     assert wired.pipe_edges == (("A", "B", "p1"),)

@@ -306,6 +306,17 @@ def test_seeded_cycle_primes_the_broken_channel():
     }
 
 
+def test_cycle_entries_refuse_a_caller_edit():
+    arch, table = _arch((CORPUS / "05_cycle.arch").read_text())
+    before = plan(arch, table)
+    assert arch.cycle_entries == {"Tick": ("back",), "Tock": ("fwd",)}
+    with pytest.raises(AttributeError):
+        arch.cycle_entries["Tick"].append("a_pipe")
+    with pytest.raises(TypeError):
+        arch.cycle_entries["Tick"] = ("a_pipe",)
+    assert plan(arch, table) == before
+
+
 @pytest.mark.parametrize("source", [SEEDED_PAIR, (CORPUS / "05_cycle.arch").read_text()])
 def test_every_stage_of_a_seeded_plan_runs(source):
     built = _plan(source)

@@ -192,6 +192,33 @@ def test_rpc_transparency_across_sites(roots):
             conn.close()
 
 
+def test_a_call_through_a_relay_times_out_on_a_mute_service(roots):
+    """The relay's answer to the open arrives, the reply never does."""
+    a = make_site("A", roots[0])
+    b = register_service(make_site("B", roots[1]), "svc", "svc.sock")
+    mute = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)  # accepts, never answers
+    mute.bind(b.endpoint_path("svc"))
+    mute.listen()
+    relay = Relay(RelayLink(a, b)).start()
+    # a call that ignores its timeout fails the test when the relay stops, not hangs it
+    stopper = threading.Timer(5, relay.stop)
+    stopper.start()
+    try:
+        conn = RelayConnection(os.path.join(roots[0], "relay.sock"))
+        client = RpcClient(conn.open_stream("svc"))
+        t0 = time.monotonic()
+        with pytest.raises(ArchonError) as exc:
+            client.call(b"hello", timeout=0.5)
+        assert exc.value.code == "DefinerUnavailable"
+        assert time.monotonic() - t0 < 1.5
+        client.close()
+        conn.close()
+    finally:
+        stopper.cancel()
+        relay.stop()
+        mute.close()
+
+
 def test_remote_endpoint_never_exposed(roots):
     a = make_site("A", roots[0])
     b = register_service(make_site("B", roots[1]), "svc", "secret-name.sock")

@@ -4,11 +4,12 @@ import struct
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 
 from archon.diagnostics import ArchonError
-from archon.frames import EVT, MAX_FRAME_BYTES, REQ, RSP, Frame, read_frame, write_frame
+from archon.frames import EVT, MAX_FRAME_BYTES, REQ, RSP, Frame, encode, read_frame, write_frame
 from archon.rpc import RpcClient, RpcServer
 
 
@@ -256,3 +257,94 @@ def test_one_client_shared_by_many_threads_matches_every_answer(endpoint):
     finally:
         sys.setswitchinterval(interval)
     assert mismatched == []
+
+
+def _scripted_definer(endpoint, script):
+    """Runs ``script(sock)`` on the first connection to ``endpoint``, in a thread."""
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(endpoint)
+    listener.listen()
+
+    def serve():
+        sock, _ = listener.accept()
+        try:
+            script(sock)
+            sock.recv(1)  # until the client closes its end
+        finally:
+            sock.close()
+            listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)  # a failed test leaves it waiting
+    thread.start()
+    return thread
+
+
+def test_a_client_starts_no_thread(endpoint, monkeypatch):
+    caller = threading.current_thread()
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if threading.current_thread() is caller:  # not the server's own threads
+            started.append(thread)
+        real_start(thread)
+
+    with RpcServer(endpoint):
+        monkeypatch.setattr(threading.Thread, "start", start)
+        client = RpcClient(endpoint)
+        for i in range(100):
+            assert client.call(b"%d" % i) == b"%d" % i
+        client.close()
+        monkeypatch.undo()
+    assert started == []
+
+
+def test_the_deadline_holds_mid_frame_and_the_partial_frame_is_kept(endpoint):
+    rest = threading.Event()
+
+    def stall(sock):
+        req = read_frame(sock)
+        wire = encode(Frame(RSP, b"late answer", correlation=req.correlation))
+        half = 4 + (len(wire) - 4) // 2
+        sock.sendall(wire[:half])  # the header and half of the body
+        rest.wait(10)
+        sock.sendall(wire[half:])
+
+    definer = _scripted_definer(endpoint, stall)
+    client = RpcClient(endpoint)
+    corr = client.call_async(b"q")
+    t0 = time.monotonic()
+    with pytest.raises(ArchonError) as exc:
+        client.result(corr, timeout=0.5)
+    assert exc.value.code == "DefinerUnavailable"
+    assert time.monotonic() - t0 < 1.5
+    rest.set()
+    assert client.result(corr, timeout=5) == b"late answer"
+    client.close()
+    definer.join(5)
+    assert not definer.is_alive()
+
+
+def test_an_answer_read_by_another_caller_is_handed_to_its_own(endpoint):
+    def b_now_a_later(sock):
+        a, b = read_frame(sock), read_frame(sock)
+        write_frame(sock, Frame(RSP, b"b", correlation=b.correlation))
+        time.sleep(2)
+        write_frame(sock, Frame(RSP, b"a", correlation=a.correlation))
+
+    definer = _scripted_definer(endpoint, b_now_a_later)
+    client = RpcClient(endpoint)
+    got = []
+    corr_a = client.call_async(b"a")
+    caller_a = threading.Thread(target=lambda: got.append(client.result(corr_a, timeout=10)))
+    caller_a.start()
+    time.sleep(0.2)  # A is now reading, waiting for its answer
+    t0 = time.monotonic()
+    assert client.call(b"b", timeout=10) == b"b"
+    assert time.monotonic() - t0 < 0.5
+    caller_a.join(10)
+    assert not caller_a.is_alive()
+    assert got == [b"a"]
+    client.close()
+    definer.join(5)
+    assert not definer.is_alive()
