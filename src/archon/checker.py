@@ -21,8 +21,8 @@ and the ``pipes-and-filters`` seeded-cycle rule asks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from dataclasses import replace
+from typing import Mapping, NamedTuple, Optional
 
 from . import model
 from .desugar import desugar_pipeline, filter_shaped
@@ -45,8 +45,7 @@ from .topology import TopologyReport, classify_digraph, find_cycles
 RPC_TYPE = "RPC"
 
 
-@dataclass(frozen=True)
-class ResolveResult:
+class ResolveResult(NamedTuple):
     architecture: Optional[Architecture]  # None when errors were found
     table: TypeTable
     diagnostics: list[Diagnostic]
@@ -70,7 +69,7 @@ def fold_typedefs(table: TypeTable, declarations) -> tuple[TypeTable, list[Diagn
             diags.append(
                 exc.diagnostic
                 if exc.diagnostic.span is not None
-                else replace(exc.diagnostic, span=decl.span)
+                else exc.diagnostic._replace(span=decl.span)
             )
     return table, diags
 
@@ -251,8 +250,7 @@ def classify_topology(arch: Architecture, table: TypeTable) -> TopologyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StyleRule:
+class StyleRule(NamedTuple):
     """Declarative constraint vocabulary for one architectural style.
 
     A None constraint means "unconstrained".  An instance conforms if its

@@ -11,8 +11,7 @@ it to a system that already contains it changes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, error
 from .model import (
@@ -34,8 +33,7 @@ STDIN = "stdin"
 STDOUT = "stdout"
 
 
-@dataclass(frozen=True)
-class PipelineExpansion:
+class PipelineExpansion(NamedTuple):
     """Model records produced from one pipeline statement."""
 
     instances: tuple[Instance, ...]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -36,8 +35,20 @@ class Span(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+def _equal(self, other) -> bool:
+    return type(other) is type(self) and self[:-1] == other[:-1]
+
+
+def span_blind(cls):
+    """Make the named tuple ``cls`` (last field ``span``) equal by its other
+    fields, only to its own type, and hashed by its first field, a name."""
+    cls.__eq__ = _equal
+    cls.__ne__ = lambda self, other: not _equal(self, other)
+    cls.__hash__ = lambda self: hash(self[0])
+    return cls
+
+
+class Diagnostic(NamedTuple):
     severity: Severity
     code: str
     span: Optional[Span]

@@ -13,6 +13,8 @@ for a ``component``, ``connector`` or ``attach`` declaration and what
 pipeline expansion produces; resolution stores those records as they are.
 An ``Architecture`` holds the file paths its external streams are bound to.
 
+Every record but ``Architecture`` is a named tuple; a declaration record's
+trailing span plays no part in its equality or hash (``span_blind``).
 All values here are immutable.  Extending a type table (``define_*``) or
 attaching a port (``attach``, ``attach_many``) returns a new value and
 leaves the input untouched, so libraries of types compose without
@@ -24,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import topology
-from .diagnostics import ArchonError, Diagnostic, Span, error, fail
+from .diagnostics import ArchonError, Diagnostic, Span, error, fail, span_blind
 
 # Builtin port types.  Developer-defined port types are bare names added
 # alongside these; compatibility never looks inside a name.
@@ -51,8 +53,6 @@ BUILTIN_PORT_TYPES = (
     STORE_PROVIDE,
 )
 
-STREAM_PORT_TYPES = frozenset({STREAM_IN, STREAM_OUT})
-
 # Port types through which an instance initiates traffic; used to orient
 # edges in exports and hub renderings.
 OUTBOUND_PORT_TYPES = frozenset({STREAM_OUT, EVENT_EMIT, RPC_CALL, STORE_ACCESS})
@@ -62,28 +62,28 @@ PIPE_TYPE = "Pipe"
 UNBOUNDED: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PortSpec:
+@span_blind
+class PortSpec(NamedTuple):
     name: str
     port_type: str
     many: bool = False  # may be attached more than once
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class RoleSpec:
+@span_blind
+class RoleSpec(NamedTuple):
     name: str
     accepts: tuple[str, ...]  # in source order
     min_fill: int = 1
     max_fill: Optional[int] = 1  # None = unbounded
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class ComponentType:
+@span_blind
+class ComponentType(NamedTuple):
     name: str
     ports: tuple[PortSpec, ...]
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
     def port(self, name: str) -> Optional[PortSpec]:
         for p in self.ports:
@@ -92,11 +92,11 @@ class ComponentType:
         return None
 
 
-@dataclass(frozen=True)
-class ConnectorType:
+@span_blind
+class ConnectorType(NamedTuple):
     name: str
     roles: tuple[RoleSpec, ...]
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
     def role(self, name: str) -> Optional[RoleSpec]:
         for r in self.roles:
@@ -105,8 +105,7 @@ class ConnectorType:
         return None
 
 
-@dataclass(frozen=True)
-class TypeTable:
+class TypeTable(NamedTuple):
     """Registry of port, component, and connector types.
 
     The builtin entries are always present and can never be shadowed.
@@ -191,7 +190,7 @@ def builtin_type_table() -> TypeTable:
 def define_port_type(table: TypeTable, name: str) -> TypeTable:
     if table.has_port_type(name):
         raise fail("DuplicateType", f"port type '{name}' is already defined")
-    return replace(table, port_types=table.port_types | {name})
+    return table._replace(port_types=table.port_types | {name})
 
 
 def define_component_type(table: TypeTable, ctype: ComponentType) -> TypeTable:
@@ -209,7 +208,7 @@ def define_component_type(table: TypeTable, ctype: ComponentType) -> TypeTable:
                 f"port '{p.name}' of '{name}' uses unknown port type '{p.port_type}'",
                 span,
             )
-    return replace(table, component_types={**table.component_types, name: ctype})
+    return table._replace(component_types={**table.component_types, name: ctype})
 
 
 def define_connector_type(table: TypeTable, ctype: ConnectorType) -> TypeTable:
@@ -240,7 +239,7 @@ def define_connector_type(table: TypeTable, ctype: ConnectorType) -> TypeTable:
                 )
             if pt in r.accepts[:i]:
                 raise fail("BadRoleSpec", f"role '{r.name}' of '{name}' accepts '{pt}' twice", span)
-    return replace(table, connector_types={**table.connector_types, name: ctype})
+    return table._replace(connector_types={**table.connector_types, name: ctype})
 
 
 # ---------------------------------------------------------------------------
@@ -251,33 +250,32 @@ EXT_INPUT = "input"
 EXT_OUTPUT = "output"
 
 
-@dataclass(frozen=True)
-class Instance:
+@span_blind
+class Instance(NamedTuple):
     name: str
     type_name: str
     # in source order; a flag attribute (stateless) has the value True
-    attrs: Mapping[str, object] = field(default_factory=dict)
-    span: Optional[Span] = field(default=None, compare=False)
+    attrs: Mapping[str, object] = MappingProxyType({})
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class Connector:
+@span_blind
+class Connector(NamedTuple):
     name: str
     type_name: str
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class Attachment:
+@span_blind
+class Attachment(NamedTuple):
     instance: str
     port: str
     connector: str
     role: str
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class ExternalBinding:
+class ExternalBinding(NamedTuple):
     """A connector role fed by, or draining to, a stream outside the system.
 
     ``direction`` names the stream: 'input' (it fills the role as a

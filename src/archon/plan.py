@@ -25,8 +25,7 @@ import heapq
 import json
 import shlex
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import topology
 from .checker import RPC_TYPE
@@ -44,8 +43,7 @@ SPLIT = "split"
 BROKER_ENDPOINT = "broker.sock"
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     name: str
     kind: str
     instance: str = ""
@@ -70,8 +68,7 @@ class Stage:
         }
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     name: str
     kind: str  # "pipe" | "file-in" | "file-out"
     path: str = ""
@@ -81,8 +78,7 @@ class Channel:
         return {"name": self.name, "kind": self.kind, "path": self.path, "primer": self.primer}
 
 
-@dataclass(frozen=True)
-class BuildPlan:
+class BuildPlan(NamedTuple):
     system: str
     stages: tuple[Stage, ...]
     channels: tuple[Channel, ...]
@@ -267,7 +263,7 @@ def _prime_cycles(arch: Architecture, channels: dict[str, Channel]) -> None:
         primer = inst.attrs.get("seed")
         if isinstance(primer, str) and name in arch.cycle_entries:
             broken = min(arch.cycle_entries[name])
-            channels[broken] = replace(channels[broken], primer=primer)
+            channels[broken] = channels[broken]._replace(primer=primer)
 
 
 def _fan_out(
@@ -292,7 +288,7 @@ def _fan_out(
     for ch in in_chs + out_chs:
         channels[ch] = Channel(ch, "pipe", "")
     replicas = [
-        replace(target, name=f"{target.name}#{i}", replica=i, reads=(in_chs[i],), writes=(out_chs[i],))
+        target._replace(name=f"{target.name}#{i}", replica=i, reads=(in_chs[i],), writes=(out_chs[i],))
         for i in range(n)
     ]
     return [
@@ -312,7 +308,7 @@ def _finalize(draft: BuildPlan, stages: list[Stage], channels: dict[str, Channel
         (writer_of[c.name].name for c in chans if c.kind == "file-out" and c.name in writer_of),
         "",
     )
-    return replace(draft, stages=ordered, channels=chans, final=final)
+    return draft._replace(stages=ordered, channels=chans, final=final)
 
 
 def _start_order(

@@ -1,9 +1,10 @@
 """Syntax tree for the textual architecture notation.
 
-Nodes store their source span for diagnostics, but spans are excluded from
-equality: two trees are equal iff they describe the same system, which is
-what the format round-trip contract needs.  Declaration order is preserved
-exactly as written.
+Nodes are named tuples whose last field is their source span, kept for
+diagnostics; ``span_blind`` leaves the span out of equality and hashing:
+two trees are equal iff they describe the same system, which is what the
+format round-trip contract needs.  Declaration order is preserved exactly
+as written.
 
 Only the ``porttype``, ``pipeline`` and ``input``/``output`` declarations
 and the system itself have records here.  A ``componenttype`` or
@@ -16,31 +17,30 @@ order, which equality ignores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .diagnostics import Span
+from .diagnostics import Span, span_blind
 from .model import Attachment, ComponentType, Connector, ConnectorType, Instance
 
 
-@dataclass(frozen=True)
-class PortTypeDef:
+@span_blind
+class PortTypeDef(NamedTuple):
     name: str
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class PipelineDecl:
+@span_blind
+class PipelineDecl(NamedTuple):
     name: str
     stages: tuple[str, ...]
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class IoDecl:
+@span_blind
+class IoDecl(NamedTuple):
     direction: str  # 'input' | 'output'
     path: str
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None
 
 
 Declaration = Union[
@@ -55,10 +55,10 @@ Declaration = Union[
 ]
 
 
-@dataclass(frozen=True)
-class SystemAst:
+@span_blind
+class SystemAst(NamedTuple):
     name: str
     style: Optional[str] = None
     allow_skip: bool = False
     declarations: tuple[Declaration, ...] = ()
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Optional[Span] = None

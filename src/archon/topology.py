@@ -13,9 +13,7 @@ call it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 LINEAR = "linear"
 FORK = "fork"
@@ -23,17 +21,16 @@ JOIN = "join"
 CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     classification: frozenset[str]
     forks: tuple[str, ...]
     joins: tuple[str, ...]
-    _adj: dict[str, list[str]] = field(repr=False, compare=False)  # for ``cycles``
+    adjacency: dict[str, list[str]]  # the graph, for ``cycles``
 
-    @cached_property
+    @property
     def cycles(self) -> tuple[tuple[str, ...], ...]:
-        """``find_cycles`` of the graph, found on first read."""
-        return find_cycles(self._adj) if CYCLIC in self.classification else ()
+        """``find_cycles`` of the graph, found on each read."""
+        return find_cycles(self.adjacency) if CYCLIC in self.classification else ()
 
 
 def find_cycles(adj: Mapping[str, Iterable[str]]) -> tuple[tuple[str, ...], ...]:

@@ -62,6 +62,23 @@ def test_duplicate_instance_name():
     assert [d.code for d in result.diagnostics] == ["DuplicateName"]
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("connector p : Pipe;\n  connector p : Pipe;", "name 'p' is already declared"),
+        ("component p : Filter;\n  connector p : Pipe;", "name 'p' is already declared"),
+        ('input "a.txt";\n  input "b.txt";', "input stream is already bound"),
+        ('output "a.txt";\n  output "b.txt";', "output stream is already bound"),
+        ("connector P_p0 : Pipe;\n  pipeline P: input | A() | output;", "name 'P_p0' is already declared"),
+    ],
+)
+def test_a_second_declaration_of_a_name_or_stream_is_refused(body, message):
+    result = _resolve("system S {\n  " + body + "\n}")
+    assert result.architecture is None
+    (diag,) = result.diagnostics
+    assert (diag.code, diag.message, diag.span[2:]) == ("DuplicateName", message, (3, 3))
+
+
 def test_three_stage_pipeline_resolves():
     arch, _ = _resolved_arch(
         'system S { pipeline P: input | A() | B() | C() | output; input "i"; output "o"; }'

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from archon.diagnostics import ArchonError
+from archon.diagnostics import ArchonError, Span, span_blind
 from archon.model import (
     Architecture,
+    Attachment,
     ComponentType,
     Connector,
     ConnectorType,
@@ -24,6 +26,7 @@ from archon.model import (
     define_port_type,
     validate_arity,
 )
+from archon.syntax import IoDecl, PipelineDecl, PortTypeDef, SystemAst
 
 
 def test_builtin_table_contents():
@@ -295,3 +298,49 @@ def test_extension_is_monotone(name, port_type):
         assert extended.component(cname) == ctype
     for kname, ktype in base.connector_types.items():
         assert extended.connector(kname) == ktype
+
+
+# --- records and their spans -----------------------------------------------
+
+_HERE, _THERE = Span(0, 4, 1, 1), Span(30, 41, 3, 5)
+
+# Each span-carrying record, built from its span; nested records carry the
+# same span, so two builds differ only in spans.
+_RECORDS = {
+    "PortSpec": lambda s: PortSpec("stdin", "StreamIn", True, s),
+    "RoleSpec": lambda s: RoleSpec("sink", ("StreamIn",), 0, None, s),
+    "ComponentType": lambda s: ComponentType("T", (PortSpec("stdin", "StreamIn", span=s),), s),
+    "ConnectorType": lambda s: ConnectorType("C", (RoleSpec("sink", ("StreamIn",), span=s),), s),
+    "Instance": lambda s: Instance("A", "Filter", {"impl": "cat", "stateless": True}, s),
+    "Connector": lambda s: Connector("p", "Pipe", s),
+    "Attachment": lambda s: Attachment("A", "stdout", "p", "source", s),
+    "PortTypeDef": lambda s: PortTypeDef("Bytes", s),
+    "PipelineDecl": lambda s: PipelineDecl("P", ("A", "B"), s),
+    "IoDecl": lambda s: IoDecl("input", "in.txt", s),
+    "SystemAst": lambda s: SystemAst(
+        "S", None, False, (Instance("A", "Filter", span=s), Connector("p", "Pipe", s)), s
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_a_record_is_equal_whatever_its_span(name):
+    here, there = _RECORDS[name](_HERE), _RECORDS[name](_THERE)
+    assert here.span != there.span
+    assert here == there and not here != there
+    assert hash(here) == hash(there)
+    assert here != _RECORDS[name](None)._replace(**{here._fields[0]: "other"})
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_a_record_equals_no_value_of_another_type(name):
+    """Not the bare tuple, nor a record of another type with the same fields."""
+    record = _RECORDS[name](_HERE)
+    twin = span_blind(namedtuple("Twin", record._fields))._make(record)
+    kin = [type(make(None)) for make in _RECORDS.values()]
+    same_width = [
+        cls._make(record) for cls in kin if cls is not type(record) and len(cls._fields) == len(record)
+    ]
+    for other in (tuple(record), twin, *same_width):
+        assert not record == other and record != other
+        assert not other == record and other != record

@@ -173,6 +173,15 @@ def test_fanout_requires_stateless():
     assert exc.value.diagnostic.span[2:] == (4, 3)  # B's declaration
 
 
+def test_fanout_needs_one_input_and_one_output():
+    src = 'system S {\n  component B : Filter impl "./b" stateless replicas 2;\n}'
+    with pytest.raises(ArchonError) as exc:
+        _plan(src)
+    assert exc.value.code == "FanoutUnsupported"
+    assert "exactly one input and one output" in str(exc.value)
+    assert exc.value.diagnostic.span[2:] == (2, 3)  # B's declaration
+
+
 def test_replicas_attr_autoexpands():
     src = PIPELINE.replace('component B : Filter impl "./b";',
                            'component B : Filter impl "./b" stateless replicas 3;')

@@ -115,6 +115,17 @@ def test_importing_the_cli_loads_no_runtime_module():
     assert [m for m in NOT_AT_START if f"archon.{m}" in loaded] == []
 
 
+def test_importing_the_cli_builds_one_dataclass():
+    """Every other value record on the start-up path is a named tuple."""
+    probe = (
+        "import dataclasses, json, sys, archon.cli; print(json.dumps(sorted("
+        "f'{name}.{key}' for name, module in list(sys.modules.items()) if name.startswith('archon') "
+        "for key, value in vars(module).items() "
+        "if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == name)))"
+    )
+    assert json.loads(_python("-c", probe)) == ["archon.model.Architecture"]
+
+
 @pytest.mark.parametrize("first", ["archon.plan", "archon.runner"])
 def test_plan_is_the_function_whichever_module_loads_it(first):
     """Loading the module ``archon.plan`` never rebinds the export ``plan``."""
