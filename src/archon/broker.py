@@ -9,7 +9,8 @@ connection currently registered for that topic: the broker reads a
 connection in bursts, encodes each event once, and writes each target
 the events of one burst with one write, in arrival order, so
 per-announcer order falls out of the per-connection reader thread.  An
-announcer never hears its own events back.
+announcer never hears its own events back.  A client packs what it sends
+with ``pack_topic`` and builds no ``Frame`` for it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import socket
 import threading
 
 from .diagnostics import ArchonError, fail
-from .frames import EVT, REG, Frame, bursts, encode
+from .frames import EVT, REG, Frame, bursts, encode, pack_topic
 from .server import SocketClient, SocketServer
 
 
@@ -101,10 +102,10 @@ class BrokerClient(SocketClient):
         self._reader.start()
 
     def subscribe(self, topic: str) -> None:
-        self._send(Frame(REG, topic=topic))
+        self._send(pack_topic(REG, topic, b""))
 
     def publish(self, topic: str, payload: bytes) -> None:
-        self._send(Frame(EVT, payload, topic=topic))
+        self._send(pack_topic(EVT, topic, payload))
 
     def next_event(self, timeout: float | None = None) -> tuple[str, bytes] | None:
         try:
@@ -118,9 +119,9 @@ class BrokerClient(SocketClient):
 
     def _read_loop(self) -> None:
         while (burst := self._read()) is not None:
-            for frame in burst:
-                if frame.kind == EVT:
-                    self._events.put((frame.topic, frame.payload))
+            for kind, payload, topic, _, _, _ in burst:
+                if kind == EVT:
+                    self._events.put((topic, payload))
         self._events.put(self._failure or fail("BrokerUnavailable", "connection closed"))
 
     def _settle(self) -> None:

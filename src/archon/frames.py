@@ -7,18 +7,21 @@ A frame on the wire is:
     header   kind-specific, see below
     payload  raw bytes
 
-Kind headers:
+Kind headers (big-endian), and the struct that packs length, kind and header:
 
-    EVT, REG   2-byte big-endian topic length, then the UTF-8 topic
-    REQ, RSP   8-byte big-endian correlation id
-    FWD        2-byte big-endian name length, UTF-8 name, 8-byte stream id
+    REQ, RSP   8-byte correlation id             >IBQ  length, kind, correlation
+    EVT, REG   2-byte topic length, UTF-8 topic  >IBH  length, kind, topic length
+    FWD        2-byte name length, UTF-8 name,   >IBH  length, kind, name length;
+               8-byte stream id                  >Q    the stream id, after the name
 
 The length field counts the kind byte, the header, and the payload, and is
 capped at 1 MiB in both directions: encoding a larger frame raises, and a
 reader that sees a larger length aborts instead of buffering it.
-
-A ``Frame`` is a tuple of its six fields; a decoded one is built in one
-step straight from the bytes read.
+``pack_correlated`` and ``pack_topic`` write the first two shapes, each in
+one place: the RPC and event hot paths send their bytes and build no
+``Frame``, and ``encode`` hands a ``Frame``'s fields to them.  A ``Frame``
+is a tuple of its six fields; a decoded one is built in one step straight
+from the bytes read.
 
 Reading.  A long-lived connection is read in bursts by a ``BurstReader``:
 each ``read`` is one ``recv_into`` into one 16 KiB buffer per connection,
@@ -57,6 +60,8 @@ _BURST = 1 << 14  # bytes a burst reader holds between frames
 _LEN = struct.Struct(">I")
 _SHORT = struct.Struct(">H")
 _CORR = struct.Struct(">Q")
+_CORRELATED = struct.Struct(">IBQ")  # length, kind, correlation id
+_TOPICAL = struct.Struct(">IBH")  # length, kind, topic or name length
 
 
 class Frame(namedtuple("Frame", "kind payload topic correlation name stream_id")):
@@ -74,24 +79,38 @@ class Frame(namedtuple("Frame", "kind payload topic correlation name stream_id")
 _new = tuple.__new__  # builds a Frame whose kind is already checked
 
 
+def pack_correlated(kind: int, correlation: int, payload: bytes) -> bytes:
+    """The bytes of a REQ or RSP frame."""
+    size = 9 + len(payload)
+    if size > MAX_FRAME_BYTES:
+        raise fail("FrameTooLarge", f"frame body is {size} bytes, cap is {MAX_FRAME_BYTES}")
+    return b"".join((_CORRELATED.pack(size, kind, correlation), payload))
+
+
+def pack_topic(kind: int, topic: str, payload: bytes) -> bytes:
+    """The bytes of an EVT or REG frame."""
+    raw = topic.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise fail("BadFrame", "topic longer than 65535 bytes")
+    size = 3 + len(raw) + len(payload)
+    if size > MAX_FRAME_BYTES:
+        raise fail("FrameTooLarge", f"frame body is {size} bytes, cap is {MAX_FRAME_BYTES}")
+    return b"".join((_TOPICAL.pack(size, kind, len(raw)), raw, payload))
+
+
 def encode(frame: Frame) -> bytes:
     kind, payload, topic, correlation, name, stream_id = frame
     if kind == REQ or kind == RSP:
-        header = _CORR.pack(correlation)
-    elif kind == EVT or kind == REG:
-        topic = topic.encode("utf-8")
-        if len(topic) > 0xFFFF:
-            raise fail("BadFrame", "topic longer than 65535 bytes")
-        header = _SHORT.pack(len(topic)) + topic
-    else:  # FWD
-        name = name.encode("utf-8")
-        if len(name) > 0xFFFF:
-            raise fail("BadFrame", "service name longer than 65535 bytes")
-        header = _SHORT.pack(len(name)) + name + _CORR.pack(stream_id)
-    size = 1 + len(header) + len(payload)
+        return pack_correlated(kind, correlation, payload)
+    if kind == EVT or kind == REG:
+        return pack_topic(kind, topic, payload)
+    name = name.encode("utf-8")  # FWD
+    if len(name) > 0xFFFF:
+        raise fail("BadFrame", "service name longer than 65535 bytes")
+    size = 11 + len(name) + len(payload)
     if size > MAX_FRAME_BYTES:
         raise fail("FrameTooLarge", f"frame body is {size} bytes, cap is {MAX_FRAME_BYTES}")
-    return b"".join((_LEN.pack(size), bytes((kind,)), header, payload))  # the payload copied once
+    return b"".join((_TOPICAL.pack(size, FWD, len(name)), name, _CORR.pack(stream_id), payload))
 
 
 def decode(body: bytes) -> Frame:
@@ -146,7 +165,7 @@ class BurstReader:
         self._sock = sock
         self._buf = bytearray(_BURST)
         self._view = memoryview(self._buf)
-        self._start = self._end = 0  # buf[start:end] is read but not yet decoded
+        self._end = 0  # buf[:end] is a partial frame, read but not yet decoded
         self._failure: ArchonError | None = None  # raised by the next read
 
     def read(self, flags: int = 0) -> list[Frame] | None:
@@ -158,7 +177,7 @@ class BurstReader:
         """
         if self._failure is not None:
             raise self._failure
-        buf, view, start, end = self._buf, self._view, self._start, self._end
+        buf, view, end = self._buf, self._view, self._end
         into = view[end:]
         try:
             # no flags, no third argument: not every socket-like takes one
@@ -166,12 +185,12 @@ class BurstReader:
         except BlockingIOError:
             return []
         if not got:
-            if end > start:
+            if end:
                 raise fail("BadFrame", "connection closed mid-frame")
             return None
         end += got
         frames = []
-        need = 0  # the whole size of the frame left partial, once its header is in
+        start = need = 0  # need: the whole size of the frame left partial, once its header is in
         while end - start >= 4:
             (length,) = _LEN.unpack_from(buf, start)
             if length > MAX_FRAME_BYTES:
@@ -189,17 +208,16 @@ class BurstReader:
             need = 0
         if self._failure is not None and not frames:
             raise self._failure
-        # the partial frame moves to the front of a buffer that holds all of it
-        left = end - start
+        # a partial frame moves to the front of a buffer that holds all of it
+        self._end = left = end - start
         size = max(_BURST, need)
         if size != len(buf):
             grown = bytearray(size)
             grown[:left] = view[start:end]
             view.release()
             self._buf, self._view = grown, memoryview(grown)
-        elif start:
+        elif left and start:
             view[:left] = view[start:end]
-        self._start, self._end = 0, left
         return frames
 
 
@@ -220,16 +238,13 @@ def bursts(sock) -> Iterator[list[Frame]]:
 
 def read_frame(sock) -> Frame | None:
     """Read one frame from a socket-like object. None on clean EOF."""
-    head = _read_exact(sock, 4)
+    head = _read_exact(sock, 4, eof_ok=True)
     if head is None:
         return None
     (length,) = _LEN.unpack(head)
     if length > MAX_FRAME_BYTES:
         raise _too_large(length)
-    body = _read_exact(sock, length)
-    if body is None:
-        raise fail("BadFrame", "connection closed mid-frame")
-    return decode(body)
+    return decode(_read_exact(sock, length))
 
 
 def _too_large(length: int) -> ArchonError:
@@ -240,13 +255,14 @@ def write_frame(sock, frame: Frame) -> None:
     sock.sendall(encode(frame))
 
 
-def _read_exact(sock, n: int) -> bytes | None:
+def _read_exact(sock, n: int, eof_ok: bool = False) -> bytes | None:
+    """``n`` bytes; None on EOF before the first of them if ``eof_ok``."""
     chunks = []
     got = 0
     while got < n:
         chunk = sock.recv(n - got)
         if not chunk:
-            if got == 0:
+            if eof_ok and got == 0:
                 return None
             raise fail("BadFrame", "connection closed mid-frame")
         chunks.append(chunk)

@@ -27,7 +27,7 @@ import socket
 import threading
 
 from .diagnostics import ArchonError, fail
-from .frames import FWD, KIND_NAMES, RSP, Frame, encode, read_frame, write_frame
+from .frames import FWD, KIND_NAMES, RSP, Frame, encode, pack_correlated, read_frame
 from .server import SocketServer, dial, shut
 
 RELAY_SOCKET = "relay.sock"
@@ -137,18 +137,18 @@ class Relay(SocketServer):
         owner = self.link.owner(frame.name)
         if owner is None:
             why = f"UnknownService: no service '{frame.name}' on this link"
-            write_frame(client, Frame(RSP, why.encode()))
+            client.sendall(pack_correlated(RSP, 0, why.encode()))
             return
         backend = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             backend.connect(owner.endpoint_path(frame.name))
         except OSError as err:
             backend.close()
-            write_frame(client, Frame(RSP, f"PeerDown: {err}".encode()))
+            client.sendall(pack_correlated(RSP, 0, f"PeerDown: {err}".encode()))
             return
         self._track(backend)
         try:
-            write_frame(client, Frame(RSP))
+            client.sendall(pack_correlated(RSP, 0, b""))
             down = self._spawn(self._copy, backend, client)
             self._copy(client, backend)
             down.join()
@@ -157,9 +157,10 @@ class Relay(SocketServer):
 
     def _copy(self, src: socket.socket, dst: socket.socket) -> None:
         """One direction of a stream: its bytes in order, then its EOF."""
+        view = memoryview(bytearray(_CHUNK))  # one buffer, reused for every read
         try:
-            while chunk := src.recv(_CHUNK):
-                dst.sendall(chunk)
+            while got := src.recv_into(view):
+                dst.sendall(view[:got])
             dst.shutdown(socket.SHUT_WR)
         except OSError:
             # one end is gone: end both directions, so nothing waits on it

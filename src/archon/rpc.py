@@ -10,13 +10,14 @@ scriptable for tests: a handler maps request payload to response
 payload, and ``batch=n`` holds n requests, across bursts, and answers
 them in reverse arrival order to exercise out-of-order matching.
 
+Both sides send bytes packed by ``pack_correlated``, with no ``Frame``.
 The client reads on the caller's thread: a caller waiting in
 ``result()`` reads the connection itself, one reader at a time.  The
 reader files every answer of its burst under its correlation id and
-wakes the other waiters; one whose answer is filed returns, and another
-becomes the next reader.  A caller waits for the connection to become
-readable only for the time it has left, so its timeout holds even while
-the peer has sent half a frame, which is kept for the next read.
+wakes the other waiters, if any; one whose answer is filed returns, and
+another becomes the next reader.  A caller waits for the connection to
+become readable only for the time it has left, so its timeout holds even
+while the peer has sent half a frame, which is kept for the next read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from time import monotonic
 from typing import Callable, Optional
 
 from .diagnostics import ArchonError, fail
-from .frames import REQ, RSP, Frame, bursts, encode
+from .frames import REQ, RSP, bursts, pack_correlated
 from .server import SocketClient, SocketServer, shut
 
 
@@ -46,23 +47,21 @@ class RpcServer(SocketServer):
         self.batch = max(batch, 1)
 
     def _serve(self, sock: socket.socket) -> None:
-        held: list[Frame] = []
+        held: list[tuple[int, bytes]] = []  # (correlation, payload)
         for burst in bursts(sock):
             answers = []
-            for frame in burst:
-                if frame.kind != REQ:
+            for kind, payload, _, corr, _, _ in burst:
+                if kind != REQ:
                     self._count_error()
                     continue
-                held.append(frame)
+                held.append((corr, payload))
                 if len(held) == self.batch:
-                    answers += [
-                        encode(Frame(RSP, self.handler(req.payload), correlation=req.correlation))
-                        for req in reversed(held)
-                    ]
+                    for corr, payload in reversed(held):
+                        answers.append(pack_correlated(RSP, corr, self.handler(payload)))
                     held.clear()
             if answers:
                 sock.sendall(b"".join(answers))
-            del burst, frame, answers  # the next read waits holding no frame
+            del burst, payload, answers  # the next read waits holding no frame
 
 
 class RpcClient(SocketClient):
@@ -76,7 +75,9 @@ class RpcClient(SocketClient):
         # id is then unknown
         self._pending: set[int] = set()
         self._answers: dict[int, bytes] = {}
-        self._cond = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)  # only to wait on
+        self._waiters = 0  # callers in _cond.wait; a reader wakes them only if any
         self._reading = False  # a caller is reading, with the lock released
         self._ended = False  # EOF, a frame error, or close()
         self._poll = select.poll()
@@ -87,13 +88,13 @@ class RpcClient(SocketClient):
 
     def call_async(self, payload: bytes) -> int:
         corr = next(self._ids)
-        with self._cond:
+        with self._lock:
             self._raise_failure()
             self._pending.add(corr)
         try:
-            self._send(Frame(REQ, payload, correlation=corr))
+            self._send(pack_correlated(REQ, corr, payload))
         except ArchonError:
-            with self._cond:
+            with self._lock:
                 self._pending.discard(corr)
             raise
         return corr
@@ -102,7 +103,7 @@ class RpcClient(SocketClient):
         deadline = None if timeout is None else monotonic() + timeout
         left = timeout
         expired = False
-        with self._cond:
+        with self._lock:
             while corr not in self._answers:
                 if corr not in self._pending:
                     self._raise_failure()
@@ -116,7 +117,9 @@ class RpcClient(SocketClient):
                 if deadline is not None:
                     left = max(deadline - monotonic(), 0)
                 if self._reading:
+                    self._waiters += 1
                     progressed = self._cond.wait(left)
+                    self._waiters -= 1
                 else:
                     progressed = self._read_burst(left)
                 # with no time left, one last look at what is already there
@@ -124,7 +127,7 @@ class RpcClient(SocketClient):
             return self._answers.pop(corr)
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._ended = True  # waiting calls raise DefinerUnavailable
         super().close()
 
@@ -134,34 +137,37 @@ class RpcClient(SocketClient):
         the lock, which is released while reading.
         """
         self._reading = True
-        self._cond.release()
+        self._lock.release()
         try:
             ready = self._poll.poll(None if timeout is None else timeout * 1000)
             # readable may mean only a relay's answer to a stream open, with
             # no reply behind it yet: the read must not wait for one
             burst = self._read(socket.MSG_DONTWAIT) if ready else []
         finally:
-            self._cond.acquire()
+            self._lock.acquire()
             self._reading = False
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
         if burst is None:
             self._ended = True
-        for frame in burst or ():
-            if frame.kind != RSP:
+        for kind, payload, _, corr, _, _ in burst or ():
+            if kind != RSP:
                 continue
-            if frame.correlation not in self._pending:
-                why = f"response with unknown or already answered id {frame.correlation}"
+            if corr not in self._pending:
+                why = f"response with unknown or already answered id {corr}"
                 self._failure = fail("CorrelationViolation", why)
                 self._ended = True
                 shut(self.sock)  # the peer sees this end hang up
                 break
-            self._pending.remove(frame.correlation)
-            self._answers[frame.correlation] = frame.payload
+            self._pending.remove(corr)
+            self._answers[corr] = payload
         return bool(ready)
 
     def _settle(self) -> None:
         # what the peer sent before it went, read without blocking
-        with self._cond:
+        with self._lock:
+            self._waiters += 1
             self._cond.wait_for(lambda: not self._reading, timeout=2)
+            self._waiters -= 1
             while not (self._reading or self._ended) and self._read_burst(0):
                 pass

@@ -7,11 +7,12 @@ server holds only what is in use and stop() shuts down and joins exactly
 that.
 
 A client holds one connection, read in bursts by a ``BurstReader``; it
-starts no thread.  Each client decides who reads: ``RpcClient`` reads on
-the caller's thread, ``BrokerClient`` in a reader thread of its own.  A
-dead peer ends the reads like EOF; the client reports it with its own
-error code, both to the calls waiting on a reply and to the next send.
-Every client connection is made by ``dial``.
+starts no thread, and ``_send`` writes the wire bytes its caller packed.
+Each client decides who reads: ``RpcClient`` reads on the caller's
+thread, ``BrokerClient`` in a reader thread of its own.  A dead peer
+ends the reads like EOF; the client reports it with its own error code,
+both to the calls waiting on a reply and to the next send.  Every
+client connection is made by ``dial``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import socket
 import threading
 
 from .diagnostics import ArchonError, fail
-from .frames import BurstReader, Frame, write_frame
+from .frames import BurstReader, Frame
 
 
 def dial(endpoint: str, code: str, what: str) -> socket.socket:
@@ -179,10 +180,10 @@ class SocketClient:
         except OSError:
             pass
 
-    def _send(self, frame: Frame) -> None:
+    def _send(self, wire: bytes) -> None:
         try:
             with self._write_lock:
-                write_frame(self.sock, frame)
+                self.sock.sendall(wire)
         except OSError as err:
             self._settle()
             self._raise_failure()

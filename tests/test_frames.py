@@ -16,6 +16,8 @@ from archon.frames import (
     bursts,
     decode,
     encode,
+    pack_correlated,
+    pack_topic,
     read_frame,
     write_frame,
 )
@@ -39,6 +41,113 @@ def test_forward_frame_golden_bytes():
     assert got == (
         b"\x00\x00\x00\x0f\x05\x00\x03svc" + b"\x00\x00\x00\x00\x00\x00\x00\x07" + b"z"
     )
+
+
+def test_response_frame_golden_bytes():
+    golden = b"\x00\x00\x00\x0b\x03\x00\x00\x00\x00\x00\x00\x01\x2aok"
+    assert pack_correlated(RSP, 0x12A, b"ok") == golden
+    assert encode(Frame(RSP, b"ok", correlation=0x12A)) == golden
+
+
+@pytest.mark.parametrize(
+    "packed, frame, golden",
+    [
+        (
+            pack_correlated(REQ, 7, b"hi"),
+            Frame(REQ, b"hi", correlation=7),
+            b"\x00\x00\x00\x0b\x02" + b"\x00" * 7 + b"\x07hi",
+        ),
+        (
+            pack_correlated(RSP, 2**64 - 1, b""),
+            Frame(RSP, correlation=2**64 - 1),
+            b"\x00\x00\x00\x09\x03" + b"\xff" * 8,
+        ),
+        (
+            pack_topic(EVT, "t\u00e9", b"xy"),
+            Frame(EVT, b"xy", topic="t\u00e9"),
+            b"\x00\x00\x00\x08\x01\x00\x03t\xc3\xa9xy",
+        ),
+        (
+            pack_topic(REG, "alerts", b""),
+            Frame(REG, topic="alerts"),
+            b"\x00\x00\x00\x09\x04\x00\x06alerts",
+        ),
+    ],
+    ids=["REQ", "RSP", "EVT", "REG"],
+)
+def test_packer_bytes_equal_encode_and_golden_bytes(packed, frame, golden):
+    assert packed == encode(frame) == golden
+
+
+@pytest.mark.parametrize(
+    "body, why",
+    [
+        (b"\x02" + bytes(7), "truncated correlation id"),
+        (b"\x01\x00", "truncated topic header"),
+        (b"\x04\x00\x03ab", "truncated topic"),
+        (b"\x05\x00", "truncated name header"),
+        (b"\x05\x00\x03svc" + bytes(7), "truncated forward header"),
+    ],
+)
+def test_a_header_one_byte_short_is_a_bad_frame(body, why):
+    with pytest.raises(ArchonError) as exc:
+        decode(body)
+    assert exc.value.code == "BadFrame"
+    assert exc.value.diagnostic.message == why
+    try:
+        decode(body + b"\x00")
+    except ArchonError as longer:  # only a name length is followed by more header
+        assert longer.diagnostic.message == "truncated forward header" != why
+
+
+@pytest.mark.parametrize("sent", [b"\x00\x00", b"\x00\x00\x00\x05"])
+def test_read_frame_eof_in_the_header_or_before_the_body_is_a_bad_frame(sent):
+    left, right = socket.socketpair()
+    try:
+        left.sendall(sent)
+        left.close()
+        with pytest.raises(ArchonError) as exc:
+            read_frame(right)
+        assert exc.value.code == "BadFrame"
+        assert exc.value.diagnostic.message == "connection closed mid-frame"
+    finally:
+        right.close()
+
+
+@pytest.mark.parametrize(
+    "longest, too_long, why",
+    [
+        (Frame(EVT, topic="t" * 0xFFFF), Frame(EVT, topic="t" * 0x10000), "topic"),
+        # the length counts UTF-8 bytes, not characters
+        (Frame(REG, topic="\u00e9" * 0x7FFF + "x"), Frame(REG, topic="\u00e9" * 0x8000), "topic"),
+        (Frame(FWD, name="n" * 0xFFFF), Frame(FWD, name="n" * 0x10000), "service name"),
+    ],
+)
+def test_encode_refuses_a_topic_or_name_longer_than_its_length_field(longest, too_long, why):
+    assert decode(encode(longest)[4:]) == longest
+    with pytest.raises(ArchonError) as exc:
+        encode(too_long)
+    assert exc.value.code == "BadFrame"
+    assert exc.value.diagnostic.message == f"{why} longer than 65535 bytes"
+
+
+@pytest.mark.parametrize(
+    "pack, header",
+    [
+        (lambda payload: pack_correlated(REQ, 1, payload), 9),
+        (lambda payload: pack_correlated(RSP, 1, payload), 9),
+        (lambda payload: pack_topic(EVT, "t", payload), 4),
+        (lambda payload: pack_topic(REG, "t", payload), 4),
+        (lambda payload: encode(Frame(FWD, payload, name="s")), 12),
+    ],
+    ids=["REQ", "RSP", "EVT", "REG", "FWD"],
+)
+def test_each_packer_caps_the_frame_body(pack, header):
+    """A body of MAX_FRAME_BYTES is sent; one byte more is FrameTooLarge."""
+    assert len(pack(bytes(MAX_FRAME_BYTES - header))) == 4 + MAX_FRAME_BYTES
+    with pytest.raises(ArchonError) as exc:
+        pack(bytes(MAX_FRAME_BYTES - header + 1))
+    assert exc.value.code == "FrameTooLarge"
 
 
 def test_oversize_payload_rejected():

@@ -71,6 +71,19 @@ def test_register_and_duplicate(roots):
     assert exc.value.code == "DuplicateLogicalName"
 
 
+def test_an_unknown_site_and_an_empty_logical_name_are_refused(roots):
+    a, b = make_site("A", roots[0]), make_site("B", roots[1])
+    link = RelayLink(a, b)
+    assert link.site("A") is a and link.site("B") is b
+    with pytest.raises(ArchonError) as exc:
+        link.site("C")
+    assert exc.value.code == "UnknownSite"
+    with pytest.raises(ArchonError) as exc:
+        register_service(a, "", "x.sock")
+    assert exc.value.code == "BadLogicalName"
+    assert a.registry == {}
+
+
 def test_overlapping_endpoint_values_are_legal(roots):
     a = register_service(make_site("A", roots[0]), "db", "svc.sock")
     b = register_service(make_site("B", roots[1]), "cache", "svc.sock")

@@ -44,6 +44,16 @@ def test_pipelined_requests_matched_by_id_not_order(endpoint):
         client.close()
 
 
+def test_a_result_for_an_id_never_issued_is_a_violation_and_calls_go_on(endpoint):
+    with RpcServer(endpoint):
+        client = RpcClient(endpoint)
+        with pytest.raises(ArchonError) as exc:
+            client.result(12345, timeout=5)
+        assert exc.value.code == "CorrelationViolation"
+        assert client.call(b"after", timeout=5) == b"after"
+        client.close()
+
+
 def test_definer_unavailable(endpoint):
     with pytest.raises(ArchonError) as exc:
         RpcClient(endpoint)
