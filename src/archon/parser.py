@@ -23,11 +23,22 @@ Identifiers may contain interior hyphens (style names like
 ``pipes-and-filters``).  Stage calls take no arguments; anything between
 the parentheses is rejected.
 
-The scanner cuts the source into pieces with one ``findall`` and keeps
-the non-trivia ones as two parallel lists, texts and start offsets; there
-is no token object.  Line and column are found by bisect over the line
-starts, only when a span is built.  The first error aborts the parse:
-there is no partial tree and no multi-error recovery.
+Two paths read a system.  ``parse`` first matches each declaration with
+one compiled pattern per shape (module ``shapes``, loaded on the first
+parse) and builds the records from the match groups.  A source the
+patterns refuse goes whole to the token parser here (``_Parser``): one
+the patterns do not take, a keyword or a character such as ``²`` where a
+name goes, a repeated attribute, an integer ``int()`` cannot convert, or
+text after the closing ``}``.  The token parser alone words the errors,
+and it is the reference the tests hold the patterns to; ``parse_library``
+uses it alone.
+
+The token parser's scanner cuts the source into pieces with one
+``findall`` and keeps the non-trivia ones as two parallel lists, texts
+and start offsets; there is no token object.  On both paths line and
+column are found by bisect over the line starts, only when a span is
+built.  The first error aborts the parse: there is no partial tree and
+no multi-error recovery.
 """
 
 from __future__ import annotations
@@ -176,6 +187,12 @@ def _scan_error(text: str, start: int) -> ParseError:
     return ParseError(_span(_line_starts(text), start, end), frozenset(), text[start:end], message)
 
 
+def _unquote(word: str) -> str:
+    """The value of the string literal ``word``."""
+    body = word[1:-1]
+    return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
+
+
 def tokenize(text: str) -> tuple[list[str], list[int], dict[int, Union[str, int]]]:
     """The tokens of ``text`` as two parallel lists, their texts and start
     offsets, each ending with end of input ("" at ``len(text)``); and the
@@ -194,8 +211,7 @@ def tokenize(text: str) -> tuple[list[str], list[int], dict[int, Union[str, int]
         i = m.start()
         word = texts[i]
         if word[0] == '"':
-            body = word[1:-1]
-            values[i] = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
+            values[i] = _unquote(word)
             continue
         try:
             values[i] = int(word)
@@ -446,9 +462,17 @@ def _check_size(text: str) -> None:
 
 
 def parse(text: str) -> SystemAst:
-    """Parse one system description; raises ParseError on the first fault."""
+    """Parse one system description; raises ParseError on the first fault.
+
+    The patterns of ``shapes`` read the source first.  A source they refuse
+    is read again by the token parser, which raises the error or, should
+    the patterns have missed a shape, returns the tree.
+    """
     _check_size(text)
-    return _Parser(text).parse_system()
+    from .shapes import match  # compiles the patterns on the first parse
+
+    ast = match(text)
+    return _Parser(text).parse_system() if ast is None else ast
 
 
 def parse_library(text: str) -> tuple[Declaration, ...]:

@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .broker import EventBroker
 from .diagnostics import fail
 from .plan import PROCESS, SPLIT, BuildPlan, Channel, Stage
 
@@ -76,6 +75,8 @@ def run(
     report = RunReport()
     try:
         if built.broker:
+            from .broker import EventBroker  # only a system with an Event connector loads it
+
             broker = EventBroker(os.path.join(rt_dir, built.broker)).start()
         _execute(built, rt_dir, timeout, report)
     finally:

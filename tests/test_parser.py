@@ -1,8 +1,11 @@
-"""Surface syntax: accepted sentences, rejection spans, size limit."""
+"""Surface syntax: accepted sentences, rejection spans, size limit, and the
+pattern path against the token parser."""
 
 from __future__ import annotations
 
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +16,13 @@ from archon.parser import (
     MAX_SOURCE_BYTES,
     ParseError,
     _line_starts,
+    _Parser,
     _span,
     parse,
     parse_library,
     tokenize,
 )
+from archon.shapes import match
 from archon.syntax import IoDecl, PipelineDecl, PortTypeDef
 
 
@@ -403,3 +408,162 @@ def test_tokens_tile_the_source(src):
         assert _BETWEEN_TOKENS.fullmatch(src, end, start)
         assert (i in values) == (text[:1] == '"' or text[:1].isdecimal())
         end = start + len(text)
+
+
+# -- the pattern path against the token parser --------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+def _plain(value):
+    """``value`` with each record as its type name and every field, span
+    included, and each dict as its items in order."""
+    if isinstance(value, tuple):
+        return (type(value).__name__, *map(_plain, value))
+    if isinstance(value, dict):
+        return ("dict", *((key, _plain(v)) for key, v in value.items()))
+    return value
+
+
+def _error(err: ParseError) -> tuple:
+    return err.code, tuple(err.span), err.message, err.found, tuple(sorted(err.expected))
+
+
+def _both_paths_agree(src: str) -> bool:
+    """The patterns take every source the token parser takes and give the
+    same tree, spans included; a source the token parser refuses, they
+    refuse, and parse() raises the token parser's own error.  Whether the
+    source is valid."""
+    try:
+        want = _Parser(src).parse_system()
+    except ParseError as err:
+        assert match(src) is None
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert _error(exc.value) == _error(err)
+        return False
+    got = match(src)
+    assert got is not None, "the patterns refused a valid source"
+    assert _plain(got) == _plain(want)
+    assert _plain(parse(src)) == _plain(want)
+    return True
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "tests" / "corpus").glob("*.arch")), ids=lambda p: p.name)
+def test_both_paths_agree_on_the_corpus(path):
+    assert _both_paths_agree(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("n, seed", [(10, 1), (250, 7), (1000, 7), (1000, 1007), (2000, 3)])
+def test_both_paths_agree_on_generated_systems(n, seed):
+    assert _both_paths_agree(gen.mixed_arch(n, seed))
+
+
+# A system with an '@' at every spot where a name goes.
+_NAME_SPOTS = (
+    "system @ style @ { porttype @; componenttype @ { port @ : @ many; }"
+    " connectortype @ { role @ accepts @, @ fill 0..*; } component @ : @ impl \"x\";"
+    " connector @ : @; attach @.@ to @.@; pipeline @: input | @() | @() | output; }"
+).split("@")
+
+
+@pytest.mark.parametrize("spot", range(len(_NAME_SPOTS) - 1))
+def test_a_keyword_in_any_name_spot_is_refused(spot):
+    names = ["A"] * (len(_NAME_SPOTS) - 1) + [""]
+    assert _both_paths_agree("".join(map(str.__add__, _NAME_SPOTS, names)))
+    names[spot] = "to"
+    assert not _both_paths_agree("".join(map(str.__add__, _NAME_SPOTS, names)))
+
+
+def test_two_words_run_together_read_as_one():
+    src = "A".join(_NAME_SPOTS)
+    texts, starts, _ = tokenize(src)
+    for i in range(len(texts) - 2):
+        if _WORDISH.match(texts[i][-1]) and _WORDISH.match(texts[i + 1]):
+            _both_paths_agree(src[: starts[i] + len(texts[i])] + src[starts[i + 1] :])
+
+
+# The spots a generated system varies, each as (well-formed, faulty) fragments.
+_FRAGMENTS = {
+    "gap": ([" ", "\t", "\n", "\r\n", "  # note: attach A.x to p.y;\n", "#\n", ""], ["", " #}", "\f"]),
+    "name": (["A", "b-2", "_x", "Pipe", "été", "一", "x²", "a٣"], ["²", "½A", "attach", "many", "to", "3", "-"]),
+    "string": (['"cat"', '""', r'"a\n\t\"\\b"', '"一 # not a comment"'], ['"x', r'"\q"', "cat", "3"]),
+    "int": (["0", "1", "12", "٣"], ["²", '"3"', "-1", "9" * 5000]),
+    "end": ([";"], ["", ","]),
+    "style": (["", "style layered", "style pipes-and-filters"], ["style input", "style", "layered"]),
+    "again": ([""], ['impl "a" impl "b"', "replicas 2 replicas 3", "stateless stateless"]),
+    "after": ([""], ["}", "x", "system T { }"]),
+}
+_WORDISH = re.compile(r"[\w-]")
+_KINDS = ["porttype", "componenttype", "connectortype", "component", "connector",
+          "attach", "pipeline", "input", "output"]
+
+
+@st.composite
+def _systems(draw) -> str:
+    """A well-formed system built from fragments, or one with a single
+    well-formed fragment swapped for a faulty one of its kind."""
+
+    def pick(kind: str) -> tuple[str, str]:
+        return kind, draw(st.sampled_from(_FRAGMENTS[kind][0]))
+
+    def some(make, least: int, most: int) -> list:
+        return sum((make() for _ in range(draw(st.integers(least, most)))), [])
+
+    def declaration() -> list:
+        kind = draw(st.sampled_from(_KINDS))
+        name = lambda: pick("name")  # noqa: E731
+        if kind == "porttype":
+            return [kind, name(), *draw(st.sampled_from([[";"], []]))]
+        if kind == "componenttype":
+            port = lambda: ["port", name(), ":", name(), *draw(st.sampled_from([[], ["many"]])), pick("end")]  # noqa: E731
+            return [kind, name(), "{", *some(port, 0, 3), "}"]
+        if kind == "connectortype":
+            role = lambda: ["role", name(), "accepts", name(), *some(lambda: [",", name()], 0, 2),  # noqa: E731
+                            "fill", pick("int"), "..", *draw(st.sampled_from([["*"], [pick("int")]])), pick("end")]
+            return [kind, name(), "{", *some(role, 0, 2), "}"]
+        if kind == "component":
+            attrs = []
+            for key in draw(st.lists(st.sampled_from(["impl", "seed", "site", "replicas", "layer", "stateless"]),
+                                     max_size=3, unique=True)):
+                attrs += [key] + ([] if key == "stateless" else [pick("string" if key in ("impl", "seed", "site") else "int")])
+            return [kind, name(), ":", name(), *attrs, pick("again"), pick("end")]
+        if kind == "connector":
+            return [kind, name(), ":", name(), pick("end")]
+        if kind == "attach":
+            return [kind, name(), ".", name(), "to", name(), ".", name(), pick("end")]
+        if kind == "pipeline":
+            stage = lambda: ["|", name(), "(", ")"]  # noqa: E731
+            return [kind, name(), ":", "input", *some(stage, 1, 3), "|", "output", pick("end")]
+        return [kind, pick("string"), pick("end")]
+
+    tokens = ["system", pick("name"), pick("style"), *draw(st.sampled_from([[], ["allow-skip"]])),
+              "{", *some(declaration, 0, 6), "}", pick("after")]
+    spots = []  # each token, a fixed word or a (kind, fragment) pick, with a gap picked before it
+    for token in tokens:
+        spots += [pick("gap"), token]
+    spots.append(pick("gap"))
+    fault = None
+    if draw(st.booleans()):
+        kinds = sorted({spot[0] for spot in spots if isinstance(spot, tuple)})
+        kind = draw(st.sampled_from(kinds))  # gaps outnumber the rest: pick the kind first
+        fault = draw(st.sampled_from([i for i, spot in enumerate(spots) if isinstance(spot, tuple) and spot[0] == kind]))
+        spots[fault] = (kind, draw(st.sampled_from(_FRAGMENTS[kind][1])))
+    out, run_on = "", False
+    for i, spot in enumerate(spots):
+        text = spot[1] if isinstance(spot, tuple) else spot
+        run_on |= i == fault and not text  # only the faulty gap runs two words together
+        if text:
+            if not run_on and _WORDISH.match(out[-1:]) and _WORDISH.match(text):
+                text = " " + text  # two words with no gap between them would make one
+            out, run_on = out + text, False
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+def test_both_paths_agree_on_fragment_systems(src):
+    _both_paths_agree(src)

@@ -52,7 +52,9 @@ HOME = {
 }
 
 # The modules `import archon.cli` leaves for the command that runs them.
-NOT_AT_START = ("plan", "runner", "broker", "rpc", "relay", "server", "frames", "export", "formatter")
+NOT_AT_START = (
+    "shapes", "plan", "runner", "broker", "rpc", "relay", "server", "frames", "export", "formatter"
+)
 
 # Runs archon's main(argv) in a fresh interpreter, then prints its status and
 # every exported name that is not its home module's object.
@@ -113,6 +115,15 @@ def test_importing_the_cli_loads_no_runtime_module():
         _python("-c", "import json, sys, archon.cli; print(json.dumps(sorted(sys.modules)))")
     )
     assert [m for m in NOT_AT_START if f"archon.{m}" in loaded] == []
+
+
+def test_importing_the_runner_loads_no_service_module():
+    """Only a system with an Event connector needs the broker, and it loads
+    the broker's server and frame modules itself when it runs."""
+    loaded = json.loads(
+        _python("-c", "import json, sys, archon.runner; print(json.dumps(sorted(sys.modules)))")
+    )
+    assert [m for m in ("broker", "server", "frames") if f"archon.{m}" in loaded] == []
 
 
 def test_importing_the_cli_builds_one_dataclass():

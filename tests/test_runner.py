@@ -301,6 +301,23 @@ def test_pidfd_failure_is_raised_and_kills_what_was_spawned(
     assert [proc.returncode for proc in spawned] == [-signal.SIGKILL]
 
 
+def test_event_stages_find_the_broker_listening(tmp_path):
+    """run() starts the broker of a system with an Event connector before
+    its stages, each of which finds a socket at $ARCHON_BROKER."""
+    probe = 'impl "sh -c \'test -S \\"$ARCHON_BROKER\\"\'"'
+    report = run(_built(f"""system News {{
+      componenttype Reporter {{ port wire : EventEmit; }}
+      componenttype Desk {{ port wire : EventRecv; }}
+      component Field : Reporter {probe};
+      component Print : Desk {probe};
+      connector wire : Event;
+      attach Field.wire to wire.announcer;
+      attach Print.wire to wire.listener;
+    }}"""), timeout=20, runtime_dir=str(tmp_path))
+    assert report.overall == 0
+    assert report.statuses == {"Field": 0, "Print": 0}
+
+
 def test_spawn_failure_reported(tmp_path):
     inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
     inp.write_bytes(b"")
