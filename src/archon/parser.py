@@ -23,29 +23,35 @@ Identifiers may contain interior hyphens (style names like
 ``pipes-and-filters``).  Stage calls take no arguments; anything between
 the parentheses is rejected.
 
-Two paths read a system.  ``parse`` first matches each declaration with
-one compiled pattern per shape (module ``shapes``, loaded on the first
-parse) and builds the records from the match groups.  A source the
-patterns refuse goes whole to the token parser here (``_Parser``): one
-the patterns do not take, a keyword or a character such as ``²`` where a
-name goes, a repeated attribute, an integer ``int()`` cannot convert, or
-text after the closing ``}``.  The token parser alone words the errors,
-and it is the reference the tests hold the patterns to; ``parse_library``
-uses it alone.
+Two paths read a system.  The token parser (``_Parser``) reads a
+source below ``_PATTERN_MIN_CHARS`` and one the other path refuses; it
+alone words the errors, and the tests hold the other path to it.  Its
+scanner blanks each comment to spaces, which keeps every offset, then
+matches each token with the whitespace after it in one ``findall``; the
+token texts and start offsets are two parallel lists, and there is no
+token object.
 
-The token parser's scanner cuts the source into pieces with one
-``findall`` and keeps the non-trivia ones as two parallel lists, texts
-and start offsets; there is no token object.  On both paths line and
-column are found by bisect over the line starts, only when a span is
-built.  The first error aborts the parse: there is no partial tree and
-no multi-error recovery.
+A source of ``_PATTERN_MIN_CHARS`` or more, where a process's one-off
+pattern compile pays for itself on the first parse, is read first by
+the pattern path (``_Patterns``): one compiled pattern per declaration
+shape, compiled on that first use, whose match groups make the records.
+A source the patterns refuse goes whole to the token parser: one the
+patterns do not take, a keyword or a character such as ``²`` where a
+name goes, a repeated attribute, an integer ``int()`` cannot convert, or
+text after the closing ``}``.  ``parse_library`` uses the token parser
+alone.
+
+On both paths line and column are found by bisect over the line starts,
+only when a span is built.  The first error aborts the parse: there is
+no partial tree and no multi-error recovery.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, compress
+from functools import cache
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -97,12 +103,15 @@ _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items()}
 
 # A string literal up to, not including, its closing quote.
 _STRING_OPEN = r'"(?:[^"\\\n]|\\[' + re.escape("".join(_ESCAPES)) + "])*"
-# The pieces that tile a well-formed source: trivia, ident, int, string, punct.
-_PIECE = re.compile(
-    r"[ \t\r\n]+|#[^\n]*|[^\W\d][\w-]*|\d+|" + _STRING_OPEN + r'"|\.\.|[{};:.,|()*]'
-)
-# The first characters of trivia pieces, and of int and string tokens.
-_TRIVIA_HEADS = frozenset(" \t\r\n#")
+_TOKEN_SHAPES = r"[^\W\d][\w-]*|\d+|" + _STRING_OPEN + r'"|\.\.|[{};:.,|()*]'
+# A token (ident, int, string, punct) with the whitespace after it.
+_TOKEN = re.compile(rf"(?:{_TOKEN_SHAPES})[ \t\r\n]*")
+# Patterns that ``re`` compiles and caches on first use: the pieces that
+# tile a well-formed source, trivia and tokens, for a faulty source; and a
+# string literal, kept, or a comment, blanked, for a source with a ``#``.
+_PIECE = r"[ \t\r\n]+|#[^\n]*|" + _TOKEN_SHAPES
+_STRING_OR_COMMENT = rf'({_STRING_OPEN}")|#[^\n]*'
+# The first characters of int and string tokens.
 _LITERAL_HEAD = re.compile(r'[\d"]')
 _PUNCT = frozenset(["..", *"{};:.,|()*"])
 # Token texts that are not names.
@@ -164,14 +173,15 @@ def _bad_head(ch: str) -> bool:
     return ch.isalnum() and not (ch.isalpha() or ch.isdecimal())
 
 
-def _first_fault(text: str) -> tuple[int, int]:
-    """How many pieces tile ``text`` before its first fault, and the fault's offset."""
-    count = pos = 0
-    for m in _PIECE.finditer(text):
+def _first_fault(text: str) -> int:
+    """The offset of the first character of ``text`` that starts no piece or
+    heads one as ``²`` would, or ``len(text)``."""
+    pos = 0
+    for m in re.finditer(_PIECE, text):
         if m.start() != pos or _bad_head(text[pos]):
             break
-        count, pos = count + 1, m.end()
-    return count, pos
+        pos = m.end()
+    return pos
 
 
 def _scan_error(text: str, start: int) -> ParseError:
@@ -193,21 +203,34 @@ def _unquote(word: str) -> str:
     return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
 
 
+def _blank_comments(text: str) -> str:
+    """``text`` with spaces in place of each comment, which keeps every offset."""
+    if "#" not in text:
+        return text
+    return re.sub(_STRING_OR_COMMENT, lambda c: c[1] or " " * len(c[0]), text)
+
+
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of ``text`` and their start offsets, with ``len(text)`` after
+    the last, which falls short of it where a character fits no token."""
+    text = _blank_comments(text)
+    lead = len(text) - len(text.lstrip(" \t\r\n"))
+    pieces = _TOKEN.findall(text, lead)  # each token with the trivia after it
+    return list(map(str.rstrip, pieces)), list(accumulate(map(len, pieces), initial=lead))
+
+
 def tokenize(text: str) -> tuple[list[str], list[int], dict[int, Union[str, int]]]:
     """The tokens of ``text`` as two parallel lists, their texts and start
     offsets, each ending with end of input ("" at ``len(text)``); and the
     value of every int and string token, by index."""
-    pieces = _PIECE.findall(text)
-    starts = list(accumulate(map(len, pieces), initial=0))
-    heads = "".join(map(itemgetter(0), pieces))
-    fault = None
-    if starts[-1] != len(text) or any(map(_bad_head, set(heads))):
-        count, fault = _first_fault(text)  # the pieces after it are misplaced
-        pieces, starts, heads = pieces[:count], starts[:count], heads[:count]
-    keep = [head not in _TRIVIA_HEADS for head in heads]
-    texts, offsets = list(compress(pieces, keep)), list(compress(starts, keep))
+    texts, starts = _scan(text)
+    fault = len(text)
+    if starts[-1] != fault or not text.isascii() and any(map(_bad_head, set(text))):
+        fault = _first_fault(text)
+        if fault < len(text):
+            texts, starts = _scan(text[:fault])  # the tokens after it are misplaced
     values: dict[int, Union[str, int]] = {}
-    for m in _LITERAL_HEAD.finditer("".join(compress(heads, keep))):
+    for m in _LITERAL_HEAD.finditer("".join(map(itemgetter(0), texts))):
         i = m.start()
         word = texts[i]
         if word[0] == '"':
@@ -216,13 +239,12 @@ def tokenize(text: str) -> tuple[list[str], list[int], dict[int, Union[str, int]
         try:
             values[i] = int(word)
         except ValueError:  # more digits than int() converts
-            span = _span(_line_starts(text), offsets[i], offsets[i] + len(word))
+            span = _span(_line_starts(text), starts[i], starts[i] + len(word))
             raise ParseError(span, frozenset(), word, "integer literal too long") from None
-    if fault is not None:
+    if fault < len(text):
         raise _scan_error(text, fault)
     texts.append("")
-    offsets.append(len(text))
-    return texts, offsets, values
+    return texts, starts, values
 
 
 class _Parser:
@@ -461,18 +483,192 @@ def _check_size(text: str) -> None:
         )
 
 
+# -- the pattern path ---------------------------------------------------------
+
+# The length from which parse() tries the patterns first.  Compiling them
+# costs a process about 4 ms once; below this they save less than that on
+# a source's first parse.
+_PATTERN_MIN_CHARS = 1 << 16
+
+_T = r"[ \t\r\n]*"  # trivia, once the comments are blanked
+_K = r"(?![\w-])"  # the end of a keyword or name
+_N = r"[^\W\d][\w-]*" + _K
+_S = _STRING_OPEN + '"'
+_NEXT = rf"(){_T}([\w-]*)"
+_PORT = rf"port{_K}{_T}({_N}){_T}:{_T}({_N})(?:{_T}(many){_K})?{_T};"
+_ROLE = (
+    rf"role{_K}{_T}({_N}){_T}accepts{_K}{_T}({_N}(?:{_T},{_T}{_N})*)"
+    rf"{_T}fill{_K}{_T}(\d+){_T}\.\.{_T}(\d+|\*){_T};"
+)
+_ATTR = rf"(?:impl|seed|site){_K}{_T}{_S}|(?:replicas|layer){_K}{_T}\d+|stateless{_K}"
+
+
+class _Refused(Exception):
+    """The patterns do not take the source."""
+
+
+def _name(name: str) -> str:
+    """``name``, which must not be a keyword."""
+    if name in KEYWORDS:
+        raise _Refused
+    return name
+
+
+def _names(names: tuple) -> tuple:
+    """``names``, none of which may be a keyword."""
+    if KEYWORDS.isdisjoint(names):
+        return names
+    raise _Refused
+
+
+class _Patterns:
+    """One compiled pattern per declaration shape, and the methods that make
+    each declaration's record from its match, span and the line starts.
+
+    Each declaration's pattern starts after its keyword.  It ends with an
+    empty group at the declaration's last token, then the trivia and the
+    word after it; that word, the pattern's last group, picks the next
+    pattern.  Trivia may sit between any two tokens, and no name or keyword
+    may run on into a word, so the patterns cut tokens where the scanner
+    does.
+    """
+
+    def __init__(self) -> None:
+        self.header = re.compile(
+            rf"{_T}(system){_K}{_T}({_N})(?:{_T}style{_K}{_T}({_N}))?(?:{_T}(allow-skip){_K})?{_T}\{{{_NEXT}"
+        )
+        # Within a declaration its matched pattern has checked: the parts one by one.
+        self.ports = re.compile(rf"{_T}({_PORT})")
+        self.roles = re.compile(rf"{_T}({_ROLE})")
+        self.accepts = re.compile(rf"(?:{_T},)?{_T}({_N})")
+        self.attrs = re.compile(rf"{_T}(impl|seed|site|replicas|layer|stateless){_K}(?:{_T}({_S}|\d+))?")
+        self.stages = re.compile(rf"{_T}\|{_T}({_N}){_T}\({_T}\)")
+        io = re.compile(rf"{_T}({_S}){_T};{_NEXT}")
+        # Each declaration keyword -> its pattern and the method that makes its record.
+        self.shapes = {
+            "porttype": (re.compile(rf"{_T}({_N})(?:{_T};)?{_NEXT}"), self.port_type),
+            "componenttype": (
+                re.compile(rf"{_T}({_N}){_T}\{{((?:{_T}{_PORT})*){_T}\}}{_NEXT}"),
+                self.component_type,
+            ),
+            "connectortype": (
+                re.compile(rf"{_T}({_N}){_T}\{{((?:{_T}{_ROLE})*){_T}\}}{_NEXT}"),
+                self.connector_type,
+            ),
+            "component": (
+                re.compile(rf"{_T}({_N}){_T}:{_T}({_N})((?:{_T}(?:{_ATTR}))*){_T};{_NEXT}"),
+                self.component,
+            ),
+            "connector": (re.compile(rf"{_T}({_N}){_T}:{_T}({_N}){_T};{_NEXT}"), self.connector),
+            "attach": (
+                re.compile(rf"{_T}({_N}){_T}\.{_T}({_N}){_T}to{_K}{_T}({_N}){_T}\.{_T}({_N}){_T};{_NEXT}"),
+                self.attach,
+            ),
+            "pipeline": (
+                re.compile(
+                    rf"{_T}({_N}){_T}:{_T}input{_K}((?:{_T}\|{_T}{_N}{_T}\({_T}\))+){_T}\|{_T}output{_K}{_T};{_NEXT}"
+                ),
+                self.pipeline,
+            ),
+            "input": (io, self.input_decl),
+            "output": (io, self.output_decl),
+        }
+
+    def read(self, text: str) -> Optional[SystemAst]:
+        """The tree of ``text``; None where the patterns refuse it."""
+        try:
+            return self._read(text)
+        except (_Refused, ValueError):  # ValueError: more digits than int() converts
+            return None
+
+    def _read(self, text: str) -> SystemAst:
+        if not text.isascii() and any(map(_bad_head, set(text))) and _first_fault(text) < len(text):
+            raise _Refused  # a character such as ² heads a token
+        text = _blank_comments(text)
+        m = head = self.header.match(text)
+        if m is None:
+            raise _Refused
+        name, style = _names(head.group(2, 3))
+        lines = _line_starts(text)
+        decls: list[Declaration] = []
+        while (shape := self.shapes.get(m[m.lastindex])) is not None:
+            start = m.start(m.lastindex)
+            pattern, build = shape
+            m = pattern.match(text, m.end())
+            if m is None:
+                raise _Refused
+            decls.append(build(m, _span(lines, start, m.end(m.lastindex - 1)), lines))
+        end = m.end()
+        if m[m.lastindex] or not text.startswith("}", end) or text[end + 1 :].strip(" \t\r\n"):
+            raise _Refused
+        return SystemAst(name, style, head[4] is not None, tuple(decls), _span(lines, head.start(1), end + 1))
+
+    def port_type(self, m: re.Match, span: Span, lines: list[int]) -> PortTypeDef:
+        return PortTypeDef(_name(m[1]), span)
+
+    def component_type(self, m: re.Match, span: Span, lines: list[int]) -> ComponentType:
+        ports = tuple(
+            PortSpec(*_names(p.group(2, 3)), p[4] is not None, _span(lines, p.start(1), p.end(1)))
+            for p in self.ports.finditer(m.string, m.start(2), m.end(2))
+        )
+        return ComponentType(_name(m[1]), ports, span)
+
+    def connector_type(self, m: re.Match, span: Span, lines: list[int]) -> ConnectorType:
+        roles = tuple(
+            RoleSpec(
+                _name(r[2]),
+                _names(tuple(self.accepts.findall(m.string, r.start(3), r.end(3)))),
+                int(r[4]),
+                None if r[5] == "*" else int(r[5]),
+                _span(lines, r.start(1), r.end(1)),
+            )
+            for r in self.roles.finditer(m.string, m.start(2), m.end(2))
+        )
+        return ConnectorType(_name(m[1]), roles, span)
+
+    def component(self, m: re.Match, span: Span, lines: list[int]) -> Instance:
+        attrs: dict[str, Union[str, int, bool]] = {}
+        for key, value in self.attrs.findall(m.string, m.start(3), m.end(3)):
+            if key in attrs:
+                raise _Refused  # a DuplicateAttribute error
+            attrs[key] = True if not value else _unquote(value) if value[0] == '"' else int(value)
+        return Instance(*_names(m.group(1, 2)), attrs, span)
+
+    def connector(self, m: re.Match, span: Span, lines: list[int]) -> Connector:
+        return Connector(*_names(m.group(1, 2)), span)
+
+    def attach(self, m: re.Match, span: Span, lines: list[int]) -> Attachment:
+        return Attachment(*_names(m.group(1, 2, 3, 4)), span)
+
+    def pipeline(self, m: re.Match, span: Span, lines: list[int]) -> PipelineDecl:
+        stages = _names(tuple(self.stages.findall(m.string, m.start(2), m.end(2))))
+        return PipelineDecl(_name(m[1]), stages, span)
+
+    def input_decl(self, m: re.Match, span: Span, lines: list[int]) -> IoDecl:
+        return IoDecl("input", _unquote(m[1]), span)
+
+    def output_decl(self, m: re.Match, span: Span, lines: list[int]) -> IoDecl:
+        return IoDecl("output", _unquote(m[1]), span)
+
+
+@cache
+def _patterns() -> _Patterns:
+    """The pattern path, compiled on its first use."""
+    return _Patterns()
+
+
 def parse(text: str) -> SystemAst:
     """Parse one system description; raises ParseError on the first fault.
 
-    The patterns of ``shapes`` read the source first.  A source they refuse
-    is read again by the token parser, which raises the error or, should
-    the patterns have missed a shape, returns the tree.
+    A source of ``_PATTERN_MIN_CHARS`` or more is read by the patterns
+    first.  Every smaller source, and one the patterns refuse, is read by
+    the token parser, which raises the error or, should the patterns have
+    missed a shape, returns the tree.
     """
     _check_size(text)
-    from .shapes import match  # compiles the patterns on the first parse
-
-    ast = match(text)
-    return _Parser(text).parse_system() if ast is None else ast
+    if len(text) >= _PATTERN_MIN_CHARS and (ast := _patterns().read(text)) is not None:
+        return ast
+    return _Parser(text).parse_system()
 
 
 def parse_library(text: str) -> tuple[Declaration, ...]:

@@ -10,19 +10,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from archon import parser
 from archon.diagnostics import Span
 from archon.model import Attachment, ComponentType, Connector, ConnectorType, Instance
 from archon.parser import (
     MAX_SOURCE_BYTES,
     ParseError,
+    _PATTERN_MIN_CHARS,
     _line_starts,
     _Parser,
+    _patterns,
     _span,
     parse,
     parse_library,
     tokenize,
 )
-from archon.shapes import match
 from archon.syntax import IoDecl, PipelineDecl, PortTypeDef
 
 
@@ -194,6 +196,11 @@ _SCAN_ERRORS = [
     ("system S {\n  @ }", ("ParseError", (13, 14, 2, 3), "unexpected character '@'", "@")),
     ("system S { component ½A : Filter; }", ("ParseError", (21, 22, 1, 22), "unexpected character '½'", "½")),
     ("system S { component A : Filter replicas " + "1" * 5000 + "; }",
+     ("ParseError", (41, 5041, 1, 42), "integer literal too long", "1" * 5000)),
+    # Of two faults the first in the source is reported.
+    ("system S { @ component A : Filter replicas " + "1" * 5000 + "; }",
+     ("ParseError", (11, 12, 1, 12), "unexpected character '@'", "@")),
+    ("system S { component A : Filter replicas " + "1" * 5000 + "; @ }",
      ("ParseError", (41, 5041, 1, 42), "integer literal too long", "1" * 5000)),
 ]
 
@@ -437,6 +444,7 @@ def _both_paths_agree(src: str) -> bool:
     same tree, spans included; a source the token parser refuses, they
     refuse, and parse() raises the token parser's own error.  Whether the
     source is valid."""
+    match = _patterns().read
     try:
         want = _Parser(src).parse_system()
     except ParseError as err:
@@ -460,6 +468,14 @@ def test_both_paths_agree_on_the_corpus(path):
 @pytest.mark.parametrize("n, seed", [(10, 1), (250, 7), (1000, 7), (1000, 1007), (2000, 3)])
 def test_both_paths_agree_on_generated_systems(n, seed):
     assert _both_paths_agree(gen.mixed_arch(n, seed))
+
+
+def test_a_source_from_the_threshold_is_read_by_the_patterns(monkeypatch):
+    """A smaller one compiles none: test_public_api checks a one-shot check."""
+    large = gen.mixed_arch(1000, 7)
+    assert len(large) >= _PATTERN_MIN_CHARS
+    monkeypatch.setattr(parser, "_Parser", None)  # the token parser cannot be called
+    assert _plain(parse(large)) == _plain(_patterns().read(large))
 
 
 # A system with an '@' at every spot where a name goes.

@@ -52,9 +52,7 @@ HOME = {
 }
 
 # The modules `import archon.cli` leaves for the command that runs them.
-NOT_AT_START = (
-    "shapes", "plan", "runner", "broker", "rpc", "relay", "server", "frames", "export", "formatter"
-)
+NOT_AT_START = ("plan", "runner", "broker", "rpc", "relay", "server", "frames", "export", "formatter")
 
 # Runs archon's main(argv) in a fresh interpreter, then prints its status and
 # every exported name that is not its home module's object.
@@ -124,6 +122,17 @@ def test_importing_the_runner_loads_no_service_module():
         _python("-c", "import json, sys, archon.runner; print(json.dumps(sorted(sys.modules)))")
     )
     assert [m for m in ("broker", "server", "frames") if f"archon.{m}" in loaded] == []
+
+
+def test_checking_a_small_source_compiles_no_declaration_pattern():
+    """A one-shot ``archon check`` of a hand-sized file is read by the token
+    parser alone, so the process never compiles the declaration patterns."""
+    probe = (
+        "import sys; from archon import parser; from archon.cli import main; "
+        "status = main(['check', sys.argv[1]]); print(status, parser._patterns.cache_info().currsize)"
+    )
+    out = _python("-c", probe, str(REPO / "tests" / "corpus" / "02_hello.arch"))
+    assert out.splitlines()[-1] == "0 0"
 
 
 def test_importing_the_cli_builds_one_dataclass():
