@@ -23,27 +23,25 @@ Identifiers may contain interior hyphens (style names like
 ``pipes-and-filters``).  Stage calls take no arguments; anything between
 the parentheses is rejected.
 
-Two paths read a system.  The token parser (``_Parser``) reads a
-source below ``_PATTERN_MIN_CHARS`` and one the other path refuses; it
-alone words the errors, and the tests hold the other path to it.  Its
-scanner blanks each comment to spaces, which keeps every offset, then
-matches each token with the whitespace after it in one ``findall``; the
-token texts and start offsets are two parallel lists, and there is no
-token object.
+One flow reads a system.  A source of ``_PATTERN_MIN_CHARS`` or more,
+where a process's one-off pattern compile pays for itself on the first
+parse, is read ahead by the patterns (``_Patterns``): one compiled
+pattern per declaration shape, whose match groups make the records.
+They read the header, then the declarations up to the first they do not
+take (no match, a keyword where a name goes, a repeated attribute, an
+integer ``int()`` cannot convert): in a valid source, the closing ``}``.
+The token parser (``_Parser``) scans and parses from there; it reads
+whole a smaller source, one whose header the patterns refuse or in which
+a character such as ``²`` heads a token, and a library.  Every token the
+patterns took is one it takes, so it raises the error a whole-text parse
+would; it alone words the errors.
 
-A source of ``_PATTERN_MIN_CHARS`` or more, where a process's one-off
-pattern compile pays for itself on the first parse, is read first by
-the pattern path (``_Patterns``): one compiled pattern per declaration
-shape, compiled on that first use, whose match groups make the records.
-A source the patterns refuse goes whole to the token parser: one the
-patterns do not take, a keyword or a character such as ``²`` where a
-name goes, a repeated attribute, an integer ``int()`` cannot convert, or
-text after the closing ``}``.  ``parse_library`` uses the token parser
-alone.
-
-On both paths line and column are found by bisect over the line starts,
-only when a span is built.  The first error aborts the parse: there is
-no partial tree and no multi-error recovery.
+Its scanner blanks each comment to spaces, which keeps every offset,
+then matches each token with the whitespace after it in one
+``findall``; the token texts and start offsets are two parallel lists,
+and there is no token object.  Line and column are found by bisect over
+the line starts, only when a span is built.  The first error aborts the
+parse: there is no partial tree and no multi-error recovery.
 """
 
 from __future__ import annotations
@@ -69,43 +67,15 @@ from .syntax import Declaration, IoDecl, PipelineDecl, PortTypeDef, SystemAst
 
 MAX_SOURCE_BYTES = 1 << 20
 
-KEYWORDS = frozenset(
-    {
-        "system",
-        "style",
-        "allow-skip",
-        "porttype",
-        "componenttype",
-        "connectortype",
-        "port",
-        "role",
-        "accepts",
-        "fill",
-        "many",
-        "component",
-        "connector",
-        "attach",
-        "to",
-        "pipeline",
-        "input",
-        "output",
-        "impl",
-        "replicas",
-        "layer",
-        "stateless",
-        "seed",
-        "site",
-    }
-)
-
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items()}
 
 # A string literal up to, not including, its closing quote.
 _STRING_OPEN = r'"(?:[^"\\\n]|\\[' + re.escape("".join(_ESCAPES)) + "])*"
 _TOKEN_SHAPES = r"[^\W\d][\w-]*|\d+|" + _STRING_OPEN + r'"|\.\.|[{};:.,|()*]'
+_T = r"[ \t\r\n]*"  # trivia, once the comments are blanked
 # A token (ident, int, string, punct) with the whitespace after it.
-_TOKEN = re.compile(rf"(?:{_TOKEN_SHAPES})[ \t\r\n]*")
+_TOKEN = re.compile(rf"(?:{_TOKEN_SHAPES}){_T}")
 # Patterns that ``re`` compiles and caches on first use: the pieces that
 # tile a well-formed source, trivia and tokens, for a faulty source; and a
 # string literal, kept, or a comment, blanked, for a source with a ``#``.
@@ -114,8 +84,6 @@ _STRING_OR_COMMENT = rf'({_STRING_OPEN}")|#[^\n]*'
 # The first characters of int and string tokens.
 _LITERAL_HEAD = re.compile(r'[\d"]')
 _PUNCT = frozenset(["..", *"{};:.,|()*"])
-# Token texts that are not names.
-_NOT_NAMES = KEYWORDS | _PUNCT | {""}
 _ESCAPE = re.compile(r"\\(.)")
 _LINE = re.compile(r"[^\n]*\n")
 
@@ -173,11 +141,11 @@ def _bad_head(ch: str) -> bool:
     return ch.isalnum() and not (ch.isalpha() or ch.isdecimal())
 
 
-def _first_fault(text: str) -> int:
-    """The offset of the first character of ``text`` that starts no piece or
-    heads one as ``²`` would, or ``len(text)``."""
-    pos = 0
-    for m in re.finditer(_PIECE, text):
+def _first_fault(text: str, start: int = 0) -> int:
+    """The offset of the first character of ``text`` from ``start`` that starts
+    no piece or heads one as ``²`` would, or ``len(text)``."""
+    pos = start
+    for m in re.compile(_PIECE).finditer(text, start):
         if m.start() != pos or _bad_head(text[pos]):
             break
         pos = m.end()
@@ -203,32 +171,35 @@ def _unquote(word: str) -> str:
     return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body
 
 
-def _blank_comments(text: str) -> str:
-    """``text`` with spaces in place of each comment, which keeps every offset."""
-    if "#" not in text:
+def _blank_comments(text: str, start: int = 0) -> str:
+    """``text`` with spaces in place of each comment from ``start`` on, which
+    keeps every offset; ``start`` is outside any comment or string."""
+    if text.find("#", start) < 0:
         return text
-    return re.sub(_STRING_OR_COMMENT, lambda c: c[1] or " " * len(c[0]), text)
+    return text[:start] + re.sub(_STRING_OR_COMMENT, lambda c: c[1] or " " * len(c[0]), text[start:])
 
 
-def _scan(text: str) -> tuple[list[str], list[int]]:
-    """The tokens of ``text`` and their start offsets, with ``len(text)`` after
-    the last, which falls short of it where a character fits no token."""
-    text = _blank_comments(text)
-    lead = len(text) - len(text.lstrip(" \t\r\n"))
+def _scan(text: str, start: int) -> tuple[list[str], list[int]]:
+    """The tokens of ``text`` from ``start`` and their start offsets, with
+    ``len(text)`` after the last, which falls short of it where a character
+    fits no token."""
+    text = _blank_comments(text, start)
+    lead = re.compile(_T).match(text, start).end()
     pieces = _TOKEN.findall(text, lead)  # each token with the trivia after it
     return list(map(str.rstrip, pieces)), list(accumulate(map(len, pieces), initial=lead))
 
 
-def tokenize(text: str) -> tuple[list[str], list[int], dict[int, Union[str, int]]]:
-    """The tokens of ``text`` as two parallel lists, their texts and start
+def tokenize(text: str, start: int = 0) -> tuple[list[str], list[int], dict[int, Union[str, int]]]:
+    """The tokens of ``text`` from the offset ``start``, which must not fall in
+    a token, comment or string, as two parallel lists, their texts and start
     offsets, each ending with end of input ("" at ``len(text)``); and the
     value of every int and string token, by index."""
-    texts, starts = _scan(text)
+    texts, starts = _scan(text, start)
     fault = len(text)
-    if starts[-1] != fault or not text.isascii() and any(map(_bad_head, set(text))):
-        fault = _first_fault(text)
+    if starts[-1] != fault or not text.isascii() and any(map(_bad_head, set(text[start:]))):
+        fault = _first_fault(text, start)
         if fault < len(text):
-            texts, starts = _scan(text[:fault])  # the tokens after it are misplaced
+            texts, starts = _scan(text[:fault], start)  # the tokens after it are misplaced
     values: dict[int, Union[str, int]] = {}
     for m in _LITERAL_HEAD.finditer("".join(map(itemgetter(0), texts))):
         i = m.start()
@@ -248,9 +219,12 @@ def tokenize(text: str) -> tuple[list[str], list[int], dict[int, Union[str, int]
 
 
 class _Parser:
-    def __init__(self, text: str) -> None:
-        self.texts, self.starts, self.values = tokenize(text)
-        self.lines = _line_starts(text)
+    """Recursive descent over the tokens of ``text`` from the offset ``start``,
+    given the line starts ``lines`` or finding them."""
+
+    def __init__(self, text: str, start: int = 0, lines: Optional[list[int]] = None) -> None:
+        self.texts, self.starts, self.values = tokenize(text, start)
+        self.lines = _line_starts(text) if lines is None else lines
         self.pos = 0  # the index of the current token
 
     # -- token plumbing -----------------------------------------------------
@@ -304,18 +278,22 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_system(self) -> SystemAst:
-        self.expect("system")
-        name = self.name()
-        style: Optional[str] = self.name() if self.accept("style") else None
-        allow_skip = self.accept("allow-skip")
-        self.expect("{")
-        decls = self.parse_items(_ITEMS, "}")
-        self.expect("}")
-        span = self.span_from(0)
+    def parse_system(self, head: Optional[tuple] = None) -> SystemAst:
+        """The system, from its header on or, given the ``head`` the patterns
+        read, from the declarations after it: (name, style, allow_skip,
+        declarations, start offset)."""
+        if head is None:
+            self.expect("system")
+            name = self.name()
+            style: Optional[str] = self.name() if self.accept("style") else None
+            head = (name, style, self.accept("allow-skip"), (), self.starts[0])
+            self.expect("{")
+        name, style, allow_skip, decls, start = head
+        decls += self.parse_items(_ITEMS, "}")
+        end = self.starts[self.advance()] + 1  # parse_items stops only at the '}'
         if self.texts[self.pos]:
             raise self.fail({"eof"})
-        return SystemAst(name=name, style=style, allow_skip=allow_skip, declarations=decls, span=span)
+        return SystemAst(name, style, allow_skip, decls, _span(self.lines, start, end))
 
     def parse_items(self, table: dict, end: str) -> tuple[Declaration, ...]:
         """Declarations, each dispatched on its keyword, up to the token
@@ -471,6 +449,13 @@ _ITEMS = {
     "output": _Parser._parse_iodecl,
 }
 
+# The one keyword table: the declarations, the attributes and the words within them.
+KEYWORDS = frozenset(
+    [*_ITEMS, *_ATTRS, "system", "style", "allow-skip", "port", "role", "accepts", "fill", "many", "to"]
+)
+# Token texts that are not names.
+_NOT_NAMES = KEYWORDS | _PUNCT | {""}
+
 
 def _check_size(text: str) -> None:
     if len(text.encode("utf-8")) > MAX_SOURCE_BYTES:
@@ -483,14 +468,13 @@ def _check_size(text: str) -> None:
         )
 
 
-# -- the pattern path ---------------------------------------------------------
+# -- the patterns that read ahead ---------------------------------------------
 
-# The length from which parse() tries the patterns first.  Compiling them
+# The length from which parse() reads ahead with the patterns.  Compiling them
 # costs a process about 4 ms once; below this they save less than that on
 # a source's first parse.
 _PATTERN_MIN_CHARS = 1 << 16
 
-_T = r"[ \t\r\n]*"  # trivia, once the comments are blanked
 _K = r"(?![\w-])"  # the end of a keyword or name
 _N = r"[^\W\d][\w-]*" + _K
 _S = _STRING_OPEN + '"'
@@ -500,11 +484,12 @@ _ROLE = (
     rf"role{_K}{_T}({_N}){_T}accepts{_K}{_T}({_N}(?:{_T},{_T}{_N})*)"
     rf"{_T}fill{_K}{_T}(\d+){_T}\.\.{_T}(\d+|\*){_T};"
 )
-_ATTR = rf"(?:impl|seed|site){_K}{_T}{_S}|(?:replicas|layer){_K}{_T}\d+|stateless{_K}"
+_VALUES = {"string": rf"{_T}{_S}", "int": rf"{_T}\d+", None: ""}  # by token kind
+_ATTR = "|".join(rf"{key}{_K}{_VALUES[kind]}" for key, kind in _ATTRS.items())
 
 
 class _Refused(Exception):
-    """The patterns do not take the source."""
+    """The patterns do not take the declaration."""
 
 
 def _name(name: str) -> str:
@@ -541,7 +526,7 @@ class _Patterns:
         self.ports = re.compile(rf"{_T}({_PORT})")
         self.roles = re.compile(rf"{_T}({_ROLE})")
         self.accepts = re.compile(rf"(?:{_T},)?{_T}({_N})")
-        self.attrs = re.compile(rf"{_T}(impl|seed|site|replicas|layer|stateless){_K}(?:{_T}({_S}|\d+))?")
+        self.attrs = re.compile(rf"{_T}({'|'.join(_ATTRS)}){_K}(?:{_T}({_S}|\d+))?")
         self.stages = re.compile(rf"{_T}\|{_T}({_N}){_T}\({_T}\)")
         io = re.compile(rf"{_T}({_S}){_T};{_NEXT}")
         # Each declaration keyword -> its pattern and the method that makes its record.
@@ -570,38 +555,35 @@ class _Patterns:
                 ),
                 self.pipeline,
             ),
-            "input": (io, self.input_decl),
-            "output": (io, self.output_decl),
+            "input": (io, self.io_decl),
+            "output": (io, self.io_decl),
         }
 
-    def read(self, text: str) -> Optional[SystemAst]:
-        """The tree of ``text``; None where the patterns refuse it."""
-        try:
-            return self._read(text)
-        except (_Refused, ValueError):  # ValueError: more digits than int() converts
-            return None
-
-    def _read(self, text: str) -> SystemAst:
+    def read(self, text: str) -> Optional[tuple[tuple, int, list[int]]]:
+        """The header of ``text`` with the declarations the patterns take after
+        it, as ``_Parser.parse_system`` takes them; the offset of the first word
+        they do not take, the closing ``}`` once they take every declaration;
+        and the line starts.  None where they refuse the header or a character
+        such as ``²`` heads a token."""
         if not text.isascii() and any(map(_bad_head, set(text))) and _first_fault(text) < len(text):
-            raise _Refused  # a character such as ² heads a token
+            return None
         text = _blank_comments(text)
         m = head = self.header.match(text)
-        if m is None:
-            raise _Refused
-        name, style = _names(head.group(2, 3))
+        if m is None or not KEYWORDS.isdisjoint(head.group(2, 3)):
+            return None
         lines = _line_starts(text)
         decls: list[Declaration] = []
+        pos = m.start(m.lastindex)
         while (shape := self.shapes.get(m[m.lastindex])) is not None:
-            start = m.start(m.lastindex)
             pattern, build = shape
-            m = pattern.match(text, m.end())
-            if m is None:
-                raise _Refused
-            decls.append(build(m, _span(lines, start, m.end(m.lastindex - 1)), lines))
-        end = m.end()
-        if m[m.lastindex] or not text.startswith("}", end) or text[end + 1 :].strip(" \t\r\n"):
-            raise _Refused
-        return SystemAst(name, style, head[4] is not None, tuple(decls), _span(lines, head.start(1), end + 1))
+            if (m := pattern.match(text, m.end())) is None:
+                break
+            try:
+                decls.append(build(m, _span(lines, pos, m.end(m.lastindex - 1)), lines))
+            except (_Refused, ValueError):  # ValueError: more digits than int() converts
+                break
+            pos = m.start(m.lastindex)
+        return (head[2], head[3], head[4] is not None, tuple(decls), head.start(1)), pos, lines
 
     def port_type(self, m: re.Match, span: Span, lines: list[int]) -> PortTypeDef:
         return PortTypeDef(_name(m[1]), span)
@@ -644,11 +626,8 @@ class _Patterns:
         stages = _names(tuple(self.stages.findall(m.string, m.start(2), m.end(2))))
         return PipelineDecl(_name(m[1]), stages, span)
 
-    def input_decl(self, m: re.Match, span: Span, lines: list[int]) -> IoDecl:
-        return IoDecl("input", _unquote(m[1]), span)
-
-    def output_decl(self, m: re.Match, span: Span, lines: list[int]) -> IoDecl:
-        return IoDecl("output", _unquote(m[1]), span)
+    def io_decl(self, m: re.Match, span: Span, lines: list[int]) -> IoDecl:
+        return IoDecl(m.string[span.start : m.pos], _unquote(m[1]), span)  # the keyword ends at m.pos
 
 
 @cache
@@ -660,14 +639,13 @@ def _patterns() -> _Patterns:
 def parse(text: str) -> SystemAst:
     """Parse one system description; raises ParseError on the first fault.
 
-    A source of ``_PATTERN_MIN_CHARS`` or more is read by the patterns
-    first.  Every smaller source, and one the patterns refuse, is read by
-    the token parser, which raises the error or, should the patterns have
-    missed a shape, returns the tree.
+    The patterns read a source of ``_PATTERN_MIN_CHARS`` or more ahead; the
+    token parser reads the rest of it, and every smaller source whole.
     """
     _check_size(text)
-    if len(text) >= _PATTERN_MIN_CHARS and (ast := _patterns().read(text)) is not None:
-        return ast
+    if len(text) >= _PATTERN_MIN_CHARS and (ahead := _patterns().read(text)) is not None:
+        head, start, lines = ahead
+        return _Parser(text, start, lines).parse_system(head)
     return _Parser(text).parse_system()
 
 

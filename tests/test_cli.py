@@ -241,6 +241,14 @@ def test_lib_search_path_env(src, tmp_path, monkeypatch, capsys):
     assert main(["check", path, "--lib", "gates"]) == 0
 
 
+def test_a_library_not_found_is_named(src, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ARCHON_LIB_PATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = src(GOOD, "x.arch")
+    assert main(["check", "--lib", "nosuch", path]) == 2
+    assert capsys.readouterr() == ("", "archon: library 'nosuch' not found\n")
+
+
 def test_lib_file_of_bare_typedefs_types_the_corpus_user(capsys, monkeypatch):
     """The --lib twin of tests/corpus/15_lib_gauges.arch gives 14_libuser.arch
     the graph and plan outcome of folding that file's declarations in process,

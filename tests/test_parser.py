@@ -440,22 +440,29 @@ def _error(err: ParseError) -> tuple:
 
 
 def _both_paths_agree(src: str) -> bool:
-    """The patterns take every source the token parser takes and give the
-    same tree, spans included; a source the token parser refuses, they
-    refuse, and parse() raises the token parser's own error.  Whether the
-    source is valid."""
-    match = _patterns().read
+    """The patterns read a source the token parser takes up to its closing
+    '}', and the token parser resumed there and parse() give the whole-text
+    tree, spans included.  In a source the token parser refuses, the
+    patterns stop at or before the error, and the resumed parse and parse()
+    raise the token parser's own error.  Whether the source is valid."""
+    ahead = _patterns().read(src)
     try:
         want = _Parser(src).parse_system()
     except ParseError as err:
-        assert match(src) is None
+        if ahead is not None:  # None: a refused header, or a character such as ²
+            head, start, lines = ahead
+            assert start <= err.span.start
+            with pytest.raises(ParseError) as resumed:
+                _Parser(src, start, lines).parse_system(head)
+            assert _error(resumed.value) == _error(err)
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert _error(exc.value) == _error(err)
         return False
-    got = match(src)
-    assert got is not None, "the patterns refused a valid source"
-    assert _plain(got) == _plain(want)
+    assert ahead is not None, "the patterns refused a valid header"
+    head, start, lines = ahead
+    assert start == want.span.end - 1, "the patterns stopped before the closing '}'"
+    assert _plain(_Parser(src, start, lines).parse_system(head)) == _plain(want)
     assert _plain(parse(src)) == _plain(want)
     return True
 
@@ -470,12 +477,48 @@ def test_both_paths_agree_on_generated_systems(n, seed):
     assert _both_paths_agree(gen.mixed_arch(n, seed))
 
 
+def _scans(monkeypatch) -> list[int]:
+    """The offset each later call of parser.tokenize scans from, in order."""
+    starts: list[int] = []
+
+    def scan(text: str, start: int = 0):
+        starts.append(start)
+        return tokenize(text, start)
+
+    monkeypatch.setattr(parser, "tokenize", scan)
+    return starts
+
+
 def test_a_source_from_the_threshold_is_read_by_the_patterns(monkeypatch):
     """A smaller one compiles none: test_public_api checks a one-shot check."""
     large = gen.mixed_arch(1000, 7)
     assert len(large) >= _PATTERN_MIN_CHARS
-    monkeypatch.setattr(parser, "_Parser", None)  # the token parser cannot be called
-    assert _plain(parse(large)) == _plain(_patterns().read(large))
+    want = _Parser(large).parse_system()
+    scans = _scans(monkeypatch)
+    assert _plain(parse(large)) == _plain(want)
+    assert scans == [large.rindex("}")]  # the token parser reads only the closing '}'
+
+
+def test_a_refused_large_source_is_scanned_from_the_refused_declaration(monkeypatch):
+    src = gen.mixed_arch(1000, 7)
+    at = src.index("\n", len(src) * 9 // 10) + 1  # a line start at about 90% of the body
+    src = f"{src[:at]}  attach A.;\n{src[at:]}"
+    with pytest.raises(ParseError) as whole:
+        _Parser(src).parse_system()
+    scans = _scans(monkeypatch)
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert scans == [at + 2] and src.startswith("attach A.;", at + 2)
+    assert _error(exc.value) == _error(whole.value)
+
+
+def test_one_table_names_each_keyword():
+    assert _patterns().shapes.keys() == parser._ITEMS.keys()
+    assert parser.KEYWORDS == {
+        "system", "style", "allow-skip", "porttype", "componenttype", "connectortype", "port", "role",
+        "accepts", "fill", "many", "component", "connector", "attach", "to", "pipeline", "input",
+        "output", "impl", "replicas", "layer", "stateless", "seed", "site",
+    }
 
 
 # A system with an '@' at every spot where a name goes.
