@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .diagnostics import Span
 from .model import (
@@ -109,10 +109,7 @@ class ParseError(Exception):
 
 def escape_string(value: str) -> str:
     """Render a string literal body in canonical escaped form."""
-    out = []
-    for ch in value:
-        out.append(_UNESCAPES.get(ch, ch))
-    return "".join(out)
+    return "".join(_UNESCAPES.get(ch, ch) for ch in value)
 
 
 def _line_starts(text: str) -> list[int]:
@@ -218,6 +215,16 @@ def tokenize(text: str, start: int = 0) -> tuple[list[str], list[int], dict[int,
     return texts, starts, values
 
 
+class _Head(NamedTuple):
+    """A system's header and the declarations read so far after it."""
+
+    name: str
+    style: Optional[str]
+    allow_skip: bool
+    declarations: tuple[Declaration, ...]
+    start: int  # the offset of the keyword 'system'
+
+
 class _Parser:
     """Recursive descent over the tokens of ``text`` from the offset ``start``,
     given the line starts ``lines`` or finding them."""
@@ -278,22 +285,20 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_system(self, head: Optional[tuple] = None) -> SystemAst:
+    def parse_system(self, head: Optional[_Head] = None) -> SystemAst:
         """The system, from its header on or, given the ``head`` the patterns
-        read, from the declarations after it: (name, style, allow_skip,
-        declarations, start offset)."""
+        read, from the declarations after it."""
         if head is None:
             self.expect("system")
             name = self.name()
-            style: Optional[str] = self.name() if self.accept("style") else None
-            head = (name, style, self.accept("allow-skip"), (), self.starts[0])
+            style = self.name() if self.accept("style") else None
+            head = _Head(name, style, self.accept("allow-skip"), (), self.starts[0])
             self.expect("{")
-        name, style, allow_skip, decls, start = head
-        decls += self.parse_items(_ITEMS, "}")
+        decls = head.declarations + self.parse_items(_ITEMS, "}")
         end = self.starts[self.advance()] + 1  # parse_items stops only at the '}'
         if self.texts[self.pos]:
             raise self.fail({"eof"})
-        return SystemAst(name, style, allow_skip, decls, _span(self.lines, start, end))
+        return SystemAst(head.name, head.style, head.allow_skip, decls, _span(self.lines, head.start, end))
 
     def parse_items(self, table: dict, end: str) -> tuple[Declaration, ...]:
         """Declarations, each dispatched on its keyword, up to the token
@@ -555,11 +560,11 @@ class _Patterns:
                 ),
                 self.pipeline,
             ),
-            "input": (io, self.io_decl),
-            "output": (io, self.io_decl),
+            "input": (io, partial(self.io_decl, "input")),
+            "output": (io, partial(self.io_decl, "output")),
         }
 
-    def read(self, text: str) -> Optional[tuple[tuple, int, list[int]]]:
+    def read(self, text: str) -> Optional[tuple[_Head, int, list[int]]]:
         """The header of ``text`` with the declarations the patterns take after
         it, as ``_Parser.parse_system`` takes them; the offset of the first word
         they do not take, the closing ``}`` once they take every declaration;
@@ -583,7 +588,7 @@ class _Patterns:
             except (_Refused, ValueError):  # ValueError: more digits than int() converts
                 break
             pos = m.start(m.lastindex)
-        return (head[2], head[3], head[4] is not None, tuple(decls), head.start(1)), pos, lines
+        return _Head(head[2], head[3], head[4] is not None, tuple(decls), head.start(1)), pos, lines
 
     def port_type(self, m: re.Match, span: Span, lines: list[int]) -> PortTypeDef:
         return PortTypeDef(_name(m[1]), span)
@@ -626,8 +631,8 @@ class _Patterns:
         stages = _names(tuple(self.stages.findall(m.string, m.start(2), m.end(2))))
         return PipelineDecl(_name(m[1]), stages, span)
 
-    def io_decl(self, m: re.Match, span: Span, lines: list[int]) -> IoDecl:
-        return IoDecl(m.string[span.start : m.pos], _unquote(m[1]), span)  # the keyword ends at m.pos
+    def io_decl(self, kind: str, m: re.Match, span: Span, lines: list[int]) -> IoDecl:
+        return IoDecl(kind, _unquote(m[1]), span)
 
 
 @cache
