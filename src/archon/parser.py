@@ -109,7 +109,10 @@ class ParseError(Exception):
 
 def escape_string(value: str) -> str:
     """Render a string literal body in canonical escaped form."""
-    return "".join(_UNESCAPES.get(ch, ch) for ch in value)
+    out = []
+    for ch in value:
+        out.append(_UNESCAPES.get(ch, ch))
+    return "".join(out)
 
 
 def _line_starts(text: str) -> list[int]:
@@ -493,14 +496,10 @@ _VALUES = {"string": rf"{_T}{_S}", "int": rf"{_T}\d+", None: ""}  # by token kin
 _ATTR = "|".join(rf"{key}{_K}{_VALUES[kind]}" for key, kind in _ATTRS.items())
 
 
-class _Refused(Exception):
-    """The patterns do not take the declaration."""
-
-
 def _name(name: str) -> str:
     """``name``, which must not be a keyword."""
     if name in KEYWORDS:
-        raise _Refused
+        raise ValueError(name)
     return name
 
 
@@ -508,7 +507,7 @@ def _names(names: tuple) -> tuple:
     """``names``, none of which may be a keyword."""
     if KEYWORDS.isdisjoint(names):
         return names
-    raise _Refused
+    raise ValueError(names)
 
 
 class _Patterns:
@@ -585,7 +584,7 @@ class _Patterns:
                 break
             try:
                 decls.append(build(m, _span(lines, pos, m.end(m.lastindex - 1)), lines))
-            except (_Refused, ValueError):  # ValueError: more digits than int() converts
+            except ValueError:  # a keyword as a name, a repeated attribute, too many digits for int()
                 break
             pos = m.start(m.lastindex)
         return _Head(head[2], head[3], head[4] is not None, tuple(decls), head.start(1)), pos, lines
@@ -617,7 +616,7 @@ class _Patterns:
         attrs: dict[str, Union[str, int, bool]] = {}
         for key, value in self.attrs.findall(m.string, m.start(3), m.end(3)):
             if key in attrs:
-                raise _Refused  # a DuplicateAttribute error
+                raise ValueError(key)  # a DuplicateAttribute error
             attrs[key] = True if not value else _unquote(value) if value[0] == '"' else int(value)
         return Instance(*_names(m.group(1, 2)), attrs, span)
 
