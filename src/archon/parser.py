@@ -184,7 +184,7 @@ def _scan(text: str, start: int) -> tuple[list[str], list[int]]:
     ``len(text)`` after the last, which falls short of it where a character
     fits no token."""
     text = _blank_comments(text, start)
-    lead = re.compile(_T).match(text, start).end()
+    lead = len(text) - len(text[start:].lstrip(" \t\r\n"))
     pieces = _TOKEN.findall(text, lead)  # each token with the trivia after it
     return list(map(str.rstrip, pieces)), list(accumulate(map(len, pieces), initial=lead))
 
