@@ -37,9 +37,9 @@ from .plan import PROCESS, SPLIT, BuildPlan, Channel, Stage
 
 SIGPIPE_STATUS = -int(signal.SIGPIPE)
 
-# Read size of the record pump.  64 KiB reads raised the peak RSS of the
-# fan-out benchmark by 3-6 MB; 16 KiB left it where it was.
-CHUNK = 16 << 10
+# Buffer of the record pump per input, reused for every read: a default
+# pipe's capacity, so one read takes what a full pipe holds.
+CHUNK = 64 << 10
 
 
 @dataclass
@@ -236,7 +236,9 @@ def _prime(fd: int, channel: Channel, report: RunReport) -> None:
     finally:
         # O_NONBLOCK is shared with the producer that inherits this end
         os.set_blocking(fd, True)
-    _count(report, channel.name, primer)
+    # every record ends in a newline but possibly the last one
+    records = primer.count(b"\n") + (not primer.endswith(b"\n"))
+    _count(report, channel.name, len(primer), records)
 
 
 def _close_all(fds: Iterable[int]) -> None:
@@ -255,13 +257,17 @@ def _stage_body(
 ) -> None:
     """Move whole records from ``ins`` to ``outs`` in one poll loop.
 
-    Each ready input gets one read of up to CHUNK bytes, cut after its
-    last newline; the cut-off tail waits for the rest of its record, and
-    at end of input it goes out as a record of its own.  The whole
-    records are written before the next read, so a cycle cannot stall on
-    records held back here.  ``tee`` copies them to every output,
-    ``split`` deals them round-robin one record at a time, and ``merge``
-    forwards them.  An output whose reader has gone is dropped; the stage
+    Each input owns one buffer of CHUNK bytes, reused for every read.  A
+    ready input gets one read into its buffer, behind the record cut
+    short there; the chunk is cut after its last newline, and the tail
+    moves to the buffer's front to wait for the rest of its record.  A
+    record longer than the buffer grows it, so an input holds at most
+    about twice its longest record.  At end of input the tail goes out as
+    a record of its own.  The whole records are written before the next
+    read, so a cycle cannot stall on records held back here.  ``tee``
+    writes them to every output and ``merge`` forwards them, both
+    straight from the buffer; ``split`` deals them round-robin one record
+    at a time.  An output whose reader has gone is dropped; the stage
     ends when its inputs are at end of file or no output is left.  It
     closes every descriptor it was given, and a failure is recorded in
     ``report.stage_errors``.
@@ -271,45 +277,57 @@ def _stage_body(
     try:
         # poll, not epoll: epoll refuses the regular file a head split reads
         poller = select.poll()
-        tails: dict[int, list[bytes]] = {}  # per input, a record cut short
+        held: dict[int, tuple[bytearray, int]] = {}  # per input: buffer, bytes cut short
         for fd in ins:
             poller.register(fd, select.POLLIN)
-            tails[fd] = []
-        while tails and live:
+            held[fd] = (bytearray(CHUNK), 0)
+        while held and live:
             for fd, _ in poller.poll():
-                data = os.read(fd, CHUNK)
-                if not data:
-                    poller.unregister(fd)
-                    records = b"".join(tails.pop(fd))
-                    if not records:
-                        continue
-                else:
-                    cut = data.rfind(b"\n") + 1
-                    if not cut:  # still inside one record
-                        tails[fd].append(data)
-                        continue
-                    records = b"".join([*tails[fd], data[:cut]])
-                    tails[fd] = [data[cut:]]
-                if stage.kind != SPLIT:
-                    for channel in stage.writes:
-                        _emit(live, channel, records, report)
-                    continue
-                ends = records.endswith(b"\n")  # only a last tail does not
-                lines = (records[:-1] if ends else records).split(b"\n")
-                n = len(stage.writes)
-                for i, channel in enumerate(stage.writes):
-                    mine = lines[(i - dealt) % n :: n]
-                    if mine:
-                        _emit(live, channel, b"\n".join(mine) + b"\n" * ends, report)
-                dealt += len(lines)
+                buf, start = held[fd]
+                if start == len(buf):  # one record fills it; no view is out to stop a resize
+                    buf.extend(bytes(start))
+                with memoryview(buf) as view:
+                    got = os.readv(fd, [view[start:]])
+                    if got:
+                        end = start + got
+                        cut = buf.rfind(b"\n", start, end) + 1
+                        if not cut:  # still inside one record
+                            held[fd] = (buf, end)
+                            continue
+                    else:
+                        poller.unregister(fd)
+                        del held[fd]
+                        if not start:
+                            continue
+                        cut = end = start
+                    if stage.kind != SPLIT:
+                        # what was held has no newline, nor has a last record
+                        records = buf.count(b"\n", start, cut) if got else 1
+                        for channel in stage.writes:
+                            _emit(live, channel, view[:cut], records, report)
+                    else:
+                        lines = bytes(view[: cut - (got > 0)]).split(b"\n")
+                        n = len(stage.writes)
+                        for i, channel in enumerate(stage.writes):
+                            mine = lines[(i - dealt) % n :: n]
+                            if mine:
+                                data = b"\n".join(mine) + b"\n" * (got > 0)
+                                _emit(live, channel, data, len(mine), report)
+                        dealt += len(lines)
+                    if got:  # the tail moves to the front, the buffer keeps its size
+                        buf[: end - cut] = view[cut:end]
+                        held[fd] = (buf, end - cut)
     except Exception as exc:
         report.stage_errors[stage.name] = f"{type(exc).__name__}: {exc}"
     finally:
         _close_all([*ins, *outs.values()])
 
 
-def _emit(live: dict[str, int], channel: str, data: bytes, report: RunReport) -> None:
-    """Write all of ``data`` to a live output, or drop it if its reader left."""
+def _emit(
+    live: dict[str, int], channel: str, data: bytes | memoryview, records: int, report: RunReport
+) -> None:
+    """Write all of ``data``, ``records`` records, to a live output, or drop
+    it if its reader left."""
     fd = live.get(channel)
     if fd is None:
         return
@@ -318,21 +336,18 @@ def _emit(live: dict[str, int], channel: str, data: bytes, report: RunReport) ->
     except BrokenPipeError:
         del live[channel]
         return
-    _count(report, channel, data)
+    _count(report, channel, len(data), records)
 
 
-def _write_all(fd: int, data: bytes) -> None:
+def _write_all(fd: int, data: bytes | memoryview) -> None:
     view = memoryview(data)
     while view:  # os.write may take only part of it
         view = view[os.write(fd, view) :]
 
 
-def _count(report: RunReport, channel: str, data: bytes) -> None:
-    """Add ``data``, written to ``channel``, to the report's channel counts."""
-    if not data:
-        return
+def _count(report: RunReport, channel: str, nbytes: int, records: int) -> None:
+    """Add ``nbytes`` bytes and ``records`` records, written to ``channel``,
+    to the report's channel counts."""
     # a channel has one writer, so no other thread updates these entries
-    report.channel_bytes[channel] = report.channel_bytes.get(channel, 0) + len(data)
-    # every record ends in a newline but possibly the last one of a stream
-    records = data.count(b"\n") + (not data.endswith(b"\n"))
+    report.channel_bytes[channel] = report.channel_bytes.get(channel, 0) + nbytes
     report.channel_records[channel] = report.channel_records.get(channel, 0) + records

@@ -2,18 +2,22 @@ import fcntl
 import os
 import signal
 import subprocess
+import tempfile
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from archon import runner
 from archon.checker import resolve
 from archon.cli import main
 from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import MERGE, PROCESS, SPLIT, TEE, plan
-from archon.runner import CHUNK, run
+from archon.plan import MERGE, PROCESS, SPLIT, TEE, Stage, plan
+from archon.runner import CHUNK, RunReport, run
 
 UPPER = """
 for line in sys.stdin.buffer:
@@ -410,7 +414,7 @@ def test_seeded_cycle_circulates_exactly_seed_records(tmp_path, make_filter):
 
 
 def test_split_deals_one_record_at_a_time_across_chunks(tmp_path, make_filter):
-    n = 30_000  # 210 kB: the split reads it in many chunks, cut mid-record
+    n = 8 * CHUNK // 7 + 1000  # 7-byte records: the split reads many chunks, cut mid-record
     assert n * 7 > 8 * CHUNK
     tag = make_filter("tag", TAG)
     inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -430,7 +434,7 @@ def test_split_deals_one_record_at_a_time_across_chunks(tmp_path, make_filter):
 
 
 def test_record_longer_than_a_chunk_passes_whole(tmp_path, make_filter):
-    big = b"x" * 200_000 + b"\n"
+    big = b"x" * (4 * CHUNK + 1000) + b"\n"
     assert len(big) > 4 * CHUNK
     data = tmp_path / "data.txt"
     data.write_bytes(b"a\n" + big + b"b\n")
@@ -674,3 +678,118 @@ def test_two_seeded_instances_prime_two_channels(tmp_path, make_filter):
     # its own primer, the other's primer less one, its own less two, ...
     assert seen_a.read_text() == seen_b.read_text() == "4\n3\n2\n1\n"
     assert report.channel_records == {"p1": 1, "p2": 1}
+
+
+# --- the record pump alone, over real pipes, at buffer sizes that force
+# cuts, growth and tails on nearly every read
+
+
+def _units(index: int, lengths: list[int], terminated: bool) -> list[bytes]:
+    """One input's records as written, each with its newline but possibly
+    the last.  A record starts with its input's digit and tells its place."""
+    units = [(b"%d.%d;" % (index, k) * length)[:length] + b"\n" for k, length in enumerate(lengths)]
+    if units and not terminated:
+        units[-1] = units[-1][:-1]
+    return units
+
+
+@st.composite
+def _inputs(draw, chunk: int, count: int, may_end_open: bool) -> list[list[bytes]]:
+    """``count`` inputs of up to 12 records of 0 to 3 buffers and a bit;
+    an input may end in a record with no newline, which is never empty."""
+    inputs = []
+    for index in range(count):
+        lengths = draw(st.lists(st.integers(0, 3 * chunk + 2), max_size=12))
+        terminated = not may_end_open or not lengths or draw(st.booleans())
+        if not terminated:
+            lengths[-1] = max(lengths[-1], 1)
+        inputs.append(_units(index, lengths, terminated))
+    return inputs
+
+
+def _pump(kind: str, inputs: list[list[bytes]], outputs: int, piece: int):
+    """Run ``_stage_body`` over one pipe per input, each fed by a thread in
+    writes of ``piece`` bytes, into one file per output; return what each
+    output file holds and the report."""
+
+    def feed(fd: int, data: bytes) -> None:
+        try:
+            for at in range(0, len(data), piece):
+                os.write(fd, data[at : at + piece])
+        finally:
+            os.close(fd)
+
+    ins, feeders = [], []
+    for units in inputs:
+        read_end, write_end = os.pipe()
+        ins.append(read_end)
+        feeders.append(threading.Thread(target=feed, args=(write_end, b"".join(units))))
+    report = RunReport()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"out{i}") for i in range(outputs)]
+        outs = {f"o{i}": os.open(path, os.O_WRONLY | os.O_CREAT) for i, path in enumerate(paths)}
+        stage = Stage("S", kind, reads=tuple(f"i{k}" for k in range(len(ins))), writes=tuple(outs))
+        for feeder in feeders:
+            feeder.start()
+        runner._stage_body(stage, ins, outs, report)
+        for feeder in feeders:
+            feeder.join()
+        got = []
+        for path in paths:
+            with open(path, "rb") as f:
+                got.append(f.read())
+    assert report.stage_errors == {}
+    return got, report
+
+
+def _counted(report: RunReport, channel: str, units: list[bytes]) -> None:
+    assert report.channel_bytes.get(channel, 0) == sum(map(len, units))
+    assert report.channel_records.get(channel, 0) == len(units)
+
+
+_CHUNKS = pytest.mark.parametrize("chunk", [1, 7, 4096])
+
+
+@_CHUNKS
+@settings(deadline=None)
+@given(data=st.data(), outputs=st.integers(1, 3))
+def test_pump_tee_copies_its_input_to_every_output(chunk, data, outputs):
+    [units] = data.draw(_inputs(chunk, 1, may_end_open=True))
+    piece = data.draw(st.integers(1, 2 * chunk + 3))
+    with mock.patch.object(runner, "CHUNK", chunk):
+        got, report = _pump(TEE, [units], outputs, piece)
+    assert got == [b"".join(units)] * outputs
+    for i in range(outputs):
+        _counted(report, f"o{i}", units)
+
+
+@_CHUNKS
+@settings(deadline=None)
+@given(data=st.data(), outputs=st.integers(1, 3))
+def test_pump_split_deals_record_k_to_replica_k_mod_n(chunk, data, outputs):
+    [units] = data.draw(_inputs(chunk, 1, may_end_open=True))
+    piece = data.draw(st.integers(1, 2 * chunk + 3))
+    with mock.patch.object(runner, "CHUNK", chunk):
+        got, report = _pump(SPLIT, [units], outputs, piece)
+    assert got == [b"".join(units[i::outputs]) for i in range(outputs)]
+    for i in range(outputs):
+        _counted(report, f"o{i}", units[i::outputs])
+
+
+@_CHUNKS
+@settings(deadline=None)
+@given(data=st.data(), count=st.integers(1, 3))
+def test_pump_merge_forwards_each_inputs_records_whole_in_order(chunk, data, count):
+    # every input ends in a newline: an open last record would run into
+    # whatever record another input sends next
+    inputs = data.draw(_inputs(chunk, count, may_end_open=False))
+    piece = data.draw(st.integers(1, 2 * chunk + 3))
+    with mock.patch.object(runner, "CHUNK", chunk):
+        [got], report = _pump(MERGE, inputs, 1, piece)
+    lines = got.splitlines(keepends=True)
+    everything = [unit for units in inputs for unit in units]
+    assert sorted(lines) == sorted(everything)
+    for index, units in enumerate(inputs):
+        digit = b"%d" % index
+        assert [line for line in lines if line[:1] == digit] == [u for u in units if u != b"\n"]
+    _counted(report, "o0", everything)
