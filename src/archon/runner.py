@@ -38,7 +38,9 @@ from .plan import PROCESS, SPLIT, BuildPlan, Channel, Stage
 SIGPIPE_STATUS = -int(signal.SIGPIPE)
 
 # Buffer of the record pump per input, reused for every read: a default
-# pipe's capacity, so one read takes what a full pipe holds.
+# pipe's capacity, so one read takes what a full pipe holds.  The fan-out
+# benchmark's peak RSS read 46.85 MB with 16 KiB reads into fresh bytes and
+# 46.90 MB with this (medians of 10 runs, BENCH_pump_buffers.json).
 CHUNK = 64 << 10
 
 

@@ -707,10 +707,11 @@ def _inputs(draw, chunk: int, count: int, may_end_open: bool) -> list[list[bytes
     return inputs
 
 
-def _pump(kind: str, inputs: list[list[bytes]], outputs: int, piece: int):
-    """Run ``_stage_body`` over one pipe per input, each fed by a thread in
-    writes of ``piece`` bytes, into one file per output; return what each
-    output file holds and the report."""
+def _pump(kind: str, chunk: int, inputs: list[list[bytes]], outputs: int, piece: int):
+    """Run ``_stage_body`` with a ``chunk``-byte buffer, in a thread, over
+    one pipe per input, each fed by a thread in writes of ``piece`` bytes,
+    into one file per output; return what each output file holds and the
+    report."""
 
     def feed(fd: int, data: bytes) -> None:
         try:
@@ -719,21 +720,22 @@ def _pump(kind: str, inputs: list[list[bytes]], outputs: int, piece: int):
         finally:
             os.close(fd)
 
-    ins, feeders = [], []
+    ins, threads = [], []
     for units in inputs:
         read_end, write_end = os.pipe()
         ins.append(read_end)
-        feeders.append(threading.Thread(target=feed, args=(write_end, b"".join(units))))
+        threads.append(threading.Thread(target=feed, args=(write_end, b"".join(units))))
     report = RunReport()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(runner, "CHUNK", chunk):
         paths = [os.path.join(tmp, f"out{i}") for i in range(outputs)]
         outs = {f"o{i}": os.open(path, os.O_WRONLY | os.O_CREAT) for i, path in enumerate(paths)}
         stage = Stage("S", kind, reads=tuple(f"i{k}" for k in range(len(ins))), writes=tuple(outs))
-        for feeder in feeders:
-            feeder.start()
-        runner._stage_body(stage, ins, outs, report)
-        for feeder in feeders:
-            feeder.join()
+        threads.append(threading.Thread(target=runner._stage_body, args=(stage, ins, outs, report)))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
         got = []
         for path in paths:
             with open(path, "rb") as f:
@@ -756,8 +758,7 @@ _CHUNKS = pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_pump_tee_copies_its_input_to_every_output(chunk, data, outputs):
     [units] = data.draw(_inputs(chunk, 1, may_end_open=True))
     piece = data.draw(st.integers(1, 2 * chunk + 3))
-    with mock.patch.object(runner, "CHUNK", chunk):
-        got, report = _pump(TEE, [units], outputs, piece)
+    got, report = _pump(TEE, chunk, [units], outputs, piece)
     assert got == [b"".join(units)] * outputs
     for i in range(outputs):
         _counted(report, f"o{i}", units)
@@ -769,8 +770,7 @@ def test_pump_tee_copies_its_input_to_every_output(chunk, data, outputs):
 def test_pump_split_deals_record_k_to_replica_k_mod_n(chunk, data, outputs):
     [units] = data.draw(_inputs(chunk, 1, may_end_open=True))
     piece = data.draw(st.integers(1, 2 * chunk + 3))
-    with mock.patch.object(runner, "CHUNK", chunk):
-        got, report = _pump(SPLIT, [units], outputs, piece)
+    got, report = _pump(SPLIT, chunk, [units], outputs, piece)
     assert got == [b"".join(units[i::outputs]) for i in range(outputs)]
     for i in range(outputs):
         _counted(report, f"o{i}", units[i::outputs])
@@ -784,8 +784,7 @@ def test_pump_merge_forwards_each_inputs_records_whole_in_order(chunk, data, cou
     # whatever record another input sends next
     inputs = data.draw(_inputs(chunk, count, may_end_open=False))
     piece = data.draw(st.integers(1, 2 * chunk + 3))
-    with mock.patch.object(runner, "CHUNK", chunk):
-        [got], report = _pump(MERGE, inputs, 1, piece)
+    [got], report = _pump(MERGE, chunk, inputs, 1, piece)
     lines = got.splitlines(keepends=True)
     everything = [unit for units in inputs for unit in units]
     assert sorted(lines) == sorted(everything)
