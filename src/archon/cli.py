@@ -176,12 +176,12 @@ def _dispatch(args) -> int:
         sys.stderr.write(render_lines([exc.diagnostic], args.source))
         return 2
 
+    text = serialize_plan(built) if args.emit_plan or args.command == "plan" else ""
     if args.emit_plan:
-        _emit(serialize_plan(built), args.emit_plan)
+        _emit(text, args.emit_plan)
 
     if args.command == "plan":
-        if not args.emit_plan:
-            _emit(serialize_plan(built), args.out)
+        _emit(text, args.out)
         return 0
 
     from .runner import run as execute

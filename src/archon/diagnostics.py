@@ -7,7 +7,8 @@ diagnostic, since their result would otherwise be unusable.
 
 Two serializations are supported: a line-oriented text form
 ``SEVERITY CODE file:line:col message`` and a JSON array with fixed key
-order (severity, code, span, message).
+order (severity, code, span, message).  ``json_text`` writes that array,
+and the plan and the JSON graph too.
 """
 
 from __future__ import annotations
@@ -86,7 +87,49 @@ def render_lines(diags: Iterable[Diagnostic], file: str = "<input>") -> str:
 
 
 def render_json(diags: Iterable[Diagnostic]) -> str:
-    return json.dumps([d.to_json_obj() for d in diags], indent=2) + "\n"
+    return json_text([d.to_json_obj() for d in diags])
+
+
+_escape = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"`` for str, int, bool and None, and
+    for lists, tuples and str-keyed dicts of them.
+
+    With ``indent`` json.dumps falls back to its pure-Python encoder, which
+    makes one string per token.  Here strings are escaped in C, each
+    container's members are joined once and its text is made by one more
+    join, which also takes the final newline.
+    """
+    return _encode(obj, "", "\n")
+
+
+def _encode(obj, pad: str, end: str = "") -> str:
+    if isinstance(obj, str):
+        return _escape(obj) + end
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj] + end
+    if isinstance(obj, int):
+        return int.__repr__(obj) + end
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}" + end
+        body = (",\n" + inner).join(
+            [_escape(key) + ": " + _encode(value, inner) for key, value in obj.items()]
+        )
+        return "".join(("{\n", inner, body, "\n", pad, "}", end))
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]" + end
+        if all(isinstance(item, str) for item in obj):
+            body = (",\n" + inner).join(map(_escape, obj))
+        else:
+            body = (",\n" + inner).join([_encode(item, inner) for item in obj])
+        return "".join(("[\n", inner, body, "\n", pad, "]", end))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 class ArchonError(Exception):

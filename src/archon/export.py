@@ -12,9 +12,9 @@ identical bytes.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
+from .diagnostics import json_text
 from .model import (
     EXT_INPUT,
     OUTBOUND_PORT_TYPES,
@@ -64,7 +64,7 @@ def to_json(arch: Architecture, table: TypeTable) -> str:
             for conn, _, points in _edges(arch, table)
         ],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return json_text(obj)
 
 
 # --- DOT --------------------------------------------------------------------

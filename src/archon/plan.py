@@ -22,14 +22,13 @@ the seeded instance.
 from __future__ import annotations
 
 import heapq
-import json
 import shlex
 from collections import defaultdict
 from typing import NamedTuple, Optional
 
 from . import topology
 from .checker import RPC_TYPE
-from .diagnostics import Span, fail
+from .diagnostics import Span, fail, json_text
 from .model import EXT_INPUT, PIPE_TYPE, Architecture, TypeTable
 
 EVENT_TYPE = "Event"
@@ -113,7 +112,7 @@ class BuildPlan(NamedTuple):
 
 
 def serialize_plan(built: BuildPlan) -> str:
-    return json.dumps(built.to_json_obj(), indent=2) + "\n"
+    return json_text(built.to_json_obj())
 
 
 def plan(arch: Architecture, table: TypeTable) -> BuildPlan:

@@ -141,6 +141,27 @@ def test_plan_emits_json(src, capsys):
     assert [s["name"] for s in obj["stages"]] == ["A"]
 
 
+def test_plan_writes_its_main_output_with_emit_plan(src, capsys, tmp_path):
+    path = src(
+        'system S { component A : Filter impl "./a";'
+        ' pipeline P: input | A() | output; input "i"; output "o"; }'
+    )
+    assert main(["plan", path]) == 0
+    want = capsys.readouterr().out
+    assert json.loads(want)["system"] == "S"
+
+    emitted, out = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["plan", path, "--emit-plan", str(emitted), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert emitted.read_text() == want
+    assert out.read_text() == want
+
+    emitted.unlink()
+    assert main(["plan", path, "--emit-plan", str(emitted)]) == 0
+    assert capsys.readouterr().out == want
+    assert emitted.read_text() == want
+
+
 def test_plan_and_run_print_warnings_as_check_does(src, capsys, tmp_path):
     path = src(
         'system S { component A : Filter impl "cat" seed "hello\\n";'
