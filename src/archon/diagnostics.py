@@ -91,7 +91,7 @@ def render_json(diags: Iterable[Diagnostic]) -> str:
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
-_LITERALS = {True: "true", False: "false", None: "null"}
+_LITERALS = {True: "true", False: "false", None: "null"}  # looked up after an `is` test: 1 == True
 
 
 def json_text(obj) -> str:

@@ -28,7 +28,7 @@ def _reference(value) -> str:
 
 _CHARS = st.one_of(
     st.characters(),  # every code point but the surrogates, non-BMP included
-    st.sampled_from('"\\/\x00\x08\x09\x0a\x0c\x0d\x1f\x7f\x80 ￿\U0001f600\U0010ffff'),
+    st.sampled_from('"\\/\x00\x08\x09\x0a\x0c\x0d\x1f\x7f\x80\u2028\uffff\U0001f600\U0010ffff'),
     st.characters(categories=["Cs"]),  # lone surrogates
 )
 _TEXT = st.text(_CHARS, max_size=12)
@@ -59,7 +59,7 @@ _VALUES = st.recursive(
 @example(["a", "b", 1])  # strings first, then not
 @example([1, "a"])
 @example(("a", ("b",), ()))
-@example({"": "", "é\U0001f600": "\x00\"\\", "k": [True]})
+@example({"": "", "\xe9\U0001f600": "\x00\"\\", "k": [True]})
 @example(10**400)
 def test_json_text_is_json_dumps_indent_2(value):
     assert json_text(value) == _reference(value)
