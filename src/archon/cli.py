@@ -1,10 +1,12 @@
 """Command line front end: fmt, check, graph, plan, run.
 
 Exit codes: 0 success; 1 fmt parse failure; 2 failed checks (and any
-error that prevents checking); 64 usage; run returns the executed
-system's overall status, 124 on timeout.  ``run`` re-checks the source
-every time and spawns nothing when checking fails.  ``plan`` and ``run``
-print the check's findings, warnings included, before lowering.
+error that prevents checking, an unreadable source or an output path
+that cannot be opened, which fmt reports with 1); 64 usage; run returns
+the executed system's overall status, 124 on timeout.  ``run`` re-checks
+the source every time and spawns nothing when checking fails.  ``plan``
+and ``run`` print the check's findings, warnings included, before
+lowering.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from functools import cache
+from typing import Iterable
 
 from .checker import check_all, fold_typedefs, resolve
 from .diagnostics import ArchonError, error, has_errors, render_json, render_lines
@@ -75,12 +79,26 @@ def _fail_code(args) -> int:
     return 1 if args.command == "fmt" else 2
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(pieces: Iterable[str], paths: Iterable[str | None], args) -> int:
+    """Write the text ``pieces`` make to every path (None: stdout).  Every
+    file is opened before the first piece is made, and each piece is written
+    as it comes.  A path that cannot be opened ends it, before any piece, with
+    one line on stderr and the failure code."""
+    with ExitStack() as files:
+        outs = []
+        for path in paths:
+            if not path:
+                outs.append(sys.stdout)
+                continue
+            try:
+                outs.append(files.enter_context(open(path, "w", encoding="utf-8")))
+            except OSError as err:
+                print(f"archon: cannot write '{path}': {err.strerror}", file=sys.stderr)
+                return _fail_code(args)
+        for piece in pieces:
+            for out in outs:
+                out.write(piece)
+    return 0
 
 
 def _find_library(name: str) -> str | None:
@@ -112,8 +130,7 @@ def _dispatch(args) -> int:
 
     if args.command == "fmt":
         from .formatter import format_system
-        _emit(format_system(ast), args.out)
-        return 0
+        return _emit([format_system(ast)], [args.out], args)
 
     table = builtin_type_table()
     for lib in args.lib:
@@ -151,8 +168,7 @@ def _dispatch(args) -> int:
             return 2
         from .export import to_dot, to_json
         text = to_json(arch, result.table) if args.json else to_dot(arch, result.table)
-        _emit(text, args.out)
-        return 0
+        return _emit([text], [args.out], args)
 
     if arch is not None:
         diags.extend(check_all(arch, result.table))
@@ -169,20 +185,20 @@ def _dispatch(args) -> int:
     if arch is None or has_errors(diags):
         return 2
 
-    from .plan import plan as lower_plan, serialize_plan
+    from .plan import plan as lower_plan, plan_pieces
     try:
         built = lower_plan(arch, result.table)
     except ArchonError as exc:
         sys.stderr.write(render_lines([exc.diagnostic], args.source))
         return 2
 
-    text = serialize_plan(built) if args.emit_plan or args.command == "plan" else ""
-    if args.emit_plan:
-        _emit(text, args.emit_plan)
-
+    # the plan is encoded once, as it is written, to each of its destinations
+    outs = [args.emit_plan] if args.emit_plan else []
     if args.command == "plan":
-        _emit(text, args.out)
-        return 0
+        outs.append(args.out)
+    status = _emit(plan_pieces(built), outs, args) if outs else 0
+    if status or args.command == "plan":
+        return status
 
     from .runner import run as execute
     try:

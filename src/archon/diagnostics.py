@@ -8,14 +8,15 @@ diagnostic, since their result would otherwise be unusable.
 Two serializations are supported: a line-oriented text form
 ``SEVERITY CODE file:line:col message`` and a JSON array with fixed key
 order (severity, code, span, message).  ``json_text`` writes that array,
-and the plan and the JSON graph too.
+and the plan and the JSON graph too; ``json_pieces`` writes the plan's
+text piece by piece.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class Severity(enum.Enum):
@@ -104,6 +105,26 @@ def json_text(obj) -> str:
     join, which also takes the final newline.
     """
     return _encode(obj, "", "\n")
+
+
+def json_pieces(members: dict) -> Iterator[str]:
+    """``json_text(members)`` in pieces, one per member, for a dict whose
+    values ``json_text`` takes or are iterators of them.  An iterator (a
+    ``map``, say) is written as an array, one item per piece, and each item
+    is made only when it is reached: so a writer holds one item at a time.
+    """
+    sep = "{\n  "
+    for key, value in members.items():
+        head, sep = sep + _escape(key) + ": ", ",\n  "
+        if not isinstance(value, Iterator):
+            yield head + _encode(value, "  ")
+            continue
+        empty = True
+        for item in value:
+            yield (head + "[\n    " if empty else ",\n    ") + _encode(item, "    ")
+            empty = False
+        yield head + "[]" if empty else "\n  ]"
+    yield "\n}\n" if members else "{}\n"
 
 
 def _encode(obj, pad: str, end: str = "") -> str:

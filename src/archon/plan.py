@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import heapq
 import shlex
-from collections import defaultdict
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import topology
 from .checker import RPC_TYPE
-from .diagnostics import Span, fail, json_text
+from .diagnostics import Span, fail, json_pieces
 from .model import EXT_INPUT, PIPE_TYPE, Architecture, TypeTable
 
 EVENT_TYPE = "Event"
@@ -94,11 +93,15 @@ class BuildPlan(NamedTuple):
                 return stage
         return None
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, lazy: bool = False) -> dict:
+        """With ``lazy`` the stages and channels are iterators that make each
+        record's dict only when it is reached, as ``json_pieces`` takes them."""
+        stages = map(Stage.to_json_obj, self.stages)
+        channels = map(Channel.to_json_obj, self.channels)
         return {
             "system": self.system,
-            "stages": [s.to_json_obj() for s in self.stages],
-            "channels": [c.to_json_obj() for c in self.channels],
+            "stages": stages if lazy else list(stages),
+            "channels": channels if lazy else list(channels),
             "broker": self.broker,
             "rpc": {conn: endpoint for conn, endpoint in self.rpc},
             "relays": [
@@ -111,8 +114,13 @@ class BuildPlan(NamedTuple):
         }
 
 
+def plan_pieces(built: BuildPlan) -> Iterator[str]:
+    """The plan's text, one top-level member, stage or channel at a time."""
+    return json_pieces(built.to_json_obj(lazy=True))
+
+
 def serialize_plan(built: BuildPlan) -> str:
-    return json_text(built.to_json_obj())
+    return "".join(plan_pieces(built))
 
 
 def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
@@ -322,26 +330,33 @@ def _start_order(
             if writer is not None and not channels[ch].primer:
                 adj[stage.name].append(writer.name)
 
-    names = sorted(adj)
-    sccs = topology.strongly_connected_components(names, adj)
+    sccs = topology.strongly_connected_components(sorted(adj), adj)
     comp_of = {name: idx for idx, comp in enumerate(sccs) for name in comp}
-    comp_adj: dict[int, set[int]] = defaultdict(set)
-    indeg = {idx: 0 for idx in range(len(sccs))}
-    for src, targets in adj.items():
-        for dst in targets:
-            a, b = comp_of[src], comp_of[dst]
-            if a != b and b not in comp_adj[a]:
-                comp_adj[a].add(b)
-                indeg[b] += 1
+    # Each component's successors once: counted[b] is the last component
+    # that counted b.  Popping the adjacency frees it as it is read.
+    succs: list[list[int]] = []
+    indeg = [0] * len(sccs)
+    counted = [-1] * len(sccs)
+    for a, comp in enumerate(sccs):
+        succ: list[int] = []
+        for name in comp:
+            for writer in adj.pop(name):
+                b = comp_of[writer]
+                if b != a and counted[b] != a:
+                    counted[b] = a
+                    succ.append(b)
+                    indeg[b] += 1
+        succs.append(succ)
+    del comp_of, counted
 
-    heap = [(min(sccs[idx]), idx) for idx in indeg if indeg[idx] == 0]
+    heap = [(min(comp), idx) for idx, comp in enumerate(sccs) if not indeg[idx]]
     heapq.heapify(heap)
     order: list[str] = []
     while heap:
         _, idx = heapq.heappop(heap)
         order.extend(sorted(sccs[idx]))
-        for nxt in sorted(comp_adj[idx]):
+        for nxt in succs[idx]:
             indeg[nxt] -= 1
-            if indeg[nxt] == 0:
+            if not indeg[nxt]:
                 heapq.heappush(heap, (min(sccs[nxt]), nxt))
     return order

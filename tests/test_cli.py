@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,10 +14,13 @@ from archon.diagnostics import ArchonError, render_lines
 from archon.export import to_json
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import plan
+from archon.plan import plan, serialize_plan
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "tests" / "corpus"
+_spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 GOOD = 'system S {\n  component A : Filter impl "./a";\n}\n'
 BAD_PARSE = "system S { component }"
@@ -114,6 +118,25 @@ def test_non_utf8_library_is_2(src, tmp_path, capsys):
     assert main(["check", src(GOOD), "--lib", str(lib)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"archon: cannot load library '{lib}': 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("command, code", [("plan", 2), ("graph", 2), ("fmt", 1)])
+def test_unwritable_out_is_one_line(src, tmp_path, capsys, command, code):
+    dest = tmp_path / "missing" / "x"
+    path = src(
+        'system S { component A : Filter impl "./a";'
+        ' pipeline P: input | A() | output; input "i"; output "o"; }'
+    )
+    assert main([command, path, "--out", str(dest)]) == code
+    assert capsys.readouterr() == ("", f"archon: cannot write '{dest}': No such file or directory\n")
+
+
+def test_run_with_an_unwritable_emit_plan_spawns_nothing(src, tmp_path, capsys):
+    marker, dest = tmp_path / "ran", tmp_path / "missing" / "plan.json"
+    path = src(f'system S {{ component A : Filter impl "touch {marker}"; }}')
+    assert main(["run", path, "--emit-plan", str(dest)]) == 2
+    assert capsys.readouterr() == ("", f"archon: cannot write '{dest}': No such file or directory\n")
+    assert not marker.exists()
 
 
 def test_graph_dot_and_json(src, capsys):
@@ -310,6 +333,32 @@ def test_corpus_output_matches_stored_digests(name, capsys, monkeypatch):
         out, err = capsys.readouterr()
         got[command] = hashlib.sha256(json.dumps([status, out, err]).encode()).hexdigest()
     assert got == _CORPUS_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(p.name for p in CORPUS.glob("*.arch")), "mixed-250", "mixed-1000"]
+)
+def test_plan_files_are_serialize_plan(name, tmp_path, capsys):
+    """The digests above hash stdout only; --out and --emit-plan write files."""
+    if name.startswith("mixed-"):
+        source = tmp_path / f"{name}.arch"
+        source.write_text(gen.mixed_arch(int(name.split("-")[1]), 7))
+    else:
+        source = CORPUS / name
+    status = main(["plan", str(source)])
+    stdout = capsys.readouterr().out
+    only, emitted, out = tmp_path / "only.json", tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["plan", str(source), "--out", str(only)]) == status
+    assert main(["plan", str(source), "--emit-plan", str(emitted), "--out", str(out)]) == status
+    assert capsys.readouterr().out == ""
+    if status:  # a finding or an unrealizable connector: no plan, no file
+        assert not any(p.exists() for p in (only, emitted, out))
+        return
+    result = resolve(parse(source.read_text()), builtin_type_table())
+    want = serialize_plan(plan(result.architecture, result.table))
+    assert stdout == want
+    for written in (only, emitted, out):
+        assert written.read_bytes() == want.encode()
 
 
 def test_run_checks_first_no_spawning(src, tmp_path):

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from archon.checker import resolve
-from archon.diagnostics import json_text
+from archon.diagnostics import json_pieces, json_text
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import plan, serialize_plan
+from archon.plan import plan, plan_pieces, serialize_plan
 
 REPO = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
@@ -65,6 +65,18 @@ def test_json_text_is_json_dumps_indent_2(value):
     assert json_text(value) == _reference(value)
 
 
+@given(st.dictionaries(_TEXT, st.tuples(_VALUES, st.booleans()), max_size=3))
+@example({})
+@example({"a": ([], True), "b": ([{}], True), "c": ([1, "x", []], True), "d": ([], False)})
+def test_json_pieces_join_to_json_text(members):
+    """A member given as an iterator is written as the array of its items."""
+    lazy = {
+        key: iter(value) if as_iterator and isinstance(value, list) else value
+        for key, (value, as_iterator) in members.items()
+    }
+    assert "".join(json_pieces(lazy)) == _reference({k: v for k, (v, _) in members.items()})
+
+
 @pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": b"x"}, {1: "a"}, {None: 1}, object()])
 def test_json_text_refuses_what_archon_never_emits(value):
     with pytest.raises(TypeError):
@@ -89,3 +101,27 @@ def test_serialize_plan_peaks_under_six_times_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 6 * len(text), f"peak {peak} B for a text of {len(text)} B"
+
+
+def test_plan_written_piece_by_piece_peaks_under_a_quarter_of_its_text():
+    """Written into a sink that discards it, the 1000-stage plan holds one
+    stage's or channel's dict and text at a time (about 0.06x the text);
+    serialize_plan, which keeps every piece and their join, about 2.3x."""
+    result = resolve(parse(gen.mixed_arch(1000, 7)), builtin_type_table())
+    built = plan(result.architecture, result.table)
+    size = len(serialize_plan(built))
+
+    class Sink:
+        def write(self, piece: str) -> None:
+            pass
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for piece in plan_pieces(built):
+            sink.write(piece)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, f"peak {peak} B for a text of {size} B"

@@ -4,6 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from archon import topology
 from archon.checker import check_all, resolve
@@ -223,6 +224,136 @@ def test_replicas_lower_in_name_order():
     assert built.stage("L.split").reads == ("f1",) and built.stage("L.merge").writes == ("j1",)
     assert built.stage("R").replica == 0 and built.stage("R.split") is None
     assert built.stage("R").reads == ("f2",) and built.stage("R").writes == ("j2",)
+
+
+FORKS = """
+  componenttype Fan { port stdin : StreamIn; port stdout : StreamOut many; }
+  componenttype Funnel { port stdin : StreamIn many; port stdout : StreamOut; }
+  componenttype Both { port stdin : StreamIn many; port stdout : StreamOut many; }
+"""
+
+# Two pipes from A to B: B.merge reads A.tee twice.
+PARALLEL_PIPES = """
+system S {%s
+  component A : Fan impl "./a"; component B : Funnel impl "./b";
+  connector p1 : Pipe; connector p2 : Pipe;
+  attach A.stdout to p1.source; attach B.stdin to p1.sink;
+  attach A.stdout to p2.source; attach B.stdin to p2.sink;
+}
+""" % FORKS
+
+# A seeded cycle with two pipes back into A, only p2 primed, so A, B and
+# their tee and merges stay one component; X feeds it by two pipes.
+SEEDED_TWO_INTO_ONE = """
+system S {%s
+  component X : Fan impl "./x";
+  component A : Both impl "./a" seed "8\\n"; component B : Both impl "./b";
+  connector q1 : Pipe; connector q2 : Pipe;
+  connector p1 : Pipe; connector p2 : Pipe; connector p3 : Pipe;
+  attach X.stdout to q1.source; attach A.stdin to q1.sink;
+  attach X.stdout to q2.source; attach B.stdin to q2.sink;
+  attach A.stdout to p1.source; attach B.stdin to p1.sink;
+  attach B.stdout to p2.source; attach A.stdin to p2.sink;
+  attach B.stdout to p3.source; attach A.stdin to p3.sink;
+}
+""" % FORKS
+
+REPLICATED_FORK = """
+system S {%s
+  component A : Fan impl "./a";
+  component R : Filter impl "./r" stateless replicas 3;
+  component J : Funnel impl "./j";
+  connector p1 : Pipe; connector p2 : Pipe; connector p3 : Pipe;
+  attach A.stdout to p1.source; attach R.stdin to p1.sink;
+  attach R.stdout to p2.source; attach J.stdin to p2.sink;
+  attach A.stdout to p3.source; attach J.stdin to p3.sink;
+}
+""" % FORKS
+
+
+@pytest.mark.parametrize(
+    "source, order",
+    [
+        pytest.param(PARALLEL_PIPES, ["B", "B.merge", "A.tee", "A"], id="parallel-pipes"),
+        pytest.param(
+            SEEDED_TWO_INTO_ONE,
+            ["A", "A.merge", "B", "B.merge", "B.tee", "X.tee", "X"],
+            id="seeded-two-into-one",
+        ),
+        pytest.param(
+            REPLICATED_FORK,
+            ["J", "J.merge", "R.merge", "R#0", "R#1", "R#2", "R.split", "A.tee", "A"],
+            id="replicated",
+        ),
+    ],
+)
+def test_start_order_counts_each_component_edge_once(source, order):
+    built = _plan(source)
+    assert [s.name for s in built.stages] == order
+    assert len({s.name for s in built.stages}) == len(built.stages)
+
+
+def _reference_start_order(names: list[str], edges: list[tuple[str, str]]) -> list[str]:
+    """By definition: components by mutual reachability over the (consumer,
+    producer) edges; each time, of the components whose consumers are all
+    placed, the one with the smallest name goes next, its members sorted."""
+    reach = {}
+    for start in names:
+        seen, todo = {start}, [start]
+        while todo:
+            node = todo.pop()
+            for a, b in edges:
+                if a == node and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        reach[start] = seen
+    comp = {a: frozenset(b for b in names if b in reach[a] and a in reach[b]) for a in names}
+    left, order = set(comp.values()), []
+    while left:
+        ready = [
+            c for c in left
+            if not any(comp[a] in left and comp[a] != c for a, b in edges if comp[b] == c)
+        ]
+        nxt = min(ready, key=min)
+        order += sorted(nxt)
+        left.remove(nxt)
+    return order
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()), max_size=14),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_start_order_matches_its_definition(graph):
+    """Random stage graphs with parallel pipes, self-loops, cycles and primed
+    pipes: each stage once, in the order the definition gives."""
+    n, pipes = graph
+    names = [f"s{i}" for i in range(n)]
+    reads = {name: [] for name in names}
+    writes = {name: [] for name in names}
+    channels = {}
+    for k, (writer, reader, primed) in enumerate(pipes):
+        ch = f"c{k}"
+        writes[names[writer]].append(ch)
+        reads[names[reader]].append(ch)
+        channels[ch] = plan_module.Channel(ch, "pipe", primer="1\n" if primed else "")
+    stages = [
+        plan_module.Stage(name, PROCESS, reads=tuple(reads[name]), writes=tuple(writes[name]))
+        for name in reversed(names)
+    ]
+    writer_of = {ch: stage for stage in stages for ch in stage.writes}
+    edges = [
+        (names[reader], names[writer])
+        for k, (writer, reader, primed) in enumerate(pipes)
+        if not primed
+    ]
+    order = plan_module._start_order(stages, writer_of, channels)
+    assert order == _reference_start_order(names, edges)
 
 
 @pytest.mark.parametrize(
