@@ -28,7 +28,9 @@ from . import model
 from .desugar import desugar_pipeline, filter_shaped
 from .diagnostics import ArchonError, Diagnostic, error, has_errors, warning
 from .model import (
+    EVENT_TYPE,
     PIPE_TYPE,
+    RPC_TYPE,
     Architecture,
     Attachment,
     ComponentType,
@@ -41,8 +43,6 @@ from .model import (
 )
 from .syntax import IoDecl, PipelineDecl, PortTypeDef, SystemAst
 from .topology import TopologyReport, classify_digraph, find_cycles
-
-RPC_TYPE = "RPC"
 
 
 class ResolveResult(NamedTuple):
@@ -272,7 +272,7 @@ BUILTIN_STYLES: Mapping[str, StyleRule] = {
         name="pipes-and-filters",
         allowed_component_types=frozenset({"Filter"}),
         component_port_types=frozenset({STREAM_IN, STREAM_OUT}),
-        allowed_connector_types=frozenset({"Pipe"}),
+        allowed_connector_types=frozenset({PIPE_TYPE}),
         forbid_unseeded_cycles=True,
     ),
     "layered": StyleRule(
@@ -282,7 +282,7 @@ BUILTIN_STYLES: Mapping[str, StyleRule] = {
     ),
     "event-based": StyleRule(
         name="event-based",
-        allowed_connector_types=frozenset({"Event"}),
+        allowed_connector_types=frozenset({EVENT_TYPE}),
     ),
 }
 

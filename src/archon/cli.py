@@ -1,8 +1,9 @@
 """Command line front end: fmt, check, graph, plan, run.
 
-Exit codes: 0 success; 1 fmt parse failure; 2 failed checks (and any
-error that prevents checking, an unreadable source or an output path
-that cannot be opened, which fmt reports with 1); 64 usage; run returns
+Exit codes: 0 success, also when stdout's reader stops early; 1 fmt
+parse failure; 2 failed checks (and any error that prevents checking,
+an unreadable source or an output, stdout included, that cannot be
+opened or written, which fmt reports with 1); 64 usage; run returns
 the executed system's overall status, 124 on timeout.  ``run`` re-checks
 the source every time and spawns nothing when checking fails.  ``plan``
 and ``run`` print the check's findings, warnings included, before
@@ -82,22 +83,28 @@ def _fail_code(args) -> int:
 def _emit(pieces: Iterable[str], paths: Iterable[str | None], args) -> int:
     """Write the text ``pieces`` make to every path (None: stdout).  Every
     file is opened before the first piece is made, and each piece is written
-    as it comes.  A path that cannot be opened ends it, before any piece, with
-    one line on stderr and the failure code."""
-    with ExitStack() as files:
-        outs = []
-        for path in paths:
-            if not path:
-                outs.append(sys.stdout)
-                continue
-            try:
-                outs.append(files.enter_context(open(path, "w", encoding="utf-8")))
-            except OSError as err:
-                print(f"archon: cannot write '{path}': {err.strerror}", file=sys.stderr)
-                return _fail_code(args)
-        for piece in pieces:
-            for out in outs:
-                out.write(piece)
+    as it comes.  A path that cannot be opened ends it, before any piece, and
+    so does one that cannot be written, each with one line on stderr and the
+    failure code."""
+    path = None  # the destination being opened or written
+    try:
+        with ExitStack() as files:
+            outs = []
+            for path in paths:
+                out = files.enter_context(open(path, "w", encoding="utf-8")) if path else sys.stdout
+                outs.append((path, out))
+            for piece in pieces:
+                for path, out in outs:
+                    out.write(piece)
+            for path, out in outs:
+                out.flush()
+    except OSError as err:
+        if not path:  # the interpreter flushes stdout again as it exits
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(err, BrokenPipeError):
+            raise  # the reader stopped early: main exits 0
+        print(f"archon: cannot write '{path or '<stdout>'}': {err.strerror}", file=sys.stderr)
+        return _fail_code(args)
     return 0
 
 
@@ -175,7 +182,9 @@ def _dispatch(args) -> int:
 
     if args.command == "check":
         if args.json:
-            sys.stdout.write(render_json(diags))
+            status = _emit([render_json(diags)], [None], args)
+            if status:
+                return status
         else:
             sys.stderr.write(render_lines(diags, args.source))
         return 2 if has_errors(diags) or arch is None else 0

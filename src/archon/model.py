@@ -58,6 +58,9 @@ BUILTIN_PORT_TYPES = (
 OUTBOUND_PORT_TYPES = frozenset({STREAM_OUT, EVENT_EMIT, RPC_CALL, STORE_ACCESS})
 
 PIPE_TYPE = "Pipe"
+RPC_TYPE = "RPC"
+EVENT_TYPE = "Event"
+ACCESS_TYPE = "DataAccess"
 
 UNBOUNDED: Optional[int] = None
 
@@ -159,21 +162,21 @@ def builtin_type_table() -> TypeTable:
         ),
     )
     rpc_t = ConnectorType(
-        "RPC",
+        RPC_TYPE,
         (
             RoleSpec("caller", (RPC_CALL,), 1, 1),
             RoleSpec("definer", (RPC_DEF,), 1, 1),
         ),
     )
     event_t = ConnectorType(
-        "Event",
+        EVENT_TYPE,
         (
             RoleSpec("announcer", (EVENT_EMIT,), 1, UNBOUNDED),
             RoleSpec("listener", (EVENT_RECV,), 0, UNBOUNDED),
         ),
     )
     dataaccess_t = ConnectorType(
-        "DataAccess",
+        ACCESS_TYPE,
         (
             RoleSpec("client", (STORE_ACCESS,), 1, UNBOUNDED),
             RoleSpec("store", (STORE_PROVIDE,), 1, 1),

@@ -13,10 +13,16 @@ A plan is a flat, serializable description of what to run:
   that is chosen only when the plan is executed.  Keeping them symbolic
   makes the serialized plan reproducible byte for byte.
 
-Stage order in the plan is start order: consumers before producers so
-that every pipe has a reader by the time its writer starts.  A cycle
-bootstrapped by a ``seed`` attribute is broken at the primed pipe into
-the seeded instance.
+Lowering is one pass over the connectors by name, which gives each its
+runtime form (a pipe's channel, the broker, an endpoint, an RPC's
+relays), then one over the instances by name, which gives each its
+tee/merge and process stages; replicas are fanned out last, so a
+missing ``impl`` is reported first.  Stage order in the plan is start
+order: consumers before producers so that every pipe has a reader by
+the time its writer starts.  A cycle bootstrapped by a ``seed``
+attribute is broken at the primed pipe into the seeded instance.  The
+serialized plan writes each stage and channel as its record's fields
+in declaration order.
 """
 
 from __future__ import annotations
@@ -26,12 +32,16 @@ import shlex
 from typing import Iterator, NamedTuple, Optional
 
 from . import topology
-from .checker import RPC_TYPE
 from .diagnostics import Span, fail, json_pieces
-from .model import EXT_INPUT, PIPE_TYPE, Architecture, TypeTable
-
-EVENT_TYPE = "Event"
-ACCESS_TYPE = "DataAccess"
+from .model import (
+    ACCESS_TYPE,
+    EVENT_TYPE,
+    EXT_INPUT,
+    PIPE_TYPE,
+    RPC_TYPE,
+    Architecture,
+    TypeTable,
+)
 
 PROCESS = "process"
 TEE = "tee"
@@ -52,28 +62,12 @@ class Stage(NamedTuple):
     stateless: bool = False
     site: str = ""
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "instance": self.instance,
-            "replica": self.replica,
-            "argv": list(self.argv),
-            "reads": list(self.reads),
-            "writes": list(self.writes),
-            "stateless": self.stateless,
-            "site": self.site,
-        }
-
 
 class Channel(NamedTuple):
     name: str
     kind: str  # "pipe" | "file-in" | "file-out"
     path: str = ""
     primer: str = ""  # bytes in the pipe before any stage starts
-
-    def to_json_obj(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "path": self.path, "primer": self.primer}
 
 
 class BuildPlan(NamedTuple):
@@ -93,30 +87,25 @@ class BuildPlan(NamedTuple):
                 return stage
         return None
 
-    def to_json_obj(self, lazy: bool = False) -> dict:
-        """With ``lazy`` the stages and channels are iterators that make each
-        record's dict only when it is reached, as ``json_pieces`` takes them."""
-        stages = map(Stage.to_json_obj, self.stages)
-        channels = map(Channel.to_json_obj, self.channels)
+    def to_json_obj(self) -> dict:
+        """The plan's JSON members, in field order.  Each stage and channel is
+        its record's fields; they are iterators that make each record's dict
+        only when it is reached, as ``json_pieces`` takes them."""
         return {
-            "system": self.system,
-            "stages": stages if lazy else list(stages),
-            "channels": channels if lazy else list(channels),
-            "broker": self.broker,
-            "rpc": {conn: endpoint for conn, endpoint in self.rpc},
+            **self._asdict(),
+            "stages": map(Stage._asdict, self.stages),
+            "channels": map(Channel._asdict, self.channels),
+            "rpc": dict(self.rpc),
             "relays": [
                 {"connector": c, "caller_site": a, "definer_site": b}
                 for c, a, b in self.relays
             ],
-            "final": self.final,
-            "input": self.input,
-            "output": self.output,
         }
 
 
 def plan_pieces(built: BuildPlan) -> Iterator[str]:
     """The plan's text, one top-level member, stage or channel at a time."""
-    return json_pieces(built.to_json_obj(lazy=True))
+    return json_pieces(built.to_json_obj())
 
 
 def serialize_plan(built: BuildPlan) -> str:
@@ -125,7 +114,8 @@ def serialize_plan(built: BuildPlan) -> str:
 
 def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
     """Lower a checked architecture. Raises ArchonError on unmet bindings."""
-    for conn in sorted(arch.connectors.values(), key=lambda c: c.name):
+    connectors = sorted(arch.connectors.values(), key=lambda c: c.name)
+    for conn in connectors:
         if conn.type_name not in (PIPE_TYPE, RPC_TYPE, EVENT_TYPE, ACCESS_TYPE):
             raise fail(
                 "UnrealizableConnector",
@@ -133,65 +123,67 @@ def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
                 conn.span,
             )
 
+    def sites(connector: str, role: str) -> set[str]:
+        return {
+            str(arch.instances[a.instance].attrs.get("site", ""))
+            for a in arch.attachments_of_connector(connector, role)
+        }
+
     channels: dict[str, Channel] = {}
     reads: dict[str, list[str]] = {name: [] for name in arch.instances}
     writes: dict[str, list[str]] = {name: [] for name in arch.instances}
+    broker = ""
+    rpc: list[tuple[str, str]] = []
+    relays: list[tuple[str, str, str]] = []
+    for conn in connectors:
+        if conn.type_name == PIPE_TYPE:
+            kind, path = "pipe", ""
+            for ext in arch.externals_of_connector(conn.name):
+                path = arch.bound_path(ext.direction)
+                if path is None:
+                    raise fail(
+                        "UnboundExternal" + ext.direction.capitalize(),
+                        f"external {ext.direction} stream has no bound path",
+                        conn.span,
+                    )
+                kind = "file-in" if ext.direction == EXT_INPUT else "file-out"
+            channels[conn.name] = Channel(conn.name, kind, path)
+            for att in arch.attachments_of_connector(conn.name, "source"):
+                writes[att.instance].append(conn.name)
+            for att in arch.attachments_of_connector(conn.name, "sink"):
+                reads[att.instance].append(conn.name)
+        elif conn.type_name == EVENT_TYPE:
+            broker = BROKER_ENDPOINT
+        else:  # RPC or DataAccess: an endpoint, and an RPC's cross-site relays
+            rpc.append((conn.name, f"rpc_{conn.name}.sock"))
+            if conn.type_name == RPC_TYPE:
+                definer_site = min(sites(conn.name, "definer"), default="")
+                for caller_site in sorted(sites(conn.name, "caller")):
+                    if caller_site != definer_site:
+                        relays.append((conn.name, caller_site, definer_site))
 
-    pipe_names = sorted(
-        c.name for c in arch.connectors.values() if c.type_name == PIPE_TYPE
-    )
-    for conn_name in pipe_names:
-        span = arch.connectors[conn_name].span
-        kind, path = "pipe", ""
-        for ext in arch.externals_of_connector(conn_name):
-            path = arch.bound_path(ext.direction)
-            if path is None:
-                raise fail(
-                    "UnboundExternal" + ext.direction.capitalize(),
-                    f"external {ext.direction} stream has no bound path",
-                    span,
-                )
-            kind = "file-in" if ext.direction == EXT_INPUT else "file-out"
-        channels[conn_name] = Channel(conn_name, kind, path)
-        for att in arch.attachments_of_connector(conn_name, "source"):
-            writes[att.instance].append(conn_name)
-        for att in arch.attachments_of_connector(conn_name, "sink"):
-            reads[att.instance].append(conn_name)
-
-    _prime_cycles(arch, channels)
-
-    node_names = sorted(arch.instances)
-    synthetic: list[Stage] = []
-    for inst_name in node_names:
-        if len(writes[inst_name]) > 1:
+    stages: list[Stage] = []
+    fan_outs: list[tuple[Stage, int, Optional[Span]]] = []
+    argvs: dict[str, tuple[str, ...]] = {}  # each distinct impl is split once
+    for inst_name in sorted(arch.instances):
+        inst = arch.instances[inst_name]
+        ins, outs = tuple(reads[inst_name]), tuple(writes[inst_name])
+        if len(outs) > 1:
             out_ch = f"{inst_name}.out"
             channels[out_ch] = Channel(out_ch, "pipe", "")
-            synthetic.append(
-                Stage(
-                    name=f"{inst_name}.tee",
-                    kind=TEE,
-                    reads=(out_ch,),
-                    writes=tuple(writes[inst_name]),
-                )
-            )
-            writes[inst_name] = [out_ch]
-        if len(reads[inst_name]) > 1:
+            stages.append(Stage(name=f"{inst_name}.tee", kind=TEE, reads=(out_ch,), writes=outs))
+            outs = (out_ch,)
+        if len(ins) > 1:
             in_ch = f"{inst_name}.in"
             channels[in_ch] = Channel(in_ch, "pipe", "")
-            synthetic.append(
-                Stage(
-                    name=f"{inst_name}.merge",
-                    kind=MERGE,
-                    reads=tuple(reads[inst_name]),
-                    writes=(in_ch,),
-                )
-            )
-            reads[inst_name] = [in_ch]
-
-    processes: list[Stage] = []
-    argvs: dict[str, tuple[str, ...]] = {}  # each distinct impl is split once
-    for inst_name in node_names:
-        inst = arch.instances[inst_name]
+            stages.append(Stage(name=f"{inst_name}.merge", kind=MERGE, reads=ins, writes=(in_ch,)))
+            ins = (in_ch,)
+        # A seeded cycle is broken at the first (by name) pipe into it from
+        # its own cycle, which holds the seed before any stage starts.
+        primer = inst.attrs.get("seed")
+        if isinstance(primer, str) and inst_name in arch.cycle_entries:
+            broken = min(arch.cycle_entries[inst_name])
+            channels[broken] = channels[broken]._replace(primer=primer)
         impl = inst.attrs.get("impl")
         if not isinstance(impl, str) or not impl.strip():
             raise fail(
@@ -201,76 +193,45 @@ def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
             )
         if impl not in argvs:
             argvs[impl] = tuple(shlex.split(impl))
-        processes.append(
-            Stage(
-                name=inst_name,
-                kind=PROCESS,
-                instance=inst_name,
-                replica=0,
-                argv=argvs[impl],
-                reads=tuple(reads[inst_name]),
-                writes=tuple(writes[inst_name]),
-                stateless="stateless" in inst.attrs,
-                site=str(inst.attrs.get("site", "")),
-            )
+        process = Stage(
+            name=inst_name,
+            kind=PROCESS,
+            instance=inst_name,
+            replica=0,
+            argv=argvs[impl],
+            reads=ins,
+            writes=outs,
+            stateless="stateless" in inst.attrs,
+            site=str(inst.attrs.get("site", "")),
         )
-
-    # Every process stage exists before any is fanned out, so a missing impl
-    # is reported ahead of a fan-out error.
-    stages: list[Stage] = list(synthetic)
-    for process in processes:
-        inst = arch.instances[process.name]
         n = inst.attrs.get("replicas")
         if isinstance(n, int) and n >= 2:
-            stages += _fan_out(process, n, channels, inst.span)
+            fan_outs.append((process, n, inst.span))
         else:
             stages.append(process)
 
-    broker = ""
-    if any(c.type_name == EVENT_TYPE for c in arch.connectors.values()):
-        broker = BROKER_ENDPOINT
-    rpc = tuple(
-        (c.name, f"rpc_{c.name}.sock")
-        for c in sorted(arch.connectors.values(), key=lambda c: c.name)
-        if c.type_name in (RPC_TYPE, ACCESS_TYPE)
-    )
+    # Every process stage exists before any is fanned out, so a missing impl
+    # is reported ahead of a fan-out error.
+    for process, n, span in fan_outs:
+        stages += _fan_out(process, n, channels, span)
 
-    def sites(connector: str, role: str) -> set[str]:
-        return {
-            str(arch.instances[a.instance].attrs.get("site", ""))
-            for a in arch.attachments_of_connector(connector, role)
-        }
-
-    relays: list[tuple[str, str, str]] = []
-    for conn in sorted(arch.connectors.values(), key=lambda c: c.name):
-        if conn.type_name != RPC_TYPE:
-            continue
-        definer_site = min(sites(conn.name, "definer"), default="")
-        for caller_site in sorted(sites(conn.name, "caller")):
-            if caller_site != definer_site:
-                relays.append((conn.name, caller_site, definer_site))
-
-    draft = BuildPlan(
+    writer_of = {ch: stage for stage in stages for ch in stage.writes}
+    by_name = {s.name: s for s in stages}
+    chans = tuple(sorted(channels.values(), key=lambda c: c.name))
+    return BuildPlan(
         system=arch.name,
-        stages=(),
-        channels=(),
+        stages=tuple(by_name[name] for name in _start_order(stages, writer_of, channels)),
+        channels=chans,
         broker=broker,
-        rpc=rpc,
+        rpc=tuple(rpc),
         relays=tuple(relays),
+        final=next(
+            (writer_of[c.name].name for c in chans if c.kind == "file-out" and c.name in writer_of),
+            "",
+        ),
         input=arch.input or "",
         output=arch.output or "",
     )
-    return _finalize(draft, stages, channels)
-
-
-def _prime_cycles(arch: Architecture, channels: dict[str, Channel]) -> None:
-    """Put each seeded instance's primer on the first (by name) pipe into it
-    from its own cycle, so the loop starts against a pipe that holds it."""
-    for name, inst in arch.instances.items():
-        primer = inst.attrs.get("seed")
-        if isinstance(primer, str) and name in arch.cycle_entries:
-            broken = min(arch.cycle_entries[name])
-            channels[broken] = channels[broken]._replace(primer=primer)
 
 
 def _fan_out(
@@ -303,19 +264,6 @@ def _fan_out(
         *replicas,
         Stage(name=f"{target.name}.merge", kind=MERGE, reads=tuple(out_chs), writes=target.writes),
     ]
-
-
-def _finalize(draft: BuildPlan, stages: list[Stage], channels: dict[str, Channel]) -> BuildPlan:
-    """The draft with its stages in start order, channels sorted and the final stage."""
-    writer_of = {ch: stage for stage in stages for ch in stage.writes}
-    by_name = {s.name: s for s in stages}
-    ordered = tuple(by_name[name] for name in _start_order(stages, writer_of, channels))
-    chans = tuple(sorted(channels.values(), key=lambda c: c.name))
-    final = next(
-        (writer_of[c.name].name for c in chans if c.kind == "file-out" and c.name in writer_of),
-        "",
-    )
-    return draft._replace(stages=ordered, channels=chans, final=final)
 
 
 def _start_order(

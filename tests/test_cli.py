@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -122,13 +123,43 @@ def test_non_utf8_library_is_2(src, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, code", [("plan", 2), ("graph", 2), ("fmt", 1)])
 def test_unwritable_out_is_one_line(src, tmp_path, capsys, command, code):
-    dest = tmp_path / "missing" / "x"
+    """A path that cannot be opened, and one that opens but cannot be written."""
     path = src(
         'system S { component A : Filter impl "./a";'
         ' pipeline P: input | A() | output; input "i"; output "o"; }'
     )
-    assert main([command, path, "--out", str(dest)]) == code
-    assert capsys.readouterr() == ("", f"archon: cannot write '{dest}': No such file or directory\n")
+    for dest, reason in (
+        (tmp_path / "missing" / "x", "No such file or directory"),
+        ("/dev/full", "No space left on device"),
+    ):
+        assert main([command, path, "--out", str(dest)]) == code
+        assert capsys.readouterr() == ("", f"archon: cannot write '{dest}': {reason}\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["plan"], 2), (["graph"], 2), (["fmt"], 1), (["check", "--json"], 2)],
+    ids=["plan", "graph", "fmt", "check-json"],
+)
+def test_unwritable_stdout_is_one_line(argv, code, buffered):
+    """Buffered, stdout fails when it is flushed; unbuffered, at the write."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "archon.cli", *argv, str(CORPUS / "02_hello.arch")],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        code,
+        "archon: cannot write '<stdout>': No space left on device\n",
+    )
 
 
 def test_run_with_an_unwritable_emit_plan_spawns_nothing(src, tmp_path, capsys):

@@ -81,6 +81,9 @@ def test_define_component_type_rejects_repeated_port():
             ComponentType("X", (PortSpec("a", "StreamIn"), PortSpec("a", "StreamOut"))),
         )
     assert exc.value.code == "BadPortSpec"
+    with pytest.raises(ArchonError, match="unknown port type 'Nope'") as exc:
+        define_component_type(builtin_type_table(), ComponentType("X", (PortSpec("a", "Nope"),)))
+    assert exc.value.code == "BadPortSpec"
 
 
 def test_define_connector_type_extends():
@@ -111,6 +114,18 @@ def test_define_connector_type_rejections():
     assert exc.value.code == "BadRoleSpec"
     with pytest.raises(ArchonError) as exc:
         define_connector_type(table, ConnectorType("Z", (RoleSpec("r", ("StreamIn",) * 2, 0, 1),)))
+    assert exc.value.code == "BadRoleSpec"
+    with pytest.raises(ArchonError, match="declared twice") as exc:
+        define_connector_type(
+            table,
+            ConnectorType("Z", (RoleSpec("r", ("StreamIn",), 0, 1), RoleSpec("r", ("StreamOut",), 0, 1))),
+        )
+    assert exc.value.code == "BadRoleSpec"
+    with pytest.raises(ArchonError, match="negative min fill") as exc:
+        define_connector_type(table, ConnectorType("Z", (RoleSpec("r", ("StreamIn",), -1, 1),)))
+    assert exc.value.code == "BadRoleSpec"
+    with pytest.raises(ArchonError, match="unknown port type 'Nope'") as exc:
+        define_connector_type(table, ConnectorType("Z", (RoleSpec("r", ("Nope",), 0, 1),)))
     assert exc.value.code == "BadRoleSpec"
 
 
