@@ -3,7 +3,9 @@
 One broker serves a whole run over a UNIX stream socket.  Clients send
 REG frames to subscribe to topics and EVT frames to publish; any other
 frame is counted in ``errors`` and the connection is served on.  The
-broker keeps an index from each topic to its subscribed connections.
+broker keeps an index from each topic to its subscribed connections,
+and counts in ``unheard`` each event that no connection but its sender
+was subscribed to when it arrived.
 Every publish is pushed, synchronously with receipt, to each other
 connection currently registered for that topic: the broker reads a
 connection in bursts, encodes each event once, and writes each target
@@ -38,6 +40,7 @@ class EventBroker(SocketServer):
         # topic -> its subscribers; a set is replaced, never changed, so a
         # publisher reads the one it gets without holding the lock
         self._topics: dict[str, frozenset[_Conn]] = {}
+        self.unheard = 0  # events that reached no listener; written under the lock
 
     def registered(self, topic: str) -> int:
         """How many live connections are subscribed; lets callers sync up."""
@@ -61,18 +64,24 @@ class EventBroker(SocketServer):
     def _fan_out(self, conn: _Conn, burst: list[Frame]) -> None:
         """Serve one burst: each target gets its events of the burst in one write."""
         out: dict[_Conn, list[bytes]] = {}
+        unheard = 0
         for frame in burst:
             if frame.kind == EVT:
                 targets = self._topics.get(frame.topic, ())
-                if targets:
+                if len(targets) > (conn in targets):  # a subscriber besides the sender
                     wire = encode(frame)
                     for target in targets:
                         if target is not conn:
                             out.setdefault(target, []).append(wire)
+                else:
+                    unheard += 1
             elif frame.kind == REG:
                 self._subscribe(conn, frame.topic)
             else:
                 self._count_error()
+        if unheard:
+            with self._lock:
+                self.unheard += unheard
         for target, wires in out.items():
             try:
                 with target.write_lock:

@@ -217,6 +217,8 @@ def _dispatch(args) -> int:
         return 2
     for stage, why in sorted(report.stage_errors.items()):
         print(f"archon: stage '{stage}' failed: {why}", file=sys.stderr)
+    if report.unheard_events:
+        print(f"archon: {report.unheard_events} event(s) reached no listener", file=sys.stderr)
     return report.overall
 
 

@@ -8,15 +8,15 @@ diagnostic, since their result would otherwise be unusable.
 Two serializations are supported: a line-oriented text form
 ``SEVERITY CODE file:line:col message`` and a JSON array with fixed key
 order (severity, code, span, message).  ``json_text`` writes that array,
-and the plan and the JSON graph too; ``json_pieces`` writes the plan's
-text piece by piece.
+and the JSON graph too; ``json_pieces`` writes the plan's text piece by
+piece, its stages and channels by the plan's own record writers.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
 class Severity(enum.Enum):
@@ -107,21 +107,25 @@ def json_text(obj) -> str:
     return _encode(obj, "", "\n")
 
 
-def json_pieces(members: dict) -> Iterator[str]:
+def json_pieces(members: dict, writers: Optional[dict[str, Callable]] = None) -> Iterator[str]:
     """``json_text(members)`` in pieces, one per member, for a dict whose
     values ``json_text`` takes or are iterators of them.  An iterator (a
     ``map``, say) is written as an array, one item per piece, and each item
     is made only when it is reached: so a writer holds one item at a time.
+    A member named in ``writers`` is written as an array too, each item by
+    its writer, which returns the item's text as ``json_text`` indents it
+    there.
     """
     sep = "{\n  "
     for key, value in members.items():
         head, sep = sep + _escape(key) + ": ", ",\n  "
-        if not isinstance(value, Iterator):
+        write = writers.get(key) if writers else None
+        if write is None and not isinstance(value, Iterator):
             yield head + _encode(value, "  ")
             continue
         empty = True
         for item in value:
-            yield (head + "[\n    " if empty else ",\n    ") + _encode(item, "    ")
+            yield (head + "[\n    " if empty else ",\n    ") + (write(item) if write else _encode(item, "    "))
             empty = False
         yield head + "[]" if empty else "\n  ]"
     yield "\n}\n" if members else "{}\n"

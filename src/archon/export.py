@@ -83,7 +83,9 @@ def _binary(ctype) -> bool:
 
 
 def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if '"' in text or "\\" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + text + '"'
 
 
 def _node_id(end: str, port: str) -> str:

@@ -381,15 +381,24 @@ def attach_many(
     """
     present = {(a.instance, a.port, a.connector, a.role) for a in arch.attachments}
     used = {(a.instance, a.port) for a in arch.attachments}
+    # Each (component type, port) spec and (connector type, role), read from
+    # the table once; the first of a repeated port name wins, as in ``port``.
+    ports = {(t, p.name): p for t, ct in table.component_types.items() for p in reversed(ct.ports)}
+    roles = {(t, r.name) for t, ct in table.connector_types.items() for r in ct.roles}
+    instances, connectors = arch.instances, arch.connectors
     added: list[Attachment] = []
     diags: list[Diagnostic] = []
     for new in attachments:
-        diag = _attach_error(arch, table, new, present, used)
-        if diag is not None:
-            diags.append(diag)
+        instance, port, connector, role, _ = new
+        inst, conn = instances.get(instance), connectors.get(connector)
+        pspec = None if inst is None else ports.get((inst.type_name, port))
+        key = (instance, port, connector, role)
+        if (pspec is None or conn is None or (conn.type_name, role) not in roles
+                or key in present or not pspec.many and (instance, port) in used):
+            diags.append(_attach_error(arch, table, new, present, used))  # which rule, worded
             continue
-        present.add((new.instance, new.port, new.connector, new.role))
-        used.add((new.instance, new.port))
+        present.add(key)
+        used.add((instance, port))
         added.append(new)
     return replace(arch, attachments=arch.attachments + tuple(added)), diags
 
@@ -401,7 +410,8 @@ def _attach_error(
     present: set[tuple[str, str, str, str]],
     used: set[tuple[str, str]],
 ) -> Optional[Diagnostic]:
-    """Why ``new`` may not follow the attachments in ``present``, or None."""
+    """Why ``new`` may not follow the attachments in ``present``: the first
+    rule it breaks, or None."""
     instance, port, connector, role, span = new.instance, new.port, new.connector, new.role, new.span
     inst = arch.instances.get(instance)
     if inst is None:

@@ -27,7 +27,9 @@ One flow reads a system.  A source of ``_PATTERN_MIN_CHARS`` or more,
 where a process's one-off pattern compile pays for itself on the first
 parse, is read ahead by the patterns (``_Patterns``): one compiled
 pattern per declaration shape, whose match groups make the records.
-They read the header, then the declarations up to the first they do not
+A declaration's span is one inline bisect over the line starts, and a
+component, connector or attach record is one ``tuple.__new__`` after
+one keyword test.  They read the header, then the declarations up to the first they do not
 take (no match, a keyword where a name goes, a repeated attribute, an
 integer ``int()`` cannot convert): in a valid source, the closing ``}``.
 The token parser (``_Parser``) scans and parses from there; it reads
@@ -503,6 +505,10 @@ def _name(name: str) -> str:
     return name
 
 
+# A named tuple from the tuple of all its fields, without a call to its __new__.
+_new = tuple.__new__
+
+
 def _names(names: tuple) -> tuple:
     """``names``, none of which may be a keyword."""
     if KEYWORDS.isdisjoint(names):
@@ -577,16 +583,20 @@ class _Patterns:
             return None
         lines = _line_starts(text)
         decls: list[Declaration] = []
-        pos = m.start(m.lastindex)
-        while (shape := self.shapes.get(m[m.lastindex])) is not None:
+        last = m.lastindex
+        pos = m.start(last)
+        while (shape := self.shapes.get(m[last])) is not None:
             pattern, build = shape
             if (m := pattern.match(text, m.end())) is None:
                 break
+            last = m.lastindex
+            line = bisect_right(lines, pos)  # _span, inline: the span of each declaration
+            span = _new(Span, (pos, m.end(last - 1), line, pos - lines[line - 1] + 1))
             try:
-                decls.append(build(m, _span(lines, pos, m.end(m.lastindex - 1)), lines))
+                decls.append(build(m, span, lines))
             except ValueError:  # a keyword as a name, a repeated attribute, too many digits for int()
                 break
-            pos = m.start(m.lastindex)
+            pos = m.start(last)
         return _Head(head[2], head[3], head[4] is not None, tuple(decls), head.start(1)), pos, lines
 
     def port_type(self, m: re.Match, span: Span, lines: list[int]) -> PortTypeDef:
@@ -618,13 +628,19 @@ class _Patterns:
             if key in attrs:
                 raise ValueError(key)  # a DuplicateAttribute error
             attrs[key] = True if not value else _unquote(value) if value[0] == '"' else int(value)
-        return Instance(*_names(m.group(1, 2)), attrs, span)
+        if KEYWORDS.isdisjoint(names := m.group(1, 2)):
+            return _new(Instance, (*names, attrs, span))
+        raise ValueError(names)
 
     def connector(self, m: re.Match, span: Span, lines: list[int]) -> Connector:
-        return Connector(*_names(m.group(1, 2)), span)
+        if KEYWORDS.isdisjoint(names := m.group(1, 2)):
+            return _new(Connector, (*names, span))
+        raise ValueError(names)
 
     def attach(self, m: re.Match, span: Span, lines: list[int]) -> Attachment:
-        return Attachment(*_names(m.group(1, 2, 3, 4)), span)
+        if KEYWORDS.isdisjoint(names := m.group(1, 2, 3, 4)):
+            return _new(Attachment, (*names, span))
+        raise ValueError(names)
 
     def pipeline(self, m: re.Match, span: Span, lines: list[int]) -> PipelineDecl:
         stages = _names(tuple(self.stages.findall(m.string, m.start(2), m.end(2))))

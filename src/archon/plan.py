@@ -22,14 +22,18 @@ order: consumers before producers so that every pipe has a reader by
 the time its writer starts.  A cycle bootstrapped by a ``seed``
 attribute is broken at the primed pipe into the seeded instance.  The
 serialized plan writes each stage and channel as its record's fields
-in declaration order.
+in declaration order: one %-format per record type, built once from
+its ``_fields``, takes each field's JSON text, made by the field's type
+(strings by the C escaper ``json.dumps`` uses), so a record costs no
+dict and no recursion.  ``to_json_obj`` is the same plan as JSON values.
 """
 
 from __future__ import annotations
 
 import heapq
-import shlex
-from typing import Iterator, NamedTuple, Optional
+import re
+from json.encoder import encode_basestring_ascii as _escape  # the C function json_text uses
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import topology
 from .diagnostics import Span, fail, json_pieces
@@ -103,9 +107,31 @@ class BuildPlan(NamedTuple):
         }
 
 
+def _strings(items: tuple[str, ...]) -> str:
+    return "[\n        " + ",\n        ".join(map(_escape, items)) + "\n      ]" if items else "[]"
+
+
+# The JSON text of a record's field, as an item of the plan's arrays, by its type.
+_FIELD_TEXT = {str: _escape, int: int.__repr__, bool: ("false", "true").__getitem__, tuple: _strings}
+
+
+def _record_writer(record: type) -> Callable[[tuple], str]:
+    """The writer of a ``record`` as an item of the plan's arrays: one
+    %-format, keys in field order, given each field's text by its type."""
+    fmt = "{" + ",".join(f"\n      {_escape(name)}: %s" for name in record._fields) + "\n    }"
+    return lambda r: fmt % tuple([_FIELD_TEXT[type(value)](value) for value in r])
+
+
+_write_stage = _record_writer(Stage)
+_write_channel = _record_writer(Channel)
+
+
 def plan_pieces(built: BuildPlan) -> Iterator[str]:
-    """The plan's text, one top-level member, stage or channel at a time."""
-    return json_pieces(built.to_json_obj())
+    """The plan's text, one top-level member, stage or channel at a time:
+    ``json_pieces(built.to_json_obj())``, with each stage and channel written
+    from its record by its type's format."""
+    members = {**built.to_json_obj(), "stages": built.stages, "channels": built.channels}
+    return json_pieces(members, {"stages": _write_stage, "channels": _write_channel})
 
 
 def serialize_plan(built: BuildPlan) -> str:
@@ -148,10 +174,11 @@ def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
                     )
                 kind = "file-in" if ext.direction == EXT_INPUT else "file-out"
             channels[conn.name] = Channel(conn.name, kind, path)
-            for att in arch.attachments_of_connector(conn.name, "source"):
-                writes[att.instance].append(conn.name)
-            for att in arch.attachments_of_connector(conn.name, "sink"):
-                reads[att.instance].append(conn.name)
+            for att in arch.attachments_of_connector(conn.name):
+                if att.role == "source":
+                    writes[att.instance].append(conn.name)
+                elif att.role == "sink":
+                    reads[att.instance].append(conn.name)
         elif conn.type_name == EVENT_TYPE:
             broker = BROKER_ENDPOINT
         else:  # RPC or DataAccess: an endpoint, and an RPC's cross-site relays
@@ -192,17 +219,10 @@ def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
                 inst.span,
             )
         if impl not in argvs:
-            argvs[impl] = tuple(shlex.split(impl))
+            argvs[impl] = _split(impl)
         process = Stage(
-            name=inst_name,
-            kind=PROCESS,
-            instance=inst_name,
-            replica=0,
-            argv=argvs[impl],
-            reads=ins,
-            writes=outs,
-            stateless="stateless" in inst.attrs,
-            site=str(inst.attrs.get("site", "")),
+            inst_name, PROCESS, inst_name, 0, argvs[impl], ins, outs,
+            "stateless" in inst.attrs, str(inst.attrs.get("site", "")),
         )
         n = inst.attrs.get("replicas")
         if isinstance(n, int) and n >= 2:
@@ -232,6 +252,20 @@ def plan(arch: Architecture, table: TypeTable) -> BuildPlan:
         input=arch.input or "",
         output=arch.output or "",
     )
+
+
+_WORD = re.compile(r"[^ \t\r\n]+")
+
+
+def _split(impl: str) -> tuple[str, ...]:
+    """The words of ``impl`` as ``shlex.split`` finds them.  A line with no
+    quote or backslash splits at runs of space, tab, CR and LF, as shlex
+    does (``str.split`` would also split at \\x0b, \\x0c and \\xa0)."""
+    if "'" in impl or '"' in impl or "\\" in impl:
+        import shlex  # quoting and its errors, only where a line has them
+
+        return tuple(shlex.split(impl))
+    return tuple(_WORD.findall(impl))
 
 
 def _fan_out(

@@ -52,6 +52,7 @@ class RunReport:
     channel_bytes: dict[str, int] = field(default_factory=dict)
     channel_records: dict[str, int] = field(default_factory=dict)
     stage_errors: dict[str, str] = field(default_factory=dict)
+    unheard_events: int = 0  # events the broker delivered to no listener
     duration: float = 0.0
     timed_out: bool = False
     overall: int = 0
@@ -83,7 +84,8 @@ def run(
         _execute(built, rt_dir, timeout, report)
     finally:
         if broker is not None:
-            broker.stop()
+            broker.stop()  # joins the connection threads: the count is final
+            report.unheard_events = broker.unheard
         if own_dir:
             shutil.rmtree(rt_dir, ignore_errors=True)
     for channel in built.channels:

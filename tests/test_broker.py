@@ -82,6 +82,47 @@ def test_announcer_does_not_hear_itself(endpoint):
         other.close()
 
 
+def _wait_unheard(broker, count, deadline=5.0):
+    end = time.monotonic() + deadline
+    while broker.unheard < count:
+        if time.monotonic() > end:
+            raise AssertionError(f"only {broker.unheard} events counted unheard")
+        time.sleep(0.005)
+
+
+def test_an_event_with_no_subscriber_is_counted_unheard(endpoint):
+    with EventBroker(endpoint) as broker:
+        announcer = BrokerClient(endpoint)
+        announcer.publish("t", b"spoken to the void")
+        _wait_unheard(broker, 1)
+        announcer.close()
+    assert broker.unheard == 1
+
+
+def test_an_event_only_its_sender_subscribed_to_is_counted_unheard(endpoint):
+    with EventBroker(endpoint) as broker:
+        announcer = BrokerClient(endpoint)
+        announcer.subscribe("t")
+        _wait_registered(broker, "t", 1)
+        announcer.publish("t", b"mine")
+        _wait_unheard(broker, 1)
+        announcer.close()
+    assert broker.unheard == 1
+
+
+def test_an_event_another_subscriber_hears_is_not_counted_unheard(endpoint):
+    with EventBroker(endpoint) as broker:
+        announcer, listener = BrokerClient(endpoint), BrokerClient(endpoint)
+        announcer.subscribe("t")
+        listener.subscribe("t")
+        _wait_registered(broker, "t", 2)
+        announcer.publish("t", b"heard")
+        assert listener.next_event(timeout=2) == ("t", b"heard")
+        announcer.close()
+        listener.close()
+    assert broker.unheard == 0
+
+
 def test_endpoint_in_use(endpoint):
     with EventBroker(endpoint):
         with pytest.raises(ArchonError) as exc:

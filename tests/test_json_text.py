@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from archon.checker import resolve
 from archon.diagnostics import json_pieces, json_text
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import plan, plan_pieces, serialize_plan
+from archon.plan import BuildPlan, Channel, Stage, _record_writer, plan, plan_pieces, serialize_plan
 
 REPO = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
@@ -75,6 +76,34 @@ def test_json_pieces_join_to_json_text(members):
         for key, (value, as_iterator) in members.items()
     }
     assert "".join(json_pieces(lazy)) == _reference({k: v for k, (v, _) in members.items()})
+
+
+_NAMES = st.text(_CHARS, max_size=8)
+_WORDS = st.lists(_NAMES, max_size=3).map(tuple)  # empty and not
+_STAGES = st.builds(
+    Stage, _NAMES, _NAMES, _NAMES, st.one_of(st.integers(0, 64), st.integers(0, 10**60)),
+    _WORDS, _WORDS, _WORDS, st.booleans(), _NAMES,
+)
+_CHANNELS = st.builds(Channel, _NAMES, _NAMES, _NAMES, _NAMES)
+
+
+@given(_NAMES, st.lists(_STAGES, max_size=4).map(tuple), st.lists(_CHANNELS, max_size=4).map(tuple))
+@example("S", (), ())
+@example("S", (Stage("a\"\\\x00\xe9", "process", replica=10**40, argv=("x",), stateless=True),), (Channel("p", "pipe"),))
+def test_serialize_plan_writes_each_record_as_json_dumps_its_dict(system, stages, channels):
+    """Each stage and channel, written from its fields by its type's format,
+    reads as json.dumps writes the dict form, to_json_obj."""
+    built = BuildPlan(system, stages, channels)
+    members = built.to_json_obj()
+    members["stages"], members["channels"] = list(members["stages"]), list(members["channels"])
+    assert serialize_plan(built) == _reference(members)
+
+
+def test_a_field_added_to_a_plan_record_is_written_with_no_other_change():
+    Wider = namedtuple("Wider", [*Stage._fields, "note", "weight", "pinned", "tags"])
+    record = Wider(*Stage("a", "process", argv=("x",)), "n\u2028", 10**20, True, ("t", "\""))
+    pieces = json_pieces({"stages": (record,)}, {"stages": _record_writer(Wider)})
+    assert "".join(pieces) == _reference({"stages": [record._asdict()]})
 
 
 @pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": b"x"}, {1: "a"}, {None: 1}, object()])

@@ -19,7 +19,9 @@ from archon.model import (
     Instance,
     PortSpec,
     RoleSpec,
+    _attach_error,
     attach,
+    attach_many,
     builtin_type_table,
     define_component_type,
     define_connector_type,
@@ -194,6 +196,46 @@ def test_attach_name_errors(args, code):
     with pytest.raises(ArchonError) as exc:
         attach(_two_filter_arch(), builtin_type_table(), *args)
     assert exc.value.code == code
+
+
+_WIRED = Architecture(
+    name="S",
+    instances={n: Instance(n, t) for n, t in [("A", "Filter"), ("B", "Process"), ("D", "DataStore")]},
+    connectors={n: Connector(n, t) for n, t in [("p", "Pipe"), ("r", "RPC"), ("e", "Event"), ("s", "DataAccess")]},
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("ABDZ"),
+            st.sampled_from(["stdin", "stdout", "call", "serve", "emit", "access", "store", "nope"]),
+            st.sampled_from("preszz"),
+            st.sampled_from(["source", "sink", "caller", "definer", "announcer", "client", "store", "zz"]),
+        ),
+        min_size=1,
+        max_size=8,
+    ).flatmap(lambda drawn: st.lists(st.sampled_from(drawn), max_size=12))  # with repeats
+)
+def test_attach_many_applies_the_rules_one_attachment_at_a_time(wiring):
+    """Accepted attachments and diagnostics (code, wording, span, order) are
+    those of each attachment checked by the rules against the ones before."""
+    table = builtin_type_table()
+    attachments = [Attachment(*names, Span(i, i + 1, 1, i + 1)) for i, names in enumerate(wiring)]
+    present: set = set()
+    used: set = set()
+    added, diags = [], []
+    for new in attachments:
+        diag = _attach_error(_WIRED, table, new, present, used)
+        if diag is not None:
+            diags.append(diag)
+            continue
+        present.add(new[:4])
+        used.add(new[:2])
+        added.append(new)
+    arch, got = attach_many(_WIRED, table, attachments)
+    assert got == diags
+    assert [a.span for a in arch.attachments] == [a.span for a in added]
 
 
 def test_connector_index_follows_the_value():

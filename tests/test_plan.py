@@ -1,5 +1,7 @@
 import importlib
 import json
+import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from archon.checker import check_all, resolve
 from archon.diagnostics import ArchonError
 from archon.model import builtin_type_table
 from archon.parser import parse
-from archon.plan import MERGE, PROCESS, SPLIT, TEE, plan, serialize_plan
+from archon.plan import MERGE, PROCESS, SPLIT, TEE, _split, plan, serialize_plan
 
 plan_module = importlib.import_module("archon.plan")  # the package exports a plan() function
 CORPUS = Path(__file__).parent / "corpus"
@@ -84,6 +86,24 @@ def test_impl_is_shell_split():
         """
     )
     assert built.stage("A").argv == ("python3", "-c", "pass")
+
+
+# Whitespace shlex splits at and str.split() also splits at, the quotes and
+# the backslash shlex reads, '#' (a comment only where shlex is asked to
+# treat it so) and non-ASCII.
+_IMPL_CHARS = st.one_of(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000'\"\\#aZ-é€\U0001f600"), st.characters())
+
+
+@given(st.text(_IMPL_CHARS, max_size=40))
+@settings(max_examples=500)
+def test_impl_splits_as_shlex_splits(impl):
+    try:
+        want = tuple(shlex.split(impl))
+    except ValueError as err:  # an open quote or a trailing backslash
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            _split(impl)
+    else:
+        assert _split(impl) == want
 
 
 def test_missing_impl_rejected():

@@ -5,6 +5,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -320,6 +321,49 @@ def test_event_stages_find_the_broker_listening(tmp_path):
     }}"""), timeout=20, runtime_dir=str(tmp_path))
     assert report.overall == 0
     assert report.statuses == {"Field": 0, "Print": 0}
+
+
+SRC = str(Path(runner.__file__).resolve().parents[1])
+
+# Publishes five events, then waits until the broker has read them: bytes
+# the peer has not read yet stay counted in the socket's output queue.
+ANNOUNCE5 = f"""
+import fcntl, struct, termios, time
+sys.path.insert(0, {SRC!r})
+from archon.broker import BrokerClient
+client = BrokerClient(os.environ["ARCHON_BROKER"])
+for i in range(5):
+    client.publish("news", b"e%d" % i)
+deadline = time.monotonic() + 10
+while struct.unpack("i", fcntl.ioctl(client.sock, termios.TIOCOUTQ, bytes(4)))[0]:
+    if time.monotonic() > deadline:
+        sys.exit(1)
+    time.sleep(0.005)
+client.close()
+"""
+
+
+def _unheard_news(announcer: str) -> str:
+    """An Event system whose one announcer has no listener (the role allows 0)."""
+    return f"""system News {{
+      componenttype Reporter {{ port wire : EventEmit; }}
+      component Field : Reporter impl "{announcer}";
+      connector wire : Event;
+      attach Field.wire to wire.announcer;
+    }}"""
+
+
+def test_events_that_reach_no_listener_are_counted(tmp_path, make_filter):
+    report = run(_built(_unheard_news(make_filter("announce", ANNOUNCE5))), timeout=30)
+    assert report.overall == 0
+    assert report.unheard_events == 5
+
+
+def test_archon_run_reports_unheard_events_and_exits_0(tmp_path, make_filter, capsys):
+    path = tmp_path / "news.arch"
+    path.write_text(_unheard_news(make_filter("announce", ANNOUNCE5)))
+    assert main(["run", str(path), "--timeout", "30"]) == 0
+    assert capsys.readouterr().err == "archon: 5 event(s) reached no listener\n"
 
 
 def test_spawn_failure_reported(tmp_path):
