@@ -215,6 +215,8 @@ def _dispatch(args) -> int:
     except ArchonError as exc:  # nothing was started: an unopenable file, say
         sys.stderr.write(render_lines([exc.diagnostic], args.source))
         return 2
+    for stage, why in sorted(report.spawn_failures.items()):
+        print(f"archon: stage '{stage}' could not be spawned: {why}", file=sys.stderr)
     for stage, why in sorted(report.stage_errors.items()):
         print(f"archon: stage '{stage}' failed: {why}", file=sys.stderr)
     if report.unheard_events:

@@ -4,11 +4,20 @@ Every ``pipe`` channel is one kernel pipe.  A process stage gets the
 read end as stdin and the write end as stdout; each ``tee``, ``merge``
 and ``split`` stage holds its ends in one thread inside this process,
 running the record pump below.  A pipe with a ``primer`` (a cycle's
-``seed``) has it written in as the pipe is made, before any stage
-starts; no stage or thread runs for it.  Each descriptor has one owner:
-a process's ends are closed here once it is spawned, a synthetic
-stage's by its thread, so end-of-file propagates the moment a writer
-exits.
+``seed``) has it written in as the pipe is made; no stage or thread
+runs for it.  Each descriptor has one owner: a process's ends are
+closed here once it is spawned, a synthetic stage's by its thread, so
+end-of-file propagates the moment a writer exits.
+
+Before the first stage starts, ``run`` makes the run directory (its
+own unless it is given one), the broker of a system with an ``Event``
+connector, each ``RPC``/``DataAccess`` endpoint's path in the stages'
+environment, and the pipes and files, in that order, on one
+``ExitStack`` that undoes them in reverse once the last stage stops or
+a start fails.  A file that cannot be opened, a NUL in its path
+included, is an ``IoError`` raised before any stage starts; an
+``impl`` that cannot be spawned, a NUL in it included, is a spawn
+failure (status 127).
 
 One poll over a pidfd per process (Linux >= 5.3) reaps them all, and
 the stage threads are joined, against one deadline.  A downstream stage
@@ -23,12 +32,12 @@ from __future__ import annotations
 import fcntl
 import os
 import select
-import shutil
 import signal
 import subprocess
 import tempfile
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -72,51 +81,41 @@ def run(
     runtime_dir: str | None = None,
 ) -> RunReport:
     started = time.monotonic()
-    own_dir = runtime_dir is None
-    rt_dir = runtime_dir or tempfile.mkdtemp(prefix="archon-run-")
-    broker = None
     report = RunReport()
-    try:
-        if built.broker:
-            from .broker import EventBroker  # only a system with an Event connector loads it
-
-            broker = EventBroker(os.path.join(rt_dir, built.broker)).start()
-        _execute(built, rt_dir, timeout, report)
-    finally:
-        if broker is not None:
-            broker.stop()  # joins the connection threads: the count is final
-            report.unheard_events = broker.unheard
-        if own_dir:
-            shutil.rmtree(rt_dir, ignore_errors=True)
-    for channel in built.channels:
-        if channel.kind in ("file-in", "file-out"):
-            try:
-                report.channel_bytes[channel.name] = os.path.getsize(channel.path)
-            except OSError:
-                pass
-    report.duration = time.monotonic() - started
-    report.overall = _overall(built, report)
-    return report
-
-
-def _execute(
-    built: BuildPlan,
-    rt_dir: str,
-    timeout: float | None,
-    report: RunReport,
-) -> None:
     env_base = dict(os.environ)
-    if built.broker:
-        env_base["ARCHON_BROKER"] = os.path.join(rt_dir, built.broker)
-    for conn, endpoint in built.rpc:
-        env_base[_env_name(conn)] = os.path.join(rt_dir, endpoint)
-
     read_fd: dict[str, int] = {}
     write_fd: dict[str, int] = {}
     procs: dict[str, subprocess.Popen] = {}
     pidfds: dict[int, str] = {}  # a pidfd turns a process's exit into a poll event
     threads: list[threading.Thread] = []
-    try:
+    with ExitStack() as stack:
+        rt_dir = runtime_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="archon-run-", ignore_cleanup_errors=True)
+        )
+        if built.broker:
+            from .broker import EventBroker  # only a system with an Event connector loads it
+
+            broker = EventBroker(os.path.join(rt_dir, built.broker))
+            # stop() joins the connection threads, so the count read after it is final
+            stack.callback(lambda: setattr(report, "unheard_events", broker.unheard))
+            env_base["ARCHON_BROKER"] = stack.enter_context(broker).endpoint
+        for conn, endpoint in built.rpc:
+            env_base[_env_name(conn)] = os.path.join(rt_dir, endpoint)
+
+        @stack.callback
+        def reap() -> None:
+            # what runs past the deadline or was left by a failed start is
+            # killed, and the processes and threads share one grace
+            stragglers = [proc for proc in procs.values() if proc.returncode is None]
+            for proc in stragglers:
+                proc.kill()
+            if stragglers:
+                _wait(procs, pidfds, threads, time.monotonic() + 5, report)
+            # a process whose pidfd_open failed has no pidfd to poll
+            for name in procs.keys() - pidfds.values() - report.statuses.keys():
+                procs[name].wait()
+            _close_all(pidfds)
+
         try:
             for channel in built.channels:
                 if channel.kind == "pipe":
@@ -128,7 +127,7 @@ def _execute(
                 flags = os.O_RDONLY if reading else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
                 try:
                     fd = os.open(channel.path, flags, 0o644)
-                except OSError as err:
+                except (OSError, ValueError) as err:  # ValueError: a NUL in the path
                     what = "input" if reading else "output"
                     raise fail("IoError", f"cannot open {what} '{channel.path}': {err}")
                 (read_fd if reading else write_fd)[channel.name] = fd
@@ -155,7 +154,7 @@ def _execute(
                         stdout=outs[stage.writes[0]] if outs else subprocess.DEVNULL,
                         env=env,
                     )
-                except OSError as err:
+                except (OSError, ValueError) as err:  # ValueError: a NUL in the argv
                     report.spawn_failures[stage.name] = str(err)
                     continue
                 finally:
@@ -166,20 +165,18 @@ def _execute(
             _close_all([*read_fd.values(), *write_fd.values()])
         _wait(procs, pidfds, threads, time.monotonic() + timeout if timeout else None, report)
         report.timed_out = bool(pidfds) or any(t.is_alive() for t in threads)
-    finally:
-        # still running at the deadline, or left behind by a failed start
-        stragglers = [proc for proc in procs.values() if proc.returncode is None]
-        for proc in stragglers:
-            proc.kill()
-        if stragglers:
-            _wait(procs, pidfds, threads, time.monotonic() + 5, report)
-        # a process whose pidfd_open failed has no pidfd to poll
-        for name in procs.keys() - pidfds.values() - report.statuses.keys():
-            procs[name].wait()
-        _close_all(pidfds)
     report.early_close = frozenset(
         name for name, status in report.statuses.items() if status == SIGPIPE_STATUS
     )
+    for channel in built.channels:
+        if channel.kind in ("file-in", "file-out"):
+            try:
+                report.channel_bytes[channel.name] = os.path.getsize(channel.path)
+            except OSError:
+                pass
+    report.duration = time.monotonic() - started
+    report.overall = _overall(built, report)
+    return report
 
 
 def _wait(

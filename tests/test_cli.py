@@ -428,11 +428,27 @@ def test_run_pipeline_end_to_end(src, tmp_path, make_filter, capsys):
     assert out.read_bytes() == b"HELLO\n"
 
 
-def test_run_that_cannot_start_is_2(src, tmp_path, capsys):
+@pytest.mark.parametrize("name", ["missing.txt", "mis\0sing.txt"], ids=["missing", "nul"])
+def test_run_that_cannot_start_is_2(src, tmp_path, capsys, name):
     path = src('system S { component C : Filter impl "cat"; pipeline P: input | C() | output; }')
-    missing, out = tmp_path / "missing.txt", tmp_path / "o.txt"
+    missing, out = tmp_path / name, tmp_path / "o.txt"
     assert main(["run", path, "--input", str(missing), "--output", str(out)]) == 2
     assert "IoError" in capsys.readouterr().err
+
+
+def test_run_reports_each_stage_that_could_not_be_spawned(src, tmp_path, capsys):
+    path = src(
+        'system S { component B : Filter impl "/nonexistent/b"; component A : Filter impl "ca\0t";'
+        " pipeline P: input | A() | B() | output; }"
+    )
+    inp, out = tmp_path / "i.txt", tmp_path / "o.txt"
+    inp.write_bytes(b"x\n")
+    assert main(["run", path, "--input", str(inp), "--output", str(out)]) == 127
+    assert capsys.readouterr().err == (
+        "archon: stage 'A' could not be spawned: embedded null byte\n"
+        "archon: stage 'B' could not be spawned:"
+        " [Errno 2] No such file or directory: '/nonexistent/b'\n"
+    )
 
 
 def test_run_emit_plan_writes_file(src, tmp_path, make_filter):

@@ -218,10 +218,14 @@ def test_upper_rev_matches_shell_oracle(tmp_path, make_filter):
     upper, rev = make_filter("upper", UPPER), make_filter("rev", REV)
     inp, out, oracle = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "oracle.txt"
     inp.write_bytes(b"abc\nxyz\n")
-    report = run(_built(_pipeline([upper, rev], inp, out)))
+    built = _built(_pipeline([upper, rev], inp, out))
+    report = run(built)
     assert report.overall == 0
     subprocess.run(f"{upper} < {inp} | {rev} > {oracle}", shell=True, check=True)
     assert out.read_bytes() == oracle.read_bytes() == b"CBA\nZYX\n"
+    # the file channels' sizes are read once the stages are done
+    files = {c.kind: c.name for c in built.channels if c.kind in ("file-in", "file-out")}
+    assert report.channel_bytes == {files["file-in"]: 8, files["file-out"]: 8}
 
 
 def test_empty_input_empty_output(tmp_path, make_filter):
@@ -366,10 +370,75 @@ def test_archon_run_reports_unheard_events_and_exits_0(tmp_path, make_filter, ca
     assert capsys.readouterr().err == "archon: 5 event(s) reached no listener\n"
 
 
-def test_spawn_failure_reported(tmp_path):
+# Writes the endpoint variables it was given to the file named by its
+# argument and its instance.
+ENDPOINTS = """
+with open(sys.argv[1] + os.environ["ARCHON_INSTANCE"], "w") as out:
+    for name, value in sorted(os.environ.items()):
+        if name.startswith(("ARCHON_RPC_", "ARCHON_BROKER")):
+            out.write(f"{name}={value}\\n")
+"""
+
+
+def test_every_stage_is_told_every_rpc_and_data_access_endpoint(
+    tmp_path, make_filter, monkeypatch
+):
+    monkeypatch.delenv("ARCHON_BROKER", raising=False)
+    probe = f"{make_filter('endpoints', ENDPOINTS)} {tmp_path}/seen-"
+    report = run(_built(f"""system Shop {{
+      componenttype Ui {{ port ask : RpcCall; }}
+      componenttype Logic {{ port serve : RpcDef; }}
+      componenttype Teller {{ port book : StoreAccess; }}
+      component Front : Ui impl "{probe}";
+      component Core : Logic impl "{probe}";
+      component Till : Teller impl "{probe}";
+      component Vault : DataStore impl "{probe}";
+      connector price-feed : RPC;
+      connector book : DataAccess;
+      attach Front.ask to price-feed.caller;
+      attach Core.serve to price-feed.definer;
+      attach Till.book to book.client;
+      attach Vault.store to book.store;
+    }}"""), timeout=20, runtime_dir=str(tmp_path))
+    assert report.overall == 0
+    assert report.statuses == {"Core": 0, "Front": 0, "Till": 0, "Vault": 0}
+    # the hyphen becomes an underscore in the name, not in the path
+    want = f"ARCHON_RPC_BOOK={tmp_path}/rpc_book.sock\n"
+    want += f"ARCHON_RPC_PRICE_FEED={tmp_path}/rpc_price-feed.sock\n"
+    for instance in report.statuses:
+        assert (tmp_path / f"seen-{instance}").read_text() == want
+
+
+def test_a_failed_start_undoes_what_it_made(tmp_path, monkeypatch, started):
+    made = tmp_path / "made"
+    made.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(made))
+    given = tmp_path / "given"
+    given.mkdir()
+    built = _built(f"""system News {{
+      componenttype Reporter {{ port wire : EventEmit; }}
+      component Field : Reporter impl "true";
+      component C : Filter impl "cat";
+      connector wire : Event;
+      attach Field.wire to wire.announcer;
+      pipeline P: input | C() | output;
+      input "{tmp_path}/missing.txt"; output "{tmp_path}/out.txt";
+    }}""")
+    for runtime_dir in (None, str(given)):
+        with pytest.raises(ArchonError) as exc:
+            run(built, timeout=10, runtime_dir=runtime_dir)
+        assert exc.value.code == "IoError"
+        # the broker's threads were started, and were stopped
+        assert started and not any(thread.is_alive() for thread in started)
+    assert list(made.iterdir()) == []
+    assert given.is_dir()
+
+
+@pytest.mark.parametrize("impl", ["/nonexistent/filter", "ca\0t"], ids=["missing", "nul"])
+def test_spawn_failure_reported(tmp_path, impl):
     inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
     inp.write_bytes(b"")
-    report = run(_built(_pipeline(["/nonexistent/filter"], inp, out)))
+    report = run(_built(_pipeline([impl], inp, out)))
     assert "S0" in report.spawn_failures
     assert report.overall == 127
 
